@@ -23,9 +23,8 @@ from .hive import (GZ, HIVE, TROPICAL_GZ, HornTriple, Tableau, boundary,
 from .simplex import feasible_point
 from .chamber import (ChamberMap, GenericityReport, WbarWeighting,
                       find_delta0_chamber, genericity_check,
-                      horn_triple_tropical, kappa, kappa_weightings,
-                      lt_inverse, random_interior_pattern, wbar_from_json,
-                      wbar_to_json)
+                      horn_triple_tropical, kappa, lt_inverse,
+                      random_interior_pattern, wbar_from_json, wbar_to_json)
 from .linalg import (eigh, gz_B, gz_H, haar_unitary, l_map, reconstruct_H,
                      sample_B_r, sample_H_r, sigma_values, singular_l,
                      spectrum_of, upper_cholesky)
@@ -53,8 +52,8 @@ __all__ = [
     "tableau_to_json", "triple_csv_header", "triple_from_csv",
     "triple_to_csv", "feasible_point",
     "ChamberMap", "GenericityReport", "WbarWeighting", "find_delta0_chamber",
-    "genericity_check", "horn_triple_tropical", "kappa", "kappa_weightings",
-    "lt_inverse", "random_interior_pattern", "wbar_from_json", "wbar_to_json",
+    "genericity_check", "horn_triple_tropical", "kappa", "lt_inverse",
+    "random_interior_pattern", "wbar_from_json", "wbar_to_json",
     "eigh", "gz_B", "gz_H", "haar_unitary", "l_map", "reconstruct_H",
     "sample_B_r", "sample_H_r", "sigma_values", "singular_l", "spectrum_of",
     "upper_cholesky",

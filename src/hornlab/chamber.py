@@ -2,28 +2,33 @@
 
 The reduced weightings below put weights only on the diagonals and on the
 last horizontal edge of every line of the reference network; all other
-horizontals are zero.  On a full-dimensional cone of patterns (the chamber)
-the map w -> tropical_gz(w) is linear and invertible: every pattern slot is
-computed by one fixed path system, the one that threads the top i sources of
-the bottom-k subnetwork through the longest available staircases down to the
-bottom i lines.  find_delta0_chamber builds that selection, inverts its
-incidence matrix exactly, and then refuses to return anything that does not
-verify on random interior patterns.
+horizontals are zero.  Every path system is then a 0/1 profile over the
+reduced-weighting coordinates, so every tropical minor is max(P_slot . w)
+over the distinct profiles P of that slot's systems.  P is enumerated once
+per topology, for the reference network and for its concatenation with
+itself, and every minor of a reduced weighting below is read off it.
+
+On a full-dimensional cone of patterns (the chamber) the map
+w -> tropical_gz(w) is linear and invertible: every pattern slot is computed
+by one fixed path system.  find_delta0_chamber selects, per slot, the unique
+argmax of P at a weighting deep in the dominant chamber, inverts the
+selected rows exactly, and then refuses to return anything that does not
+verify against the independent sweep on random interior patterns.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress
 
 import numpy as np
 
 from .hive import GZ, TROPICAL_GZ, HornTriple, Tableau, gz_check, gz_margin
-from .network import DIAGONAL, build_gamma0, compose_weightings, concatenate
-from .paths import (MultiPath, _subnets_of, enumerate_kpaths, m_k,
-                    multipath_weight, tropical_gz)
-from .semiring import BOTTOM, TROPICAL, as_rational
+from .network import build_gamma0, concatenate
+from .paths import _subnets_of, enumerate_kpaths, tropical_gz
+from .semiring import as_rational
 
 _ZERO = Fraction(0)
 
@@ -54,10 +59,7 @@ class WbarWeighting:
     def embed(self, g):
         """The full edge weighting on the given reference network."""
         w = {e: _ZERO for e in g.edges}
-        for x, e in zip(self.diagonals, g.diagonals()):
-            w[e] = x
-        for h in range(1, self.n + 1):
-            w[g.sink_horizontal(h)] = self.sink_horizontals[h - 1]
+        w.update(zip(_wbar_support(g), self.coordinates()))
         return w
 
 
@@ -77,6 +79,7 @@ def wbar_from_json(d):
 
 _G0 = {}
 _CONCAT = {}
+_PROFILES = {}
 _CHAMBER = {}
 
 
@@ -96,86 +99,94 @@ def _slots(n):
     return [(k, i) for k in range(1, n + 1) for i in range(1, k + 1)]
 
 
-def _coord_index(g):
-    """Edge -> coordinate position for the reduced weighting of g."""
-    idx = {}
-    for j, e in enumerate(g.diagonals()):
-        idx[e] = j
-    base = len(idx)
-    for h in range(1, g.rank + 1):
-        idx[g.sink_horizontal(h)] = base + (h - 1)
-    return idx
+def _top_slots(n):
+    return [(n, k) for k in range(1, n + 1)]
 
 
-def _staircase_starts(n):
-    starts = {}
-    x = 1
-    for j in range(1, n):
-        starts[j] = x
-        x += (n - j) + 1
-    return starts, max(x, 1)
+def _wbar_support(g):
+    """The edges carrying the reduced-weighting coordinates, in their order."""
+    return g.diagonals() + tuple(g.sink_horizontal(h) for h in range(1, g.rank + 1))
 
 
-def _walk_right(g, node, until_x):
-    edges = []
-    while g.xy(node)[0] < until_x:
-        step = None
-        for e in g.out_edges(node):
-            if e.tag != DIAGONAL:
-                step = e
-                break
-        if step is None:
-            raise RuntimeError("horizontal walk ran off the network")
-        edges.append(step)
-        node = step.head
-    return edges, node
+# -- path systems as profiles -------------------------------------------------
 
 
-def _canonical_multipath(g, sub, k, i):
-    """The selected i-system on the bottom-k subnetwork.
-
-    Path j starts at the j-th source from the top, rides its line to the
-    staircase whose bottom is line i + 1 - j, descends it all the way, and
-    exits along that line.  Lower paths take longer staircases, so the
-    family is vertex-disjoint by construction.
-    """
-    n = g.rank
-    starts, width = _staircase_starts(n)
-    paths = []
-    for j in range(1, i + 1):
-        h = k + 1 - j
-        target = i + 1 - j
-        node = sub.source_of_label(j)
-        edges = []
-        if target < h:
-            a = target  # staircase index: its lowest line is the exit line
-            run, node = _walk_right(sub, node, starts[a] + (n - h))
-            edges.extend(run)
-            for t in range(h, target, -1):
-                step = None
-                for e in sub.out_edges(node):
-                    if e.tag == DIAGONAL:
-                        step = e
-                        break
-                if step is None:
-                    raise RuntimeError("expected a diagonal at height %d" % t)
-                edges.append(step)
-                node = step.head
-        run, node = _walk_right(sub, node, width)
-        edges.extend(run)
-        paths.append(tuple(edges))
-    rows = tuple(range(1, i + 1))
-    cols = tuple(range(k + 1 - i, k + 1))
-    return MultiPath(tuple(paths), rows, cols)
+def _support_profiles(g, support):
+    """Deduplicated incidence vectors of every i-system of every bottom
+    subnetwork, restricted to the support edges, keyed by slot (k, i)."""
+    idx = {e: j for j, e in enumerate(support)}
+    subs = _subnets_of(g)
+    profiles = {}
+    for k in range(1, g.rank + 1):
+        sub = subs[k]
+        for i in range(1, k + 1):
+            seen = set()
+            labels = range(1, k + 1)
+            for rows in combinations(labels, i):
+                for cols in combinations(labels, i):
+                    for mp in enumerate_kpaths(sub, rows, cols):
+                        counts = [0] * len(support)
+                        for e in mp.edges():
+                            j = idx.get(e)
+                            if j is not None:
+                                counts[j] += 1
+                        seen.add(tuple(counts))
+            profiles[(k, i)] = tuple(sorted(seen))
+    return profiles
 
 
-def _incidence_row(mp, coord_index, ncols):
-    row = [_ZERO] * ncols
-    for e in mp.edges():
-        j = coord_index.get(e)
-        if j is not None:
-            row[j] += 1
-    return row
+def _profiles(n, composite=False):
+    """P for the rank-n reference network, or for its concatenation with
+    itself, whose columns are the left factor's coordinates then the
+    right factor's."""
+    key = (n, composite)
+    if key not in _PROFILES:
+        g = gamma0_cached(n)
+        support = _wbar_support(g)
+        if composite:
+            gc = concat_cached(n)
+            _PROFILES[key] = _support_profiles(
+                gc, tuple([gc.left_map[e] for e in support]
+                          + [gc.right_map[e] for e in support]))
+        else:
+            _PROFILES[key] = _support_profiles(g, support)
+    return _PROFILES[key]
+
+
+def _integer_coords(coords):
+    """The coordinates over one common denominator: (numerators, denominator)."""
+    den = math.lcm(*(x.denominator for x in coords))
+    return [x.numerator * (den // x.denominator) for x in coords], den
+
+
+def _values(rows, ints):
+    # rows are 0/1 (a vertex-disjoint system uses an edge at most once), so
+    # a dot product is the sum of the selected coordinates
+    return [sum(compress(ints, row)) for row in rows]
+
+
+def _minors(profiles, slots, coords):
+    """max(P_slot . w) for each slot, exactly: denominators are cleared
+    once, the dot products are integer sums, and only the maxima are
+    divided back."""
+    ints, den = _integer_coords(coords)
+    return tuple(Fraction(max(_values(profiles[s], ints)), den) for s in slots)
+
+
+def _dominant_rows(profiles, slots, coords):
+    """Each slot's row of P with the largest value; None on any tie."""
+    ints, _ = _integer_coords(coords)
+    out = []
+    for s in slots:
+        vals = _values(profiles[s], ints)
+        best = max(vals)
+        if vals.count(best) > 1:
+            return None
+        out.append(profiles[s][vals.index(best)])
+    return out
+
+
+# -- the chamber --------------------------------------------------------------
 
 
 def _invert_exact(mat):
@@ -206,7 +217,6 @@ class ChamberMap:
 
     n: int
     slots: tuple
-    selections: dict
     matrix: tuple
     inverse: tuple
 
@@ -241,56 +251,26 @@ def random_interior_pattern(n, rng, denom=1 << 16):
     return Tableau(n, tuple(out), TROPICAL_GZ)
 
 
-def _argmax_selection(g, subs, w):
-    """Argmax system per slot under a weighting; None on any tie."""
-    sel = {}
-    for k in range(1, g.rank + 1):
-        sub = subs[k]
-        for i in range(1, k + 1):
-            best = None
-            best_mp = None
-            tie = False
-            labels = range(1, k + 1)
-            for rows in combinations(labels, i):
-                for cols in combinations(labels, i):
-                    for mp in enumerate_kpaths(sub, rows, cols):
-                        v = multipath_weight(w, mp, TROPICAL)
-                        if v is BOTTOM:
-                            continue
-                        if best is None or v > best:
-                            best, best_mp, tie = v, mp, False
-                        elif v == best:
-                            tie = True
-            if tie or best_mp is None:
-                return None
-            sel[(k, i)] = best_mp
-    return sel
-
-
 def find_delta0_chamber(n, verify_points=100):
     """Build and certify the chamber for the rank-n reference network.
 
-    The canonical staircase selection is checked to be the unique argmax at
-    a random generic weighting (falling back to the enumerated argmax if
-    not), its incidence matrix is inverted exactly, and the resulting
-    linear inverse must reproduce tropical_gz on random strictly interior
+    Each slot's system is the unique argmax of P at a random weighting deep
+    in the dominant chamber (a tie moves on to the next such weighting).
+    The selected rows are inverted exactly, and the resulting linear
+    inverse must reproduce tropical_gz on random strictly interior
     patterns; any failure raises rather than returning a broken map.
     """
     if n in _CHAMBER:
         return _CHAMBER[n]
     g = gamma0_cached(n)
-    subs = _subnets_of(g)
     rng = np.random.default_rng(0xA11CE + n)
     slots = tuple(_slots(n))
-    coord_index = _coord_index(g)
-    ncols = len(coord_index)
+    profiles = _profiles(n)
 
-    selection = {(k, i): _canonical_multipath(g, subs[k], k, i) for (k, i) in slots}
-
-    # probe: inside the dominant chamber the canonical system must be the
+    # probe: inside the dominant chamber the maximal-drop system is the
     # argmax.  Diagonals are drawn from [64, 65) against sink horizontals in
     # [0, 1): dropping to a lower line always pays more than any sink edge
-    # can, so the maximal-drop system wins and only exact ties can spoil it.
+    # can, so only exact ties can spoil the selection.
     for _ in range(10):
         probe = WbarWeighting(
             n,
@@ -299,28 +279,19 @@ def find_delta0_chamber(n, verify_points=100):
             tuple(Fraction(int(v), 1 << 20)
                   for v in rng.integers(0, 1 << 20, size=n)),
         )
-        wdict = probe.embed(g)
-        enumerated = _argmax_selection(g, subs, wdict)
-        if enumerated is None:
-            continue
-        for slot in slots:
-            want = multipath_weight(wdict, enumerated[slot], TROPICAL)
-            got = multipath_weight(wdict, selection[slot], TROPICAL)
-            if want != got:
-                selection = enumerated
-                break
-        break
+        rows = _dominant_rows(profiles, slots, probe.coordinates())
+        if rows is not None:
+            break
     else:
         raise RuntimeError("no generic probe weighting found")
 
-    matrix = [_incidence_row(selection[slot], coord_index, ncols) for slot in slots]
+    # Fraction entries keep the exact inverse exact
+    matrix = tuple(tuple(Fraction(c) for c in row) for row in rows)
     inverse = _invert_exact(matrix)
     if inverse is None:
         raise RuntimeError("selected systems are linearly dependent")
 
-    chamber = ChamberMap(n, slots, selection,
-                         tuple(tuple(r) for r in matrix),
-                         tuple(tuple(r) for r in inverse))
+    chamber = ChamberMap(n, slots, matrix, tuple(tuple(r) for r in inverse))
 
     for t in range(verify_points):
         xi = random_interior_pattern(n, rng)
@@ -336,9 +307,9 @@ def lt_inverse(xi, chamber=None):
     """The reduced weighting whose pattern triangle is exactly xi.
 
     xi must lie in the interlacing cone.  The solve is a single exact
-    matrix-vector product; the result is then pushed back through
-    tropical_gz and compared slot by slot, so a wrong answer cannot
-    escape silently.
+    matrix-vector product; the result's minors are then read off P and
+    compared with xi slot by slot, so a wrong answer cannot escape
+    silently.
     """
     if chamber is None:
         chamber = find_delta0_chamber(xi.n)
@@ -349,21 +320,10 @@ def lt_inverse(xi, chamber=None):
     if not gz_check(exact, 0):
         raise ValueError("pattern is not in the interlacing cone")
     w = chamber.weighting_of(exact)
-    g = gamma0_cached(chamber.n)
-    got = tropical_gz(g, w.embed(g))
-    if got.rows != exact.rows:
+    got = _minors(_profiles(chamber.n), chamber.slots, w.coordinates())
+    if got != tuple(exact.value(k, i) for (k, i) in chamber.slots):
         raise RuntimeError("pattern lies outside the chamber's validity cone")
     return w
-
-
-def _m_vector(g, w):
-    out = []
-    for k in range(1, g.rank + 1):
-        v = m_k(g, w, k, TROPICAL)
-        if v is BOTTOM:
-            raise ValueError("no k-system exists; weighting degenerate")
-        out.append(v)
-    return tuple(out)
 
 
 def kappa(u, v, chamber=None):
@@ -377,15 +337,9 @@ def kappa(u, v, chamber=None):
         chamber = find_delta0_chamber(u.n)
     wu = lt_inverse(u, chamber)
     wv = lt_inverse(v, chamber)
-    return kappa_weightings(wu, wv, chamber)
-
-
-def kappa_weightings(wu, wv, chamber):
     n = chamber.n
-    g = gamma0_cached(n)
-    gc = concat_cached(n)
-    wc = compose_weightings(gc, wv.embed(g), wu.embed(g))
-    return _m_vector(gc, wc)
+    return _minors(_profiles(n, True), _top_slots(n),
+                   wv.coordinates() + wu.coordinates())
 
 
 def horn_triple_tropical(w1, w2):
@@ -394,13 +348,11 @@ def horn_triple_tropical(w1, w2):
     if w1.n != w2.n:
         raise ValueError("ranks differ")
     n = w1.n
-    g = gamma0_cached(n)
-    gc = concat_cached(n)
-    a = _m_vector(g, w1.embed(g))
-    b = _m_vector(g, w2.embed(g))
-    wc = compose_weightings(gc, w1.embed(g), w2.embed(g))
-    c = _m_vector(gc, wc)
-    return HornTriple(a, b, c)
+    top = _top_slots(n)
+    return HornTriple(_minors(_profiles(n), top, w1.coordinates()),
+                      _minors(_profiles(n), top, w2.coordinates()),
+                      _minors(_profiles(n, True), top,
+                              w1.coordinates() + w2.coordinates()))
 
 
 # -- genericity ---------------------------------------------------------------
@@ -414,53 +366,23 @@ class GenericityReport:
     delta: object
 
 
-def _support_profiles(g, support):
-    """Deduplicated incidence vectors of every i-system of every bottom
-    subnetwork, restricted to the support edges.  Cached per topology."""
-    key = tuple(support)
-    cache = getattr(g, "_profile_cache", None)
-    if cache is None:
-        cache = {}
-        g._profile_cache = cache
-    if key in cache:
-        return cache[key]
-    idx = {e: j for j, e in enumerate(support)}
-    subs = _subnets_of(g)
-    profiles = {}
-    for k in range(1, g.rank + 1):
-        sub = subs[k]
-        for i in range(1, k + 1):
-            seen = set()
-            labels = range(1, k + 1)
-            for rows in combinations(labels, i):
-                for cols in combinations(labels, i):
-                    for mp in enumerate_kpaths(sub, rows, cols):
-                        counts = [0] * len(support)
-                        for e in mp.edges():
-                            j = idx.get(e)
-                            if j is not None:
-                                counts[j] += 1
-                        seen.add(tuple(counts))
-            profiles[(k, i)] = tuple(sorted(seen))
-    cache[key] = profiles
-    return profiles
-
-
-def _min_separation(g, wdict, support):
-    profiles = _support_profiles(g, support)
+def _min_separation(profiles, coords):
+    ints, den = _integer_coords(coords)
     sep = None
-    weights = [wdict[e] for e in support]
-    for vecs in profiles.values():
-        vals = sorted({sum(c * x for c, x in zip(vec, weights) if c) for vec in vecs})
+    for rows in profiles.values():
+        vals = sorted(set(_values(rows, ints)))
         for a, b in zip(vals, vals[1:]):
-            d = b - a
-            if sep is None or d < sep:
-                sep = d
-    return sep
+            if sep is None or b - a < sep:
+                sep = b - a
+    return None if sep is None else Fraction(sep, den)
 
 
-def _wbar_support(g):
-    return tuple(_coord_index(g).keys())
+def _pattern(profiles, n, coords):
+    """The tropical pattern triangle of a weighting, read off P."""
+    vals = iter(_minors(profiles, _slots(n), coords))
+    rows = [(_ZERO,)] + [(_ZERO,) + tuple(next(vals) for _ in range(k))
+                         for k in range(1, n + 1)]
+    return Tableau(n, tuple(rows), TROPICAL_GZ)
 
 
 def genericity_check(w1, delta, w2=None):
@@ -472,22 +394,19 @@ def genericity_check(w1, delta, w2=None):
     """
     delta = as_rational(delta)
     n = w1.n
-    g = gamma0_cached(n)
-    support = _wbar_support(g)
-    jobs = [(g, w1.embed(g), support)]
+    jobs = [(_profiles(n), w1.coordinates())]
     if w2 is not None:
-        gc = concat_cached(n)
-        jobs.append((g, w2.embed(g), support))
-        csupport = tuple([gc.left_map[e] for e in support]
-                         + [gc.right_map[e] for e in support])
-        jobs.append((gc, compose_weightings(gc, w1.embed(g), w2.embed(g)), csupport))
+        if w2.n != n:
+            raise ValueError("ranks differ")
+        jobs.append((_profiles(n), w2.coordinates()))
+        jobs.append((_profiles(n, True), w1.coordinates() + w2.coordinates()))
     sep = None
     margin = None
-    for net, wdict, sup in jobs:
-        s = _min_separation(net, wdict, sup)
+    for profiles, coords in jobs:
+        s = _min_separation(profiles, coords)
         if s is not None and (sep is None or s < sep):
             sep = s
-        m = gz_margin(tropical_gz(net, wdict))
+        m = gz_margin(_pattern(profiles, n, coords))
         if m is not None and (margin is None or m < margin):
             margin = m
     ok = ((sep is None or sep > delta) and (margin is None or margin > delta))

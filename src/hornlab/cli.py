@@ -21,18 +21,16 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .chamber import (find_delta0_chamber, gamma0_cached, genericity_check,
-                      lt_inverse, kappa, wbar_from_json, wbar_to_json)
+from .chamber import gamma0_cached, lt_inverse, wbar_from_json, wbar_to_json
 from .hive import (GZ, HIVE, Tableau, format_number, gz_check, hive_check,
                    kt_member, parse_number, tableau_from_json,
                    tableau_to_json, triple_csv_header, triple_from_csv,
                    triple_to_csv, HornTriple)
 from .measure import (CHUNK, GENERATORS, exceptional_mass_estimate,
                       horn_forward_test, ks_distance, limit_sweep,
-                      projection_set)
+                      projection_set, sample_tropical_kappa)
 from .network import build_gamma0, network_to_dot, network_to_json
 from .paths import tropical_gz
-from .polytope import PolytopeSampler
 
 PASS = 0
 FAIL = 1
@@ -55,7 +53,6 @@ class ExperimentConfig:
     slack: object = None
     threshold: object = None
     taus: object = None
-    threads: object = None
     generator: object = None
     mode: object = None
     n: object = None
@@ -87,6 +84,17 @@ def _setting(args, cfg, name, default=None):
         if v is not None:
             return v
     return default
+
+
+class _MissingSetting(Exception):
+    pass
+
+
+def _required(args, cfg, name):
+    v = _setting(args, cfg, name)
+    if v is None:
+        raise _MissingSetting("--%s is required (as a flag or in the config)" % name)
+    return v
 
 
 def _resolve_seed(args, cfg):
@@ -202,47 +210,37 @@ def _csv_metadata(pairs):
 
 def cmd_kappa_sample(args):
     cfg = _load_config(args.config) if args.config else None
-    r = _parse_vector(_setting(args, cfg, "r"))
-    s = _parse_vector(_setting(args, cfg, "s"))
+    r = _parse_vector(_required(args, cfg, "r"))
+    s = _parse_vector(_required(args, cfg, "s"))
     count = int(_setting(args, cfg, "count", 100))
     seed = _resolve_seed(args, cfg)
-    n = len(r)
-    if len(s) != n:
-        raise ValueError("r and s must have the same length")
-    chamber = find_delta0_chamber(n)
-    rng = np.random.default_rng(seed)
-    chain_r = PolytopeSampler(tuple(float(x) for x in r), rng)
-    chain_s = PolytopeSampler(tuple(float(x) for x in s), rng)
+    sample = sample_tropical_kappa(r, s, count, np.random.default_rng(seed))
+    n = sample.n
     rstr = ",".join(format_number(x) for x in r)
     sstr = ",".join(format_number(x) for x in s)
     lines = _csv_metadata([("generator", "tropical-kappa"), ("n", n),
                            ("r", rstr), ("s", sstr),
                            ("count", count), ("seed", seed)])
     lines.append(triple_csv_header(n))
-    for _ in range(count):
-        u = chain_r.draw()
-        v = chain_s.draw()
-        kv = kappa(u, v, chamber)
-        row = ([format_number(x) for x in u.rows[n][1:]]
-               + [format_number(x) for x in v.rows[n][1:]]
-               + [format_number(x) for x in kv])
-        lines.append(",".join(row))
+    # every pattern's top row is r (resp. s), so a row is the triple itself
+    prefix = ",".join(format_number(x) for x in sample.r + sample.s)
+    for vec in sample.vectors:
+        lines.append(",".join([prefix] + [format_number(x) for x in vec]))
     _emit("\n".join(lines) + "\n", args.out)
     return PASS
 
 
 def cmd_sample(args):
     cfg = _load_config(args.config) if args.config else None
-    gen = _setting(args, cfg, "generator")
+    gen = _required(args, cfg, "generator")
     if gen not in GENERATORS:
         raise ValueError("unknown generator %r" % (gen,))
-    r = _parse_vector(_setting(args, cfg, "r"))
-    s = _parse_vector(_setting(args, cfg, "s"))
+    r = _parse_vector(_required(args, cfg, "r"))
+    s = _parse_vector(_required(args, cfg, "s"))
     count = int(_setting(args, cfg, "count", 1000))
     seed = _resolve_seed(args, cfg)
-    threads = int(_setting(args, cfg, "threads", 1))
     rng = np.random.default_rng(seed)
-    sample = GENERATORS[gen](r, s, count, rng, threads=threads, seed=seed)
+    sample = GENERATORS[gen](r, s, count, rng, seed=seed)
     n = sample.n
     lines = _csv_metadata([("generator", gen), ("n", n),
                            ("r", ",".join(format_number(x) for x in r)),
@@ -258,18 +256,16 @@ def cmd_sample(args):
 
 def cmd_measure_compare(args):
     cfg = _load_config(args.config) if args.config else None
-    r = _parse_vector(_setting(args, cfg, "r"))
-    s = _parse_vector(_setting(args, cfg, "s"))
+    r = _parse_vector(_required(args, cfg, "r"))
+    s = _parse_vector(_required(args, cfg, "s"))
     count = int(_setting(args, cfg, "count", 10000))
     seed = _resolve_seed(args, cfg)
-    threads = int(_setting(args, cfg, "threads", 1))
     threshold = float(_setting(args, cfg, "threshold", 0.02))
     n = len(r)
     samples = {}
     for j, name in enumerate(sorted(GENERATORS)):
         rng = np.random.default_rng([seed, j])
-        samples[name] = GENERATORS[name](r, s, count, rng,
-                                         threads=threads, seed=seed)
+        samples[name] = GENERATORS[name](r, s, count, rng, seed=seed)
     names = sorted(GENERATORS)
     # the final slot is the same affine invariant of (r, s) in every model,
     # so its law is an atom: a KS statistic between float-jitter atoms only
@@ -339,14 +335,13 @@ def cmd_limit_sweep(args):
 
 def cmd_horn_forward(args):
     cfg = _load_config(args.config) if args.config else None
-    mode = _setting(args, cfg, "mode")
-    n = int(_setting(args, cfg, "n"))
+    mode = _required(args, cfg, "mode")
+    n = int(_required(args, cfg, "n"))
     count = int(_setting(args, cfg, "count", 100))
     slack = parse_number(str(_setting(args, cfg, "slack", "0")))
     seed = _resolve_seed(args, cfg)
-    threads = int(_setting(args, cfg, "threads", 1))
     rng = np.random.default_rng(seed)
-    rep = horn_forward_test(mode, n, count, slack, rng, threads=threads)
+    rep = horn_forward_test(mode, n, count, slack, rng)
     print("mode=%s n=%d count=%d failures=%d pass_rate=%s"
           % (rep.mode, rep.n, rep.count, len(rep.failures),
              repr(rep.pass_rate)))
@@ -355,14 +350,13 @@ def cmd_horn_forward(args):
 
 def cmd_exceptional_mass(args):
     cfg = _load_config(args.config) if args.config else None
-    r = _parse_vector(_setting(args, cfg, "r"))
-    s = _parse_vector(_setting(args, cfg, "s"))
+    r = _parse_vector(_required(args, cfg, "r"))
+    s = _parse_vector(_required(args, cfg, "s"))
     count = int(_setting(args, cfg, "count", 1000))
     slack = parse_number(str(_setting(args, cfg, "slack", "1/100000000")))
     seed = _resolve_seed(args, cfg)
-    threads = int(_setting(args, cfg, "threads", 1))
     rng = np.random.default_rng(seed)
-    mass = exceptional_mass_estimate(r, s, count, slack, rng, threads=threads)
+    mass = exceptional_mass_estimate(r, s, count, slack, rng)
     print("mass=%s count=%d slack=%s" % (repr(mass), count, format_number(slack)))
     return PASS if mass == 0.0 else FAIL
 
@@ -419,7 +413,6 @@ def build_parser():
     p.add_argument("--s")
     p.add_argument("--count", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int)
     p.add_argument("--config")
     p.add_argument("--out")
 
@@ -430,7 +423,6 @@ def build_parser():
     p.add_argument("--count", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--threshold", type=float)
-    p.add_argument("--threads", type=int)
     p.add_argument("--config")
     p.add_argument("--out")
 
@@ -448,7 +440,6 @@ def build_parser():
     p.add_argument("--count", type=int)
     p.add_argument("--slack")
     p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int)
     p.add_argument("--config")
 
     p = add("exceptional-mass", cmd_exceptional_mass,
@@ -458,7 +449,6 @@ def build_parser():
     p.add_argument("--count", type=int)
     p.add_argument("--slack")
     p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int)
     p.add_argument("--config")
 
     return top
@@ -472,7 +462,7 @@ def main(argv=None):
     except (ValueError, RuntimeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return PRECONDITION
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, _MissingSetting) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return USAGE
 

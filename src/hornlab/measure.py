@@ -4,14 +4,12 @@ limit experiment.
 Sampling is chunked: a run of `count` draws is split into fixed blocks of
 8192, each chunk gets its own child generator spawned from the caller's rng,
 and chunk results are concatenated in chunk order.  The output is therefore
-a function of (seed, count) alone, independent of how many worker threads
-execute the chunks.
+a function of (seed, count) alone.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,60 +40,49 @@ class EmpiricalSample:
     seed: object = None
 
 
-def _chunk_sizes(count):
-    out = []
-    left = count
-    while left > 0:
-        take = min(CHUNK, left)
-        out.append(take)
-        left -= take
-    return out
-
-
-def _run_chunks(worker, count, rng, threads):
-    sizes = _chunk_sizes(count)
-    rngs = rng.spawn(len(sizes))
-    offsets = []
-    acc = 0
-    for sz in sizes:
-        offsets.append(acc)
-        acc += sz
-    jobs = list(zip(rngs, sizes, offsets))
-    if threads <= 1 or len(jobs) <= 1:
-        parts = [worker(*j) for j in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda j: worker(*j), jobs))
+def _run_chunks(worker, count, rng):
+    """worker(child_rng, size, offset) over CHUNK-sized blocks, each with
+    its own spawned stream; the results are concatenated in block order."""
+    offsets = range(0, count, CHUNK)
     merged = []
-    for p in parts:
-        merged.extend(p)
+    for crng, off in zip(rng.spawn(len(offsets)), offsets):
+        merged.extend(worker(crng, min(CHUNK, count - off), off))
     return merged
 
 
-def sample_hermitian_sum(r, s, count, rng, threads=1, seed=None):
-    """Spectra of D_r + U D_s U* with U Haar, as cumulative vectors."""
+def _float_pair(r, s):
     r = tuple(float(v) for v in r)
     s = tuple(float(v) for v in s)
+    if len(r) != len(s):
+        raise ValueError("r and s must have the same length")
+    return r, s
+
+
+def _sum_spectrum(lam_r, s, rng):
+    """Cumulative spectrum of D_r + U D_s U* with U Haar; lam_r is the
+    spectrum of r."""
+    k = sample_H_r(s, rng)
+    for i, lam in enumerate(lam_r):
+        k[i][i] = complex(k[i][i].real + lam, 0.0)
+    return l_map(k)
+
+
+def sample_hermitian_sum(r, s, count, rng, seed=None):
+    """Spectra of D_r + U D_s U* with U Haar, as cumulative vectors."""
+    r, s = _float_pair(r, s)
     lam_r = spectrum_of(r)
     n = len(r)
 
     def worker(crng, m, off):
-        out = []
-        for _ in range(m):
-            k = sample_H_r(s, crng)
-            for i in range(n):
-                k[i][i] = complex(k[i][i].real + lam_r[i], 0.0)
-            out.append(tuple(l_map(k)))
-        return out
+        return [tuple(_sum_spectrum(lam_r, s, crng)) for _ in range(m)]
 
-    vecs = _run_chunks(worker, count, rng, threads)
+    vecs = _run_chunks(worker, count, rng)
     return EmpiricalSample("hermitian-sum", n, r, s, count, tuple(vecs), seed)
 
 
-def sample_multiplicative(r, s, count, rng, threads=1, seed=None):
+def sample_multiplicative(r, s, count, rng, seed=None):
     """Cumulative log singular values of B_r-like times B_s-like factors."""
-    r = tuple(float(v) for v in r)
-    s = tuple(float(v) for v in s)
+    r, s = _float_pair(r, s)
     n = len(r)
 
     def worker(crng, m, off):
@@ -108,14 +95,13 @@ def sample_multiplicative(r, s, count, rng, threads=1, seed=None):
             out.append(tuple(singular_l(mat_mul_c(a, c))))
         return out
 
-    vecs = _run_chunks(worker, count, rng, threads)
+    vecs = _run_chunks(worker, count, rng)
     return EmpiricalSample("multiplicative", n, r, s, count, tuple(vecs), seed)
 
 
-def sample_tropical_kappa(r, s, count, rng, threads=1, seed=None):
+def sample_tropical_kappa(r, s, count, rng, seed=None):
     """Tropical product spectra of uniform patterns below r and s."""
-    r = tuple(float(v) for v in r)
-    s = tuple(float(v) for v in s)
+    r, s = _float_pair(r, s)
     n = len(r)
     chamber = find_delta0_chamber(n)
 
@@ -129,7 +115,7 @@ def sample_tropical_kappa(r, s, count, rng, threads=1, seed=None):
             out.append(tuple(float(x) for x in kappa(u, v, chamber)))
         return out
 
-    vecs = _run_chunks(worker, count, rng, threads)
+    vecs = _run_chunks(worker, count, rng)
     return EmpiricalSample("tropical-kappa", n, r, s, count, tuple(vecs), seed)
 
 
@@ -276,7 +262,7 @@ def _random_cumsum_spectrum(n, crng):
     return tuple(float(v) for v in np.cumsum(lam))
 
 
-def horn_forward_test(mode, n, count, slack, rng, threads=1):
+def horn_forward_test(mode, n, count, slack, rng):
     """Sample random instances and test their boundary triples for cone
     membership at the given slack; returns indices of any failures.
 
@@ -298,11 +284,7 @@ def horn_forward_test(mode, n, count, slack, rng, threads=1):
             elif mode == "hermitian":
                 r = _random_cumsum_spectrum(n, crng)
                 s = _random_cumsum_spectrum(n, crng)
-                lam_r = spectrum_of(r)
-                k = sample_H_r(s, crng)
-                for i in range(n):
-                    k[i][i] = complex(k[i][i].real + lam_r[i], 0.0)
-                triple = HornTriple(r, s, l_map(k))
+                triple = HornTriple(r, s, _sum_spectrum(spectrum_of(r), s, crng))
             else:
                 r = _random_cumsum_spectrum(n, crng)
                 s = _random_cumsum_spectrum(n, crng)
@@ -313,12 +295,12 @@ def horn_forward_test(mode, n, count, slack, rng, threads=1):
                 bad.append(off + idx)
         return bad
 
-    failures = _run_chunks(worker, count, rng, threads)
+    failures = _run_chunks(worker, count, rng)
     return ForwardReport(mode, n, count, eps, tuple(failures),
                          1.0 - len(failures) / count)
 
 
-def exceptional_mass_estimate(r, s, count, slack, rng, threads=1):
+def exceptional_mass_estimate(r, s, count, slack, rng):
     """Fraction of hermitian-sum spectra whose triple fails cone membership.
 
     The forward theorem says this is exactly zero at any positive slack;
@@ -326,22 +308,16 @@ def exceptional_mass_estimate(r, s, count, slack, rng, threads=1):
     tested at |slack|) and must yield a positive fraction, which makes the
     estimator falsifiable.
     """
-    r = tuple(float(v) for v in r)
-    s = tuple(float(v) for v in s)
-    n = len(r)
+    r, s = _float_pair(r, s)
     lam_r = spectrum_of(r)
     eps = as_rational(slack)
 
     def worker(crng, m, off):
         bad = 0
         for _ in range(m):
-            k = sample_H_r(s, crng)
-            for i in range(n):
-                k[i][i] = complex(k[i][i].real + lam_r[i], 0.0)
-            triple = HornTriple(r, s, l_map(k))
-            if not kt_member(triple, eps):
-                bad += 1
+            triple = HornTriple(r, s, _sum_spectrum(lam_r, s, crng))
+            bad += not kt_member(triple, eps)
         return [bad]
 
-    per_chunk = _run_chunks(worker, count, rng, threads)
+    per_chunk = _run_chunks(worker, count, rng)
     return sum(per_chunk) / count

@@ -16,15 +16,7 @@ from __future__ import annotations
 import math
 
 from .hive import GZ, Tableau, gz_check
-
-
-def _spectrum(r):
-    out = []
-    prev = 0.0
-    for v in r:
-        out.append(float(v) - prev)
-        prev = float(v)
-    return out
+from .linalg import spectrum_of
 
 
 class PolytopeSampler:
@@ -39,7 +31,7 @@ class PolytopeSampler:
     def __init__(self, r, rng, burn_in=1000, thinning=None):
         self.r = tuple(float(v) for v in r)
         self.n = len(self.r)
-        lam = _spectrum(self.r)
+        lam = spectrum_of(self.r)
         if any(a <= b for a, b in zip(lam, lam[1:])):
             raise ValueError("top row gaps must be strictly decreasing")
         self.rng = rng
@@ -156,7 +148,7 @@ def rejection_sample(r, count, rng, max_tries=10_000_000):
     """Reference sampler: uniform box proposals filtered by the cone test."""
     r = tuple(float(v) for v in r)
     n = len(r)
-    lam = _spectrum(r)
+    lam = spectrum_of(r)
     lo_hi = []
     slots = [(k, i) for k in range(1, n) for i in range(1, k + 1)]
     for (k, i) in slots:

@@ -195,7 +195,7 @@ def test_06_reference_density():
 def test_07_three_model_agreement():
     t0 = time.time()
     r, s = (3.0, 4.0, 3.0), (2.0, 2.5, 1.5)
-    samples = [gen(r, s, 50_000, np.random.default_rng([107, j]), threads=4)
+    samples = [gen(r, s, 50_000, np.random.default_rng([107, j]))
                for j, gen in enumerate(GENERATORS)]
     # the last slot is the same affine invariant of (r, s) in all three
     # models, so its law is an atom; comparing float jitter by KS is

@@ -4,11 +4,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hornlab import (
+    TROPICAL,
+    ChamberMap,
     TROPICAL_GZ,
     Tableau,
     WbarWeighting,
+    compose_weightings,
     find_delta0_chamber,
     genericity_check,
     gz_check,
@@ -17,12 +22,13 @@ from hornlab import (
     kappa,
     kt_member,
     lt_inverse,
+    m_k,
     random_interior_pattern,
     tropical_gz,
     wbar_from_json,
     wbar_to_json,
 )
-from hornlab.chamber import gamma0_cached
+from hornlab.chamber import concat_cached, gamma0_cached
 
 F = Fraction
 
@@ -76,6 +82,29 @@ def test_chamber_matrix_inverse_exact(n):
     assert prod == [[F(1) if i == j else F(0) for j in range(m)] for i in range(m)]
 
 
+# the selected system of each slot (k, i), as its incidence row over the
+# diagonals (drawing order) and then the sink horizontals (bottom line first)
+FROZEN_MATRICES = {
+    2: ((0, 1, 0),
+        (1, 1, 0),
+        (0, 1, 1)),
+    3: ((0, 0, 0, 1, 0, 0),
+        (0, 1, 0, 1, 0, 0),
+        (0, 0, 0, 1, 1, 0),
+        (1, 1, 0, 1, 0, 0),
+        (0, 1, 1, 1, 1, 0),
+        (0, 0, 0, 1, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_chamber_matrix_frozen(n):
+    ch = find_delta0_chamber(n)
+    assert ch.matrix == tuple(tuple(F(c) for c in row) for row in FROZEN_MATRICES[n])
+    # Fraction entries keep the exact inverse in Fractions
+    assert all(type(x) is F for row in ch.matrix + ch.inverse for x in row)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_chamber_round_trips_random_interior_patterns(n):
     ch = find_delta0_chamber(n)
@@ -119,6 +148,17 @@ def test_lt_inverse_rejects_non_interlacing():
     assert not gz_check(bad)
     with pytest.raises(ValueError):
         lt_inverse(bad)
+
+
+def test_lt_inverse_rejects_a_wrong_solve():
+    # minors are positively homogeneous, so a doubled inverse solves for a
+    # weighting whose pattern is 2 xi, and the round-trip check must see it
+    ch = find_delta0_chamber(3)
+    doubled = ChamberMap(3, ch.slots, ch.matrix,
+                         tuple(tuple(2 * x for x in row) for row in ch.inverse))
+    xi = random_interior_pattern(3, np.random.default_rng(5))
+    with pytest.raises(RuntimeError):
+        lt_inverse(xi, doubled)
 
 
 def test_lt_inverse_accepts_floats_exactly():
@@ -219,6 +259,55 @@ def test_kappa_image_interval_rank_two():
     assert lo < F(5, 4) and hi > F(11, 4)  # fills out toward both ends
 
 
+# -- the profile route against the sweep ------------------------------------
+
+def _weightings(n):
+    size = n * (n + 1) // 2
+    coords = st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=16),
+                      min_size=size, max_size=size)
+    return st.tuples(st.just(n), coords, coords, st.integers(0, 2 ** 32 - 1))
+
+
+def _wbar(n, coords):
+    d = n * (n - 1) // 2
+    return WbarWeighting(n, tuple(coords[:d]), tuple(coords[d:]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5).flatmap(_weightings))
+def test_profile_route_matches_the_sweep(case):
+    # horn_triple_tropical, genericity_check, lt_inverse and kappa read
+    # minors off the path system profiles; m_k and tropical_gz on the
+    # embedded or composed weighting are the independent dynamic program
+    n, c1, c2, seed = case
+    w1, w2 = _wbar(n, c1), _wbar(n, c2)
+    g, gc = gamma0_cached(n), concat_cached(n)
+    e1, e2 = w1.embed(g), w2.embed(g)
+    ks = range(1, n + 1)
+
+    t = horn_triple_tropical(w1, w2)
+    assert t.a == tuple(m_k(g, e1, k, TROPICAL) for k in ks)
+    assert t.b == tuple(m_k(g, e2, k, TROPICAL) for k in ks)
+    ec = compose_weightings(gc, e1, e2)
+    assert t.c == tuple(m_k(gc, ec, k, TROPICAL) for k in ks)
+    margins = [m for m in (gz_margin(tropical_gz(g, e1)), gz_margin(tropical_gz(g, e2)),
+                           gz_margin(tropical_gz(gc, ec))) if m is not None]
+    assert genericity_check(w1, 0, w2).min_margin == (min(margins) if margins else None)
+
+    # the chamber's closure covers the cone, so even boundary patterns of
+    # arbitrary weightings invert, and the sweep confirms the solve
+    ch = find_delta0_chamber(n)
+    xi = tropical_gz(g, e1)
+    assert tropical_gz(g, lt_inverse(xi, ch).embed(g)) == xi
+
+    rng = np.random.default_rng(seed)
+    u, v = random_interior_pattern(n, rng), random_interior_pattern(n, rng)
+    wu, wv = lt_inverse(u, ch), lt_inverse(v, ch)
+    assert tropical_gz(g, wu.embed(g)) == u
+    ev = compose_weightings(gc, wv.embed(g), wu.embed(g))
+    assert kappa(u, v, ch) == tuple(m_k(gc, ev, k, TROPICAL) for k in ks)
+
+
 # -- genericity ---------------------------------------------------------------
 
 def test_genericity_frozen_example():
@@ -238,6 +327,12 @@ def test_genericity_tie_shows_up_as_zero_margin():
     r = genericity_check(w, 0)
     assert r.min_margin == F(0)
     assert not r.generic
+
+
+def test_genericity_pair_rejects_mixed_ranks():
+    w3 = WbarWeighting(3, (F(1), F(2), F(3)), (F(0), F(1), F(2)))
+    with pytest.raises(ValueError):
+        genericity_check(W2, 0, w3)
 
 
 def test_genericity_pair_examines_the_composite():

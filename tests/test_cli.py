@@ -264,6 +264,29 @@ def test_exceptional_mass(capsys):
     assert "mass=0.0" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ["horn-forward", "--mode", "tropical", "--count", "2"],
+    ["horn-forward", "--n", "2", "--count", "2"],
+    ["sample", "--r", "2,0", "--s", "1,0", "--count", "2"],
+    ["sample", "--generator", "hermitian-sum", "--s", "1,0", "--count", "2"],
+    ["kappa-sample", "--r", "2,0", "--count", "2"],
+    ["measure-compare", "--s", "1,0", "--count", "2"],
+    ["exceptional-mass", "--r", "2,0", "--count", "2"],
+])
+def test_missing_required_setting_is_usage_error(argv, capsys):
+    assert main(argv) == USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "is required" in captured.err
+
+
+def test_sample_mismatched_lengths_is_precondition(capsys):
+    argv = ["sample", "--generator", "hermitian-sum", "--r", "1,0",
+            "--s", "1,0,0", "--count", "2"]
+    assert main(argv) == PRECONDITION
+    captured = capsys.readouterr()
+    assert captured.out == "" and "same length" in captured.err
+
+
 def test_module_entry_point(tmp_path):
     # the installed package runs as python -m hornlab
     out = subprocess.run([sys.executable, "-m", "hornlab",

@@ -103,13 +103,9 @@ def test_generator_seed_determinism(gen):
 
 
 @pytest.mark.parametrize("gen", GENS)
-def test_generator_thread_count_does_not_change_output(gen, monkeypatch):
-    # chunks own their spawned streams and are merged in submission order,
-    # so the schedule cannot leak into the sample set
-    monkeypatch.setattr(measure, "CHUNK", 64)
-    a = gen(R2, S2, 200, np.random.default_rng(5), threads=1)
-    b = gen(R2, S2, 200, np.random.default_rng(5), threads=3)
-    assert a.vectors == b.vectors
+def test_generator_rejects_mismatched_lengths(gen):
+    with pytest.raises(ValueError):
+        gen((1.0, 0.0), (1.0, 0.0, 0.0), 4, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("gen", GENS)
@@ -195,6 +191,12 @@ def test_horn_forward_small_runs_pass(mode):
 def test_horn_forward_unknown_mode():
     with pytest.raises(ValueError):
         horn_forward_test("quantum", 2, 5, 0, np.random.default_rng(0))
+
+
+def test_exceptional_mass_rejects_mismatched_lengths():
+    with pytest.raises(ValueError):
+        exceptional_mass_estimate((1.0, 0.0), (1.0, 0.0, 0.0), 4, F(1, 10 ** 8),
+                                  np.random.default_rng(0))
 
 
 def test_exceptional_mass_zero_at_positive_slack():
