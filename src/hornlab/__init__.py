@@ -5,8 +5,8 @@ rational linear programming, dense eigensolvers for the classical sides,
 and Monte Carlo machinery to compare the three product measures.
 """
 
-from .semiring import (BOTTOM, COMPLEX, NONNEG, RATIONAL, TROPICAL, Bottom,
-                       Semiring, as_rational, mat_equal, mat_identity, mat_mul)
+from .semiring import (BOTTOM, COMPLEX, RATIONAL, TROPICAL, Bottom, Semiring,
+                       as_rational, mat_equal, mat_identity, mat_mul)
 from .network import (DIAGONAL, HORIZONTAL, SINK_HORIZONTAL, Edge,
                       PlanarNetwork, build_gamma0, compose_weightings,
                       concatenate, constant_weighting, network_from_json,
@@ -28,7 +28,7 @@ from .chamber import (ChamberMap, GenericityReport, WbarWeighting,
 from .linalg import (eigh, gz_B, gz_H, haar_unitary, l_map, reconstruct_H,
                      sample_B_r, sample_H_r, sigma_values, singular_l,
                      spectrum_of, upper_cholesky)
-from .polytope import PolytopeSampler, rejection_sample, sample_P_r
+from .polytope import PolytopeSampler, rejection_sample
 from .measure import (CHUNK, GENERATORS, EmpiricalSample, ForwardReport,
                       KSResult, SweepResult, exceptional_mass_estimate,
                       horn_forward_test, ks_distance, limit_sweep,
@@ -38,7 +38,7 @@ from .measure import (CHUNK, GENERATORS, EmpiricalSample, ForwardReport,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BOTTOM", "Bottom", "COMPLEX", "NONNEG", "RATIONAL", "TROPICAL",
+    "BOTTOM", "Bottom", "COMPLEX", "RATIONAL", "TROPICAL",
     "Semiring", "as_rational", "mat_equal", "mat_identity", "mat_mul",
     "DIAGONAL", "HORIZONTAL", "SINK_HORIZONTAL", "Edge", "PlanarNetwork",
     "build_gamma0", "compose_weightings", "concatenate", "constant_weighting",
@@ -57,7 +57,7 @@ __all__ = [
     "eigh", "gz_B", "gz_H", "haar_unitary", "l_map", "reconstruct_H",
     "sample_B_r", "sample_H_r", "sigma_values", "singular_l", "spectrum_of",
     "upper_cholesky",
-    "PolytopeSampler", "rejection_sample", "sample_P_r",
+    "PolytopeSampler", "rejection_sample",
     "CHUNK", "GENERATORS", "EmpiricalSample", "ForwardReport", "KSResult",
     "SweepResult", "exceptional_mass_estimate", "horn_forward_test",
     "ks_distance", "limit_sweep", "projection_set", "sample_hermitian_sum",

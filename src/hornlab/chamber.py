@@ -25,7 +25,8 @@ from itertools import combinations, compress
 
 import numpy as np
 
-from .hive import GZ, TROPICAL_GZ, HornTriple, Tableau, gz_check, gz_margin
+from .hive import (GZ, TROPICAL_GZ, HornTriple, Tableau, _exact_in,
+                   _json_fields, gz_check, gz_margin)
 from .network import build_gamma0, concatenate
 from .paths import _subnets_of, enumerate_kpaths, tropical_gz
 from .semiring import as_rational
@@ -70,9 +71,10 @@ def wbar_to_json(w):
 
 
 def wbar_from_json(d):
-    return WbarWeighting(d["n"],
-                         tuple(Fraction(x) for x in d["diagonals"]),
-                         tuple(Fraction(x) for x in d["sink_horizontals"]))
+    n, diagonals, sinks = _json_fields(d, "reduced weighting", n=int,
+                                       diagonals=list, sink_horizontals=list)
+    return WbarWeighting(n, tuple(_exact_in(x) for x in diagonals),
+                         tuple(_exact_in(x) for x in sinks))
 
 
 # -- module-level topology caches (pure, rebuilt on demand) ------------------

@@ -1,14 +1,20 @@
 """Command line interface.
 
 One executable, one subcommand per task.  All randomized commands take an
-explicit --seed (falling back to the HORNLAB_SEED environment variable,
-then to 0) and their outputs are byte-deterministic functions of their
+explicit --seed and their outputs are byte-deterministic functions of their
 arguments: floats are printed with repr round-trip formatting, JSON key
 order is fixed, and there are no timestamps.
 
-Exit codes: 0 success / check passed, 1 check failed, 2 usage error,
-3 precondition violated (degenerate spectrum, non-generic weighting,
-pattern outside the cone).
+A randomized command's settings are resolved once, before it runs: the
+flag wins, then the --config file, then (for the seed only) the
+HORNLAB_SEED environment variable, then the built-in default.  A count must
+be at least 1.
+
+Exit codes: 0 success / check passed, 1 check failed, 2 usage error
+(unknown flag, missing required setting, a path that cannot be opened),
+3 precondition violated (malformed input file or number, count below 1,
+degenerate spectrum, non-generic weighting, pattern outside the cone),
+4 internal error (a bug; never reported as a failed check).
 """
 
 from __future__ import annotations
@@ -17,15 +23,14 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .chamber import gamma0_cached, lt_inverse, wbar_from_json, wbar_to_json
-from .hive import (GZ, HIVE, Tableau, format_number, gz_check, hive_check,
-                   kt_member, parse_number, tableau_from_json,
-                   tableau_to_json, triple_csv_header, triple_from_csv,
-                   triple_to_csv, HornTriple)
+from .hive import (format_number, gz_check, hive_check, kt_member,
+                   parse_number, tableau_from_json, tableau_to_json,
+                   triple_csv_header, triple_from_csv, HornTriple)
 from .measure import (CHUNK, GENERATORS, exceptional_mass_estimate,
                       horn_forward_test, ks_distance, limit_sweep,
                       projection_set, sample_tropical_kappa)
@@ -36,6 +41,7 @@ PASS = 0
 FAIL = 1
 USAGE = 2
 PRECONDITION = 3
+INTERNAL = 4
 
 
 @dataclass
@@ -63,49 +69,87 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, d):
+        if not isinstance(d, dict):
+            raise ValueError("config must be a JSON object")
         known = {f.name for f in fields(cls)}
         bad = set(d) - known
         if bad:
             raise ValueError("unknown config keys: %s" % ", ".join(sorted(bad)))
+        for k, v in d.items():
+            if isinstance(v, (bool, list, dict)):
+                raise ValueError("config key %r must be text or a number" % k)
         return cls(**d)
-
-
-def _load_config(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return ExperimentConfig.from_json(json.load(fh))
-
-
-def _setting(args, cfg, name, default=None):
-    v = getattr(args, name, None)
-    if v is not None:
-        return v
-    if cfg is not None:
-        v = getattr(cfg, name, None)
-        if v is not None:
-            return v
-    return default
 
 
 class _MissingSetting(Exception):
     pass
 
 
-def _required(args, cfg, name):
-    v = _setting(args, cfg, name)
-    if v is None:
-        raise _MissingSetting("--%s is required (as a flag or in the config)" % name)
-    return v
-
-
-def _resolve_seed(args, cfg):
-    v = _setting(args, cfg, "seed")
-    if v is None:
-        v = os.environ.get("HORNLAB_SEED")
-    return 0 if v is None else int(v)
-
-
 def _parse_vector(text):
     return tuple(parse_number(p) for p in str(text).split(","))
+
+
+# The shared flags of the randomized commands, each declared once: its
+# argparse keywords, and for a setting, how its value is read.  A config
+# value is held to the flag's choices too.
+_FLAGS = {
+    "generator": ({"choices": tuple(sorted(GENERATORS))}, str),
+    "mode": ({"choices": ("tropical", "hermitian", "multiplicative")}, str),
+    "n": ({"type": int}, int),
+    "r": ({}, _parse_vector),
+    "s": ({}, _parse_vector),
+    "count": ({"type": int}, int),
+    "slack": ({}, lambda v: parse_number(str(v))),
+    "seed": ({"type": int}, int),
+    "threshold": ({"type": float}, float),
+    "taus": ({"help": "comma list of scales"},
+             lambda v: [float(x) for x in _parse_vector(v)]),
+    "config": ({}, None),
+    "out": ({}, None),
+}
+
+_REQUIRED = object()
+
+# Each randomized command's settings, in the order they are resolved and
+# their flags listed, with the built-in defaults; a _REQUIRED setting that
+# is still unset is a usage error.
+_SETTINGS = {
+    "kappa-sample": {"r": _REQUIRED, "s": _REQUIRED, "count": 100,
+                     "seed": 0},
+    "sample": {"generator": _REQUIRED, "r": _REQUIRED, "s": _REQUIRED,
+               "count": 1000, "seed": 0},
+    "measure-compare": {"r": _REQUIRED, "s": _REQUIRED, "count": 10000,
+                        "seed": 0, "threshold": 0.02},
+    "limit-sweep": {"taus": None},
+    "horn-forward": {"mode": _REQUIRED, "n": _REQUIRED, "count": 100,
+                     "slack": "0", "seed": 0},
+    "exceptional-mass": {"r": _REQUIRED, "s": _REQUIRED, "count": 1000,
+                         "slack": "1/100000000", "seed": 0},
+}
+
+
+def _resolve_settings(args):
+    """Set args.<name> for every setting of the command: the flag, then the
+    config, then HORNLAB_SEED (seed only), then the built-in default."""
+    cfg = ExperimentConfig()
+    if getattr(args, "config", None):
+        with open(args.config, "r", encoding="utf-8") as fh:
+            cfg = ExperimentConfig.from_json(json.load(fh))
+    for name, default in _SETTINGS.get(args.command, {}).items():
+        v = getattr(args, name)
+        if v is None:
+            v = getattr(cfg, name)
+        if v is None and name == "seed":
+            v = os.environ.get("HORNLAB_SEED")
+        if v is None:
+            v = default
+        if v is _REQUIRED:
+            raise _MissingSetting("--%s is required (as a flag or in the config)"
+                                  % name)
+        kwargs, read = _FLAGS[name]
+        if v not in kwargs.get("choices", (v,)):
+            raise ValueError("unknown %s %r" % (name, v))
+        setattr(args, name, None if v is None else read(v))
 
 
 def _emit(text, out):
@@ -191,14 +235,12 @@ def cmd_kt_member(args):
         n = len(header) // 3
         for ln in lines[1:]:
             triples.append(triple_from_csv(ln, n))
+    verdicts = [kt_member(tr, slack) for tr in triples]
     lines = ["# slack=%s" % format_number(slack), "index,member"]
-    all_ok = True
-    for i, tr in enumerate(triples):
-        ok = kt_member(tr, slack)
-        all_ok = all_ok and ok
-        lines.append("%d,%s" % (i, "true" if ok else "false"))
+    lines += ["%d,%s" % (i, "true" if ok else "false")
+              for i, ok in enumerate(verdicts)]
     _emit("\n".join(lines) + "\n", args.out)
-    return PASS if all_ok else FAIL
+    return PASS if all(verdicts) else FAIL
 
 
 # -- randomized commands -------------------------------------------------------
@@ -209,11 +251,7 @@ def _csv_metadata(pairs):
 
 
 def cmd_kappa_sample(args):
-    cfg = _load_config(args.config) if args.config else None
-    r = _parse_vector(_required(args, cfg, "r"))
-    s = _parse_vector(_required(args, cfg, "s"))
-    count = int(_setting(args, cfg, "count", 100))
-    seed = _resolve_seed(args, cfg)
+    r, s, count, seed = args.r, args.s, args.count, args.seed
     sample = sample_tropical_kappa(r, s, count, np.random.default_rng(seed))
     n = sample.n
     rstr = ",".join(format_number(x) for x in r)
@@ -231,21 +269,14 @@ def cmd_kappa_sample(args):
 
 
 def cmd_sample(args):
-    cfg = _load_config(args.config) if args.config else None
-    gen = _required(args, cfg, "generator")
-    if gen not in GENERATORS:
-        raise ValueError("unknown generator %r" % (gen,))
-    r = _parse_vector(_required(args, cfg, "r"))
-    s = _parse_vector(_required(args, cfg, "s"))
-    count = int(_setting(args, cfg, "count", 1000))
-    seed = _resolve_seed(args, cfg)
-    rng = np.random.default_rng(seed)
-    sample = GENERATORS[gen](r, s, count, rng, seed=seed)
+    gen, r, s = args.generator, args.r, args.s
+    sample = GENERATORS[gen](r, s, args.count,
+                             np.random.default_rng(args.seed))
     n = sample.n
     lines = _csv_metadata([("generator", gen), ("n", n),
                            ("r", ",".join(format_number(x) for x in r)),
                            ("s", ",".join(format_number(x) for x in s)),
-                           ("count", count), ("seed", seed),
+                           ("count", args.count), ("seed", args.seed),
                            ("chunk", CHUNK)])
     lines.append(",".join("t%d" % i for i in range(1, n + 1)))
     for vec in sample.vectors:
@@ -255,17 +286,12 @@ def cmd_sample(args):
 
 
 def cmd_measure_compare(args):
-    cfg = _load_config(args.config) if args.config else None
-    r = _parse_vector(_required(args, cfg, "r"))
-    s = _parse_vector(_required(args, cfg, "s"))
-    count = int(_setting(args, cfg, "count", 10000))
-    seed = _resolve_seed(args, cfg)
-    threshold = float(_setting(args, cfg, "threshold", 0.02))
+    r, s, count, seed = args.r, args.s, args.count, args.seed
     n = len(r)
     samples = {}
     for j, name in enumerate(sorted(GENERATORS)):
         rng = np.random.default_rng([seed, j])
-        samples[name] = GENERATORS[name](r, s, count, rng, seed=seed)
+        samples[name] = GENERATORS[name](r, s, count, rng)
     names = sorted(GENERATORS)
     # the final slot is the same affine invariant of (r, s) in every model,
     # so its law is an atom: a KS statistic between float-jitter atoms only
@@ -297,23 +323,20 @@ def cmd_measure_compare(args):
         "s": [float(x) for x in s],
         "count": count,
         "seed": seed,
-        "threshold": threshold,
+        "threshold": args.threshold,
         "pairs": pairs,
         "total_identity": identity,
         "max_statistic": worst,
-        "pass": worst < threshold,
+        "pass": worst < args.threshold,
     }
     _emit(_json_text(report), args.out)
-    return PASS if worst < threshold else FAIL
+    return PASS if worst < args.threshold else FAIL
 
 
 def cmd_limit_sweep(args):
-    cfg = _load_config(args.config) if args.config else None
     w = wbar_from_json(_read_json(args.weights))
-    given = _setting(args, cfg, "taus")
-    if given is None:
+    if args.taus is None:
         raise ValueError("no scales given; pass --taus or set taus in the config")
-    taus = [float(parse_number(p)) for p in str(given).split(",")]
     phases = None
     if args.phase_seed is not None:
         rng = np.random.default_rng(int(args.phase_seed))
@@ -321,7 +344,7 @@ def cmd_limit_sweep(args):
         angles = rng.uniform(0.0, 2 * np.pi, size=len(g.edges))
         phases = {e: complex(np.cos(a), np.sin(a))
                   for e, a in zip(g.edges, angles)}
-    res = limit_sweep(w, taus, phases)
+    res = limit_sweep(w, args.taus, phases)
     lines = _csv_metadata([("n", w.n),
                            ("delta", repr(res.delta)),
                            ("slope", "none" if res.slope is None
@@ -334,14 +357,8 @@ def cmd_limit_sweep(args):
 
 
 def cmd_horn_forward(args):
-    cfg = _load_config(args.config) if args.config else None
-    mode = _required(args, cfg, "mode")
-    n = int(_required(args, cfg, "n"))
-    count = int(_setting(args, cfg, "count", 100))
-    slack = parse_number(str(_setting(args, cfg, "slack", "0")))
-    seed = _resolve_seed(args, cfg)
-    rng = np.random.default_rng(seed)
-    rep = horn_forward_test(mode, n, count, slack, rng)
+    rep = horn_forward_test(args.mode, args.n, args.count, args.slack,
+                            np.random.default_rng(args.seed))
     print("mode=%s n=%d count=%d failures=%d pass_rate=%s"
           % (rep.mode, rep.n, rep.count, len(rep.failures),
              repr(rep.pass_rate)))
@@ -349,15 +366,10 @@ def cmd_horn_forward(args):
 
 
 def cmd_exceptional_mass(args):
-    cfg = _load_config(args.config) if args.config else None
-    r = _parse_vector(_required(args, cfg, "r"))
-    s = _parse_vector(_required(args, cfg, "s"))
-    count = int(_setting(args, cfg, "count", 1000))
-    slack = parse_number(str(_setting(args, cfg, "slack", "1/100000000")))
-    seed = _resolve_seed(args, cfg)
-    rng = np.random.default_rng(seed)
-    mass = exceptional_mass_estimate(r, s, count, slack, rng)
-    print("mass=%s count=%d slack=%s" % (repr(mass), count, format_number(slack)))
+    mass = exceptional_mass_estimate(args.r, args.s, args.count, args.slack,
+                                     np.random.default_rng(args.seed))
+    print("mass=%s count=%d slack=%s"
+          % (repr(mass), args.count, format_number(args.slack)))
     return PASS if mass == 0.0 else FAIL
 
 
@@ -368,8 +380,15 @@ def build_parser():
                     "at desk scale.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_):
-        p = sub.add_parser(name, help=help_)
+    shared = {}
+    for name, (kwargs, _) in _FLAGS.items():
+        shared[name] = argparse.ArgumentParser(add_help=False)
+        shared[name].add_argument("--" + name, **kwargs)
+
+    def add(name, fn, help_, *flags):
+        flags = tuple(_SETTINGS.get(name, ())) + flags
+        p = sub.add_parser(name, help=help_,
+                           parents=[shared[f] for f in flags])
         p.set_defaults(func=fn)
         return p
 
@@ -399,72 +418,39 @@ def build_parser():
     p.add_argument("--slack", default="0")
     p.add_argument("--out")
 
-    p = add("kappa-sample", cmd_kappa_sample, "sample tropical product spectra")
-    p.add_argument("--r")
-    p.add_argument("--s")
-    p.add_argument("--count", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--config")
-    p.add_argument("--out")
-
-    p = add("sample", cmd_sample, "draw from one of the three generators")
-    p.add_argument("--generator", choices=tuple(sorted(GENERATORS)))
-    p.add_argument("--r")
-    p.add_argument("--s")
-    p.add_argument("--count", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--config")
-    p.add_argument("--out")
-
-    p = add("measure-compare", cmd_measure_compare,
-            "pairwise KS distances between the three generators")
-    p.add_argument("--r")
-    p.add_argument("--s")
-    p.add_argument("--count", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--config")
-    p.add_argument("--out")
-
-    p = add("limit-sweep", cmd_limit_sweep, "scaling-limit error curve")
+    add("kappa-sample", cmd_kappa_sample, "sample tropical product spectra",
+        "config", "out")
+    add("sample", cmd_sample, "draw from one of the three generators",
+        "config", "out")
+    add("measure-compare", cmd_measure_compare,
+        "pairwise KS distances between the three generators", "config", "out")
+    p = add("limit-sweep", cmd_limit_sweep, "scaling-limit error curve",
+            "config", "out")
     p.add_argument("--weights", required=True)
-    p.add_argument("--taus", help="comma list of scales")
     p.add_argument("--phase-seed", type=int, dest="phase_seed")
-    p.add_argument("--config")
-    p.add_argument("--out")
-
-    p = add("horn-forward", cmd_horn_forward,
-            "random instances must land in the cone")
-    p.add_argument("--mode", choices=("tropical", "hermitian", "multiplicative"))
-    p.add_argument("--n", type=int)
-    p.add_argument("--count", type=int)
-    p.add_argument("--slack")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--config")
-
-    p = add("exceptional-mass", cmd_exceptional_mass,
-            "fraction of hermitian-sum spectra outside the cone")
-    p.add_argument("--r")
-    p.add_argument("--s")
-    p.add_argument("--count", type=int)
-    p.add_argument("--slack")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--config")
-
+    add("horn-forward", cmd_horn_forward,
+        "random instances must land in the cone", "config")
+    add("exceptional-mass", cmd_exceptional_mass,
+        "fraction of hermitian-sum spectra outside the cone", "config")
     return top
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if [] in vars(args).values():  # argparse reads '--flag=--' as []
+        parser.error("an option is missing its value")
     try:
+        _resolve_settings(args)
         return args.func(args)
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OSError, _MissingSetting) as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return PRECONDITION
-    except (FileNotFoundError, _MissingSetting) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return USAGE
+        return USAGE if isinstance(exc, (OSError, _MissingSetting)) \
+            else PRECONDITION
+    except Exception as exc:
+        print("internal error: %s: %s" % (type(exc).__name__, exc),
+              file=sys.stderr)
+        return INTERNAL
 
 
 if __name__ == "__main__":

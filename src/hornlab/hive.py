@@ -254,16 +254,39 @@ def _value_out(v):
     return float(v)
 
 
+def _exact_in(v):
+    """A number or number string as an exact Fraction in the float range;
+    a four-digit exponent is refused before Fraction would expand it."""
+    if isinstance(v, bool) or not isinstance(v, (str, int, float)):
+        raise ValueError("not a number: %r" % (v,))
+    if isinstance(v, str) and \
+            len(v.lower().partition("e")[2].strip().lstrip("+-0_")) > 3:
+        raise ValueError("exponent out of range: %r" % (v,))
+    try:
+        x = Fraction(v)
+        float(x)
+        return x
+    except (ZeroDivisionError, OverflowError):  # '1/0', inf, 1e400
+        raise ValueError("not a finite number: %r" % (v,)) from None
+
+
 def _value_in(v):
     if v is None:
         return BOTTOM
-    if isinstance(v, str):
-        return Fraction(v)
-    if isinstance(v, bool):
-        raise ValueError("boolean is not a tableau value")
-    if isinstance(v, int):
-        return Fraction(v)
-    return float(v)
+    x = _exact_in(v)
+    return float(x) if isinstance(v, float) else x
+
+
+def _json_fields(d, what, **types):
+    """The named fields of a JSON object; a document that is not an object,
+    lacks a key or has a value of the wrong type raises ValueError."""
+    if not isinstance(d, dict):
+        raise ValueError("%s must be a JSON object" % what)
+    for key, typ in types.items():
+        if isinstance(d.get(key), bool) or not isinstance(d.get(key), typ):
+            raise ValueError("%s needs a key %r of type %s"
+                             % (what, key, typ.__name__))
+    return [d[key] for key in types]
 
 
 def tableau_to_json(t):
@@ -272,20 +295,20 @@ def tableau_to_json(t):
 
 
 def tableau_from_json(d):
-    rows = tuple(tuple(_value_in(v) for v in row) for row in d["rows"])
-    return Tableau(d["n"], rows, d.get("role", GZ))
+    n, rows = _json_fields(d, "tableau", n=int, rows=list)
+    if not all(isinstance(row, list) for row in rows):
+        raise ValueError("tableau rows must be lists")
+    rows = tuple(tuple(_value_in(v) for v in row) for row in rows)
+    return Tableau(n, rows, d.get("role", GZ))
 
 
 def parse_number(s):
     """Exact if possible: 'p/q' and integer literals become Fractions,
     anything else goes through float first."""
     s = s.strip()
-    if "/" in s:
-        return Fraction(s)
-    try:
-        return Fraction(int(s))
-    except ValueError:
-        return as_rational(float(s))
+    if "/" in s or s.lstrip("+-").isdigit():
+        return _exact_in(s)
+    return _exact_in(float(s))
 
 
 def format_number(v):

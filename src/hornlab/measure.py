@@ -37,16 +37,21 @@ class EmpiricalSample:
     s: tuple
     count: int
     vectors: tuple
-    seed: object = None
 
 
 def _run_chunks(worker, count, rng):
     """worker(child_rng, size, offset) over CHUNK-sized blocks, each with
-    its own spawned stream; the results are concatenated in block order."""
+    its own spawned stream; the results are concatenated in block order.
+    A count below 1 and a float overflow raise ValueError."""
+    if count < 1:
+        raise ValueError("count must be at least 1, got %d" % count)
     offsets = range(0, count, CHUNK)
     merged = []
-    for crng, off in zip(rng.spawn(len(offsets)), offsets):
-        merged.extend(worker(crng, min(CHUNK, count - off), off))
+    try:
+        for crng, off in zip(rng.spawn(len(offsets)), offsets):
+            merged.extend(worker(crng, min(CHUNK, count - off), off))
+    except OverflowError as exc:  # spectra too large for float arithmetic
+        raise ValueError("input out of the float range (%s)" % exc) from None
     return merged
 
 
@@ -67,7 +72,7 @@ def _sum_spectrum(lam_r, s, rng):
     return l_map(k)
 
 
-def sample_hermitian_sum(r, s, count, rng, seed=None):
+def sample_hermitian_sum(r, s, count, rng):
     """Spectra of D_r + U D_s U* with U Haar, as cumulative vectors."""
     r, s = _float_pair(r, s)
     lam_r = spectrum_of(r)
@@ -77,10 +82,10 @@ def sample_hermitian_sum(r, s, count, rng, seed=None):
         return [tuple(_sum_spectrum(lam_r, s, crng)) for _ in range(m)]
 
     vecs = _run_chunks(worker, count, rng)
-    return EmpiricalSample("hermitian-sum", n, r, s, count, tuple(vecs), seed)
+    return EmpiricalSample("hermitian-sum", n, r, s, count, tuple(vecs))
 
 
-def sample_multiplicative(r, s, count, rng, seed=None):
+def sample_multiplicative(r, s, count, rng):
     """Cumulative log singular values of B_r-like times B_s-like factors."""
     r, s = _float_pair(r, s)
     n = len(r)
@@ -96,10 +101,10 @@ def sample_multiplicative(r, s, count, rng, seed=None):
         return out
 
     vecs = _run_chunks(worker, count, rng)
-    return EmpiricalSample("multiplicative", n, r, s, count, tuple(vecs), seed)
+    return EmpiricalSample("multiplicative", n, r, s, count, tuple(vecs))
 
 
-def sample_tropical_kappa(r, s, count, rng, seed=None):
+def sample_tropical_kappa(r, s, count, rng):
     """Tropical product spectra of uniform patterns below r and s."""
     r, s = _float_pair(r, s)
     n = len(r)
@@ -116,7 +121,7 @@ def sample_tropical_kappa(r, s, count, rng, seed=None):
         return out
 
     vecs = _run_chunks(worker, count, rng)
-    return EmpiricalSample("tropical-kappa", n, r, s, count, tuple(vecs), seed)
+    return EmpiricalSample("tropical-kappa", n, r, s, count, tuple(vecs))
 
 
 GENERATORS = {

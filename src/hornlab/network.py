@@ -137,9 +137,6 @@ class PlanarNetwork:
     def xy(self, node):
         return self.nodes[node]
 
-    def node_at(self, x, y):
-        return self._coord_index[(x, y)]
-
     def out_edges(self, node):
         return self._out.get(node, ())
 

@@ -139,11 +139,6 @@ class PolytopeSampler:
         return self.as_tableau()
 
 
-def sample_P_r(r, rng, burn_in=1000, thinning=None):
-    """One uniform pattern below top row r (a fresh chain each call)."""
-    return PolytopeSampler(r, rng, burn_in=burn_in, thinning=thinning).draw()
-
-
 def rejection_sample(r, count, rng, max_tries=10_000_000):
     """Reference sampler: uniform box proposals filtered by the cone test."""
     r = tuple(float(v) for v in r)

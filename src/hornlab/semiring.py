@@ -115,23 +115,9 @@ class ComplexField(Semiring):
         return a * b
 
 
-class NonnegativeReals(Semiring):
-    """(+, *) on nonnegative floats; the classical path-sum semiring."""
-
-    zero = 0.0
-    one = 1.0
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-
 TROPICAL = TropicalSemiring()
 RATIONAL = RationalField()
 COMPLEX = ComplexField()
-NONNEG = NonnegativeReals()
 
 
 def mat_mul(ring, a, b):

@@ -70,6 +70,24 @@ def test_wbar_json_round_trip():
     assert wbar_from_json(wbar_to_json(w)) == w
 
 
+@pytest.mark.parametrize("doc, problem", [
+    ([2, ["2"], ["1", "1"]], "must be a JSON object"),
+    ({"n": 2}, "key 'diagonals' of type list"),
+    ({"n": 2, "diagonals": ["2"]}, "key 'sink_horizontals' of type list"),
+    ({"n": "2", "diagonals": ["2"], "sink_horizontals": ["1", "1"]},
+     "key 'n' of type int"),
+    ({"n": 2, "diagonals": "2", "sink_horizontals": ["1", "1"]},
+     "key 'diagonals' of type list"),
+    ({"n": 2, "diagonals": [None], "sink_horizontals": ["1", "1"]},
+     "not a number"),
+    ({"n": 2, "diagonals": ["2"], "sink_horizontals": ["1", "x"]},
+     "Invalid literal"),
+])
+def test_wbar_from_json_names_the_problem(doc, problem):
+    with pytest.raises(ValueError, match=problem):
+        wbar_from_json(doc)
+
+
 # -- the chamber itself -------------------------------------------------------
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

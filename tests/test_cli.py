@@ -1,10 +1,15 @@
 """Command line surface: exit codes, formats, config precedence, determinism."""
 
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hornlab.cli import PASS, FAIL, USAGE, PRECONDITION, ExperimentConfig, main
 
@@ -116,6 +121,9 @@ def test_unknown_command_is_usage_error(capsys):
     assert exc.value.code == USAGE
     with pytest.raises(SystemExit) as exc:
         main(["gamma0"])  # missing required --n
+    assert exc.value.code == USAGE
+    with pytest.raises(SystemExit) as exc:
+        main(["kappa-sample", "--count=--"])  # argparse reads the value as []
     assert exc.value.code == USAGE
     capsys.readouterr()
 
@@ -285,6 +293,161 @@ def test_sample_mismatched_lengths_is_precondition(capsys):
     assert main(argv) == PRECONDITION
     captured = capsys.readouterr()
     assert captured.out == "" and "same length" in captured.err
+
+
+# -- malformed input: exit 2 or 3, never a traceback ---------------------------
+
+# Malformed documents, numbers and counts: one error line and exit 2 or 3,
+# never a traceback, an exit 1 or an empty table.
+MALFORMED = [
+    (["trop-gz", "--weights"], {"n": 2}, PRECONDITION),
+    (["limit-sweep", "--taus", "5", "--weights"], {"n": 2}, PRECONDITION),
+    (["trop-gz", "--weights"], [1, 2], PRECONDITION),
+    (["trop-gz", "--weights"], dict(W2, n="2"), PRECONDITION),
+] + [
+    ([cmd, flag], doc, PRECONDITION)
+    for cmd, flag in (("lt-inverse", "--pattern"), ("gz-check", "--pattern"),
+                      ("hive-check", "--tableau"))
+    for doc in ({"rows": []}, {"n": 2}, [1])
+] + [
+    (["sample", "--config"], [1], PRECONDITION),
+    (["horn-forward", "--mode", "tropical", "--n", "2", "--count", "0"],
+     None, PRECONDITION),
+    (["exceptional-mass", "--r", "2,0", "--s", "1,0", "--count", "0"],
+     None, PRECONDITION),
+    (["measure-compare", "--r", "2,0", "--s", "1,0", "--count", "0"],
+     None, PRECONDITION),
+    (["sample", "--generator", "hermitian-sum", "--r", "2,0", "--s", "1,0",
+      "--count", "-1"], None, PRECONDITION),
+    (["kappa-sample", "--r", "2,0", "--s", "1,0", "--count", "0"],
+     None, PRECONDITION),
+    (["kappa-sample", "--r", "1/0,0", "--s", "1,0", "--count", "2"],
+     None, PRECONDITION),
+    (["kappa-sample", "--r", "inf,0", "--s", "1,0", "--count", "2"],
+     None, PRECONDITION),
+    (["sample", "--generator", "multiplicative", "--r", "9999,0", "--s", "1,0",
+      "--count", "2"], None, PRECONDITION),
+    (["gz-check", "--pattern"],
+     {"n": 2, "rows": [["0"], ["0", "1e400"], ["0", 0, 0.0]]}, PRECONDITION),
+    (["trop-gz", "--weights"], "a directory", USAGE),
+]
+
+
+@pytest.mark.parametrize("argv, doc, code", MALFORMED)
+def test_malformed_input_exit_code(argv, doc, code, tmp_path, capsys):
+    if doc == "a directory":
+        argv = argv + [str(tmp_path)]
+    elif doc is not None:
+        argv = argv + [_dump(tmp_path, "doc.json", doc)]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def _run(argv, stdin=""):
+    """Exit code, stdout and stderr of one in-process run."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(stdin)), \
+            redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+_NUMBER_TEXT = st.one_of(
+    st.integers(-3, 3).map(str),
+    st.sampled_from(["1/0", "-1/2", "0.5", "inf", "nan", "1e400", "1e9999999",
+                     "1e-9999999", "", "1//2", "abc"]),
+    st.text(alphabet="0123456789/.-+eE", max_size=4))
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
+                     st.floats(),
+                     st.sampled_from([float("inf"), -float("inf"),
+                                      float("nan")]),
+                     _NUMBER_TEXT)
+_JSON = st.recursive(_SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=4),
+    st.dictionaries(st.sampled_from(["n", "rows", "role", "diagonals", "x"]),
+                    inner, max_size=3)), max_leaves=8)
+_SIZES = st.one_of(st.integers(-1, 3), _JSON)
+_VECTORS = st.one_of(st.lists(_SCALARS, max_size=3), _JSON)
+# entries of well-shaped documents: mostly exact numbers, sometimes junk
+_ENTRIES = st.one_of(st.integers(-3, 3),
+                     st.fractions(-3, 3, max_denominator=4).map(str), _SCALARS)
+
+
+def _weighting(n):
+    m = n * (n - 1) // 2
+    return st.fixed_dictionaries({
+        "n": st.just(n),
+        "diagonals": st.lists(_ENTRIES, min_size=m, max_size=m),
+        "sink_horizontals": st.lists(_ENTRIES, min_size=n, max_size=n)})
+
+
+def _tableau(n):
+    rows = st.tuples(*[st.lists(_ENTRIES, min_size=k, max_size=k)
+                       .map(lambda row: ["0"] + row) for k in range(n + 1)])
+    return st.fixed_dictionaries(
+        {"n": st.just(n), "rows": rows.map(list)},
+        optional={"role": st.sampled_from(["gz", "hive", "tropical-gz"])})
+
+
+_WEIGHTINGS = st.one_of(_JSON, st.integers(1, 3).flatmap(_weighting),
+                        st.fixed_dictionaries({
+                            "n": _SIZES, "diagonals": _VECTORS,
+                            "sink_horizontals": _VECTORS}))
+_TABLEAUX = st.one_of(_JSON, st.integers(1, 3).flatmap(_tableau),
+                      st.fixed_dictionaries({
+                          "n": _SIZES,
+                          "rows": st.one_of(st.lists(_VECTORS, max_size=5),
+                                            st.lists(_SCALARS, min_size=1,
+                                                     max_size=3), _JSON)},
+                          optional={"role": _JSON}))
+_DOCUMENTS = st.one_of(
+    st.tuples(st.just(["trop-gz", "--weights", "-"]), _WEIGHTINGS),
+    st.tuples(st.sampled_from([["lt-inverse", "--pattern", "-"],
+                               ["gz-check", "--pattern", "-"],
+                               ["hive-check", "--tableau", "-"]]), _TABLEAUX))
+
+
+def _assert_contract(code, out, err, check_finished=False):
+    assert code in (PASS, FAIL, USAGE, PRECONDITION), (code, err)
+    if code == FAIL:
+        assert check_finished and out == "fail\n"
+    if code in (USAGE, PRECONDITION):
+        assert out == "" and "error: " in err
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DOCUMENTS)
+def test_fuzz_json_inputs_keep_the_exit_code_contract(case):
+    argv, doc = case
+    code, out, err = _run(argv, json.dumps(doc))
+    _assert_contract(code, out, err, check_finished=argv[0] in ("gz-check",
+                                                                "hive-check"))
+
+
+_VECTOR_TEXT = st.one_of(
+    st.sampled_from(["2,0", "1,0", "3,1,0", "2,1,0"]),
+    st.lists(_NUMBER_TEXT, min_size=1, max_size=3).map(",".join),
+    st.text(alphabet="0123456789,./-+eE", max_size=5))
+_COUNT_TEXT = st.one_of(st.integers(-2, 12).map(str),
+                        st.text(alphabet="0123456789-+x ", max_size=2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([["kappa-sample"],
+                        ["sample", "--generator", "hermitian-sum"],
+                        ["sample", "--generator", "multiplicative"],
+                        ["sample", "--generator", "tropical-kappa"]]),
+       _COUNT_TEXT, _VECTOR_TEXT, _VECTOR_TEXT)
+def test_fuzz_sample_settings_keep_the_exit_code_contract(cmd, count, r, s):
+    argv = cmd + ["--count=" + count, "--r=" + r, "--s=" + s, "--seed", "1"]
+    code, out, err = _run(argv)
+    _assert_contract(code, out, err)
+    assert code != FAIL
 
 
 def test_module_entry_point(tmp_path):

@@ -224,3 +224,27 @@ def test_tableau_json_round_trip():
               _t([[0], [0, F(1, 3)], [0, 3, F(-2, 7)]], role=TROPICAL_GZ)):
         back = tableau_from_json(tableau_to_json(t))
         assert back == t and back.role == t.role
+
+
+@pytest.mark.parametrize("doc, problem", [
+    ([["0"]], "must be a JSON object"),
+    ({"rows": [["0"], ["0", "1"]]}, "key 'n' of type int"),
+    ({"n": 1}, "key 'rows' of type list"),
+    ({"n": "1", "rows": [["0"], ["0", "1"]]}, "key 'n' of type int"),
+    ({"n": True, "rows": [["0"], ["0", "1"]]}, "key 'n' of type int"),
+    ({"n": 1, "rows": "0,1"}, "key 'rows' of type list"),
+    ({"n": 1, "rows": [["0"], "01"]}, "rows must be lists"),
+    ({"n": 1, "rows": [["0"], ["0", "1/0"]]}, "not a finite number"),
+    ({"n": 1, "rows": [["0"], ["0", "1e99999999"]]}, "exponent out of range"),
+    ({"n": 1, "rows": [["0"], ["0", float("inf")]]}, "not a finite number"),
+    ({"n": 1, "rows": [["0"], ["0", [1]]]}, "not a number"),
+])
+def test_tableau_from_json_names_the_problem(doc, problem):
+    with pytest.raises(ValueError, match=problem):
+        tableau_from_json(doc)
+
+
+def test_parse_number_rejects_non_finite_text():
+    for text in ("1/0", "inf", "-inf", "1e400", "nan"):
+        with pytest.raises(ValueError):
+            parse_number(text)

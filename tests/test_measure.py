@@ -108,6 +108,20 @@ def test_generator_rejects_mismatched_lengths(gen):
         gen((1.0, 0.0), (1.0, 0.0, 0.0), 4, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("count", [0, -1])
+@pytest.mark.parametrize("run", [
+    lambda c, rng: sample_hermitian_sum(R2, S2, c, rng),
+    lambda c, rng: sample_multiplicative(R2, S2, c, rng),
+    lambda c, rng: sample_tropical_kappa(R2, S2, c, rng),
+    lambda c, rng: horn_forward_test("tropical", 2, c, 0, rng),
+    lambda c, rng: exceptional_mass_estimate(R2, S2, c, F(1, 10 ** 8), rng),
+], ids=["hermitian-sum", "multiplicative", "tropical-kappa", "horn-forward",
+        "exceptional-mass"])
+def test_count_below_one_is_rejected(run, count):
+    with pytest.raises(ValueError, match="count must be at least 1"):
+        run(count, np.random.default_rng(0))
+
+
 @pytest.mark.parametrize("gen", GENS)
 def test_generator_last_coordinate_is_the_total_mass(gen):
     # the final slot carries trace / log-det additivity exactly

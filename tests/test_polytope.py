@@ -10,7 +10,6 @@ from hornlab import (
     gz_check,
     ks_distance,
     rejection_sample,
-    sample_P_r,
 )
 
 
@@ -94,9 +93,3 @@ def test_rejection_sample_raises_when_budget_exhausted():
     rng = np.random.default_rng(3)
     with pytest.raises(RuntimeError):
         rejection_sample((2.0, 1.0, -1.0), 50, rng, max_tries=10)
-
-
-def test_sample_P_r_one_shot():
-    t = sample_P_r((1.0, 0.0), np.random.default_rng(9), burn_in=100)
-    assert gz_check(t, 0)
-    assert t.top() == (1.0, 0.0)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from hornlab import (
     BOTTOM,
     COMPLEX,
-    NONNEG,
     RATIONAL,
     TROPICAL,
     as_rational,
@@ -121,9 +120,6 @@ def test_mat_mul_associative_over_tropical():
     assert mat_equal(lhs, rhs)
 
 
-def test_complex_and_nonneg_rings():
+def test_complex_ring():
     assert COMPLEX.add(1 + 2j, 3) == 4 + 2j
     assert COMPLEX.mul(1j, 1j) == -1
-    assert NONNEG.add(2.0, 3.0) == 5.0
-    assert NONNEG.mul(2.0, 3.0) == 6.0
-    assert NONNEG.zero == 0.0 and NONNEG.one == 1.0
