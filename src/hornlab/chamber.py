@@ -19,7 +19,8 @@ verify against the independent sweep on random interior patterns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, compress
 
@@ -29,7 +30,7 @@ from .hive import (GZ, TROPICAL_GZ, HornTriple, Tableau, _exact_in,
                    _json_fields, gz_check, gz_margin)
 from .network import build_gamma0, concatenate
 from .paths import _subnets_of, enumerate_kpaths, tropical_gz
-from .semiring import as_rational
+from .semiring import BOTTOM, as_rational
 
 _ZERO = Fraction(0)
 
@@ -171,7 +172,11 @@ def _minors(profiles, slots, coords):
     """max(P_slot . w) for each slot, exactly: denominators are cleared
     once, the dot products are integer sums, and only the maxima are
     divided back."""
-    ints, den = _integer_coords(coords)
+    return _scaled_minors(profiles, slots, *_integer_coords(coords))
+
+
+def _scaled_minors(profiles, slots, ints, den):
+    """_minors of the coordinates ints / den."""
     return tuple(Fraction(max(_values(profiles[s], ints)), den) for s in slots)
 
 
@@ -221,13 +226,34 @@ class ChamberMap:
     slots: tuple
     matrix: tuple
     inverse: tuple
+    # the inverse as integer rows over one common denominator
+    _inverse_ints: tuple = field(init=False, repr=False, compare=False)
+    _inverse_den: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        den = math.lcm(*(x.denominator for row in self.inverse for x in row))
+        object.__setattr__(self, "_inverse_ints", tuple(
+            tuple(x.numerator * (den // x.denominator) for x in row)
+            for row in self.inverse))
+        object.__setattr__(self, "_inverse_den", den)
+
+    def _solve(self, vec, den):
+        """Coordinates, as (integers, denominator), of the weighting whose
+        slot values are vec / den."""
+        coords = [sum(map(operator.mul, row, vec)) for row in self._inverse_ints]
+        return coords, den * self._inverse_den
 
     def weighting_of(self, xi):
         """Solve for the reduced weighting whose pattern is xi (no checks)."""
-        vec = [as_rational(xi.value(k, i)) for (k, i) in self.slots]
-        coords = [sum(r * v for r, v in zip(row, vec)) for row in self.inverse]
-        d = self.n * (self.n - 1) // 2
-        return WbarWeighting(self.n, tuple(coords[:d]), tuple(coords[d:]))
+        vec, den = _integer_coords([as_rational(xi.value(k, i))
+                                    for (k, i) in self.slots])
+        return _weighting(self.n, *self._solve(vec, den))
+
+
+def _weighting(n, coords, den):
+    d = n * (n - 1) // 2
+    return WbarWeighting(n, tuple(Fraction(c, den) for c in coords[:d]),
+                         tuple(Fraction(c, den) for c in coords[d:]))
 
 
 def random_interior_pattern(n, rng, denom=1 << 16):
@@ -305,6 +331,46 @@ def find_delta0_chamber(n, verify_points=100):
     return chamber
 
 
+def _ratio(v):
+    """A finite pattern entry as (numerator, denominator); a float converts
+    through its binary expansion, as in as_rational."""
+    if type(v) is not float:
+        v = as_rational(v)
+        if v is BOTTOM:
+            raise ValueError("pattern entries must be finite")
+    return v.as_integer_ratio()
+
+
+def _pattern_ints(xi):
+    """xi's entries as integer rows over one common denominator."""
+    ratios = [[_ratio(v) for v in row] for row in xi.rows]
+    den = math.lcm(*(q for row in ratios for _, q in row))
+    return tuple(tuple(p * (den // q) for p, q in row) for row in ratios), den
+
+
+def _invert(xi, chamber):
+    """lt_inverse's weighting as (integer coordinates, denominator).
+
+    All arithmetic is on integers: xi is scaled to one common denominator,
+    which keeps the signs of its slacks, and the inverse has one too."""
+    if chamber is None:
+        chamber = find_delta0_chamber(xi.n)
+    if xi.n != chamber.n:
+        raise ValueError("pattern size does not match the chamber")
+    rows, den = _pattern_ints(xi)
+    exact = Tableau(xi.n, rows, GZ if xi.role != TROPICAL_GZ else TROPICAL_GZ)
+    if not gz_check(exact, 0):
+        raise ValueError("pattern is not in the interlacing cone")
+    vec = [exact.value(k, i) for (k, i) in chamber.slots]
+    coords, cden = chamber._solve(vec, den)
+    profiles = _profiles(chamber.n)
+    # minor / cden == value / den, cleared of denominators
+    if any(max(_values(profiles[s], coords)) != v * chamber._inverse_den
+           for s, v in zip(chamber.slots, vec)):
+        raise RuntimeError("pattern lies outside the chamber's validity cone")
+    return coords, cden
+
+
 def lt_inverse(xi, chamber=None):
     """The reduced weighting whose pattern triangle is exactly xi.
 
@@ -313,19 +379,7 @@ def lt_inverse(xi, chamber=None):
     compared with xi slot by slot, so a wrong answer cannot escape
     silently.
     """
-    if chamber is None:
-        chamber = find_delta0_chamber(xi.n)
-    if xi.n != chamber.n:
-        raise ValueError("pattern size does not match the chamber")
-    vals = tuple(tuple(as_rational(v) for v in row) for row in xi.rows)
-    exact = Tableau(xi.n, vals, GZ if xi.role != TROPICAL_GZ else TROPICAL_GZ)
-    if not gz_check(exact, 0):
-        raise ValueError("pattern is not in the interlacing cone")
-    w = chamber.weighting_of(exact)
-    got = _minors(_profiles(chamber.n), chamber.slots, w.coordinates())
-    if got != tuple(exact.value(k, i) for (k, i) in chamber.slots):
-        raise RuntimeError("pattern lies outside the chamber's validity cone")
-    return w
+    return _weighting(xi.n, *_invert(xi, chamber))
 
 
 def kappa(u, v, chamber=None):
@@ -337,11 +391,13 @@ def kappa(u, v, chamber=None):
     """
     if chamber is None:
         chamber = find_delta0_chamber(u.n)
-    wu = lt_inverse(u, chamber)
-    wv = lt_inverse(v, chamber)
+    cu, du = _invert(u, chamber)
+    cv, dv = _invert(v, chamber)
+    den = math.lcm(du, dv)
     n = chamber.n
-    return _minors(_profiles(n, True), _top_slots(n),
-                   wv.coordinates() + wu.coordinates())
+    return _scaled_minors(_profiles(n, True), _top_slots(n),
+                          [c * (den // dv) for c in cv]
+                          + [c * (den // du) for c in cu], den)
 
 
 def horn_triple_tropical(w1, w2):

@@ -218,15 +218,22 @@ def gz_B(a, leading=False):
     return Tableau(n, tuple(rows), GZ)
 
 
-def haar_unitary(n, rng):
-    """Haar-distributed unitary via QR of a complex Ginibre matrix, with the
-    R diagonal phase fixed so the distribution is exactly invariant."""
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+def haar_unitaries(n, count, rng):
+    """count Haar-distributed unitaries, an array of shape (count, n, n),
+    via QR of complex Ginibre matrices with the R diagonal phase fixed so
+    the distribution is exactly invariant.  One QR call serves the batch;
+    the stream is read as count calls of haar_unitary would read it."""
+    g = rng.standard_normal((count, 2, n, n))
+    z = g[:, 0] + 1j * g[:, 1]
     z *= 1.0 / math.sqrt(2.0)
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    q = q * (d / np.abs(d))
-    return [[complex(q[i, j]) for j in range(n)] for i in range(n)]
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[:, None, :]
+
+
+def haar_unitary(n, rng):
+    """One Haar-distributed unitary, as nested lists."""
+    return haar_unitaries(n, 1, rng)[0].tolist()
 
 
 def spectrum_of(r):
@@ -242,8 +249,12 @@ def spectrum_of(r):
 def sample_H_r(r, rng):
     """Random Hermitian matrix with spectrum given by the gaps of r."""
     lam = spectrum_of(r)
+    return hermitian_with_spectrum(lam, haar_unitary(len(lam), rng))
+
+
+def hermitian_with_spectrum(lam, u):
+    """U diag(lam) U*, Hermitian to the last bit."""
     n = len(lam)
-    u = haar_unitary(n, rng)
     k = [[sum(u[i][t] * lam[t] * u[j][t].conjugate() for t in range(n))
           for j in range(n)] for i in range(n)]
     for i in range(n):
@@ -349,7 +360,7 @@ def sample_B_r(r, rng, chain=None):
     u = chain.draw()
     spectra = [[math.exp(2.0 * g) for g in spectrum_of(u.rows[k][1:])]
                for k in range(1, n + 1)]
-    angles = [list(rng.uniform(0.0, 2.0 * math.pi, size=k)) for k in range(1, n)]
+    angles = [rng.uniform(0.0, 2.0 * math.pi, size=k).tolist() for k in range(1, n)]
     p = _reconstruct_from_spectra(spectra, angles)
     return upper_cholesky(p)
 

@@ -18,13 +18,14 @@ import numpy as np
 from .chamber import (WbarWeighting, find_delta0_chamber, gamma0_cached,
                       genericity_check, horn_triple_tropical, kappa)
 from .hive import HornTriple, kt_member
-from .linalg import (l_map, mat_mul_c, sample_B_r, sample_H_r, singular_l,
-                     spectrum_of)
+from .linalg import (haar_unitaries, haar_unitary, hermitian_with_spectrum,
+                     l_map, mat_mul_c, sample_B_r, singular_l, spectrum_of)
 from .paths import complex_lift, m_k
 from .polytope import PolytopeSampler
 from .semiring import TROPICAL, as_rational
 
 CHUNK = 8192
+HAAR_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -63,10 +64,19 @@ def _float_pair(r, s):
     return r, s
 
 
-def _sum_spectrum(lam_r, s, rng):
-    """Cumulative spectrum of D_r + U D_s U* with U Haar; lam_r is the
-    spectrum of r."""
-    k = sample_H_r(s, rng)
+def _haar_stream(n, count, rng):
+    """count Haar unitaries as nested lists, read from rng as count calls
+    of haar_unitary would read it; blocks of HAAR_BLOCK share a QR call
+    and bound the memory."""
+    for start in range(0, count, HAAR_BLOCK):
+        for u in haar_unitaries(n, min(HAAR_BLOCK, count - start), rng):
+            yield u.tolist()
+
+
+def _sum_spectrum(lam_r, lam_s, u):
+    """Cumulative spectrum of D_r + U D_s U*; lam_r and lam_s are the
+    spectra of r and s."""
+    k = hermitian_with_spectrum(lam_s, u)
     for i, lam in enumerate(lam_r):
         k[i][i] = complex(k[i][i].real + lam, 0.0)
     return l_map(k)
@@ -75,11 +85,12 @@ def _sum_spectrum(lam_r, s, rng):
 def sample_hermitian_sum(r, s, count, rng):
     """Spectra of D_r + U D_s U* with U Haar, as cumulative vectors."""
     r, s = _float_pair(r, s)
-    lam_r = spectrum_of(r)
+    lam_r, lam_s = spectrum_of(r), spectrum_of(s)
     n = len(r)
 
     def worker(crng, m, off):
-        return [tuple(_sum_spectrum(lam_r, s, crng)) for _ in range(m)]
+        return [tuple(_sum_spectrum(lam_r, lam_s, u))
+                for u in _haar_stream(n, m, crng)]
 
     vecs = _run_chunks(worker, count, rng)
     return EmpiricalSample("hermitian-sum", n, r, s, count, tuple(vecs))
@@ -289,7 +300,9 @@ def horn_forward_test(mode, n, count, slack, rng):
             elif mode == "hermitian":
                 r = _random_cumsum_spectrum(n, crng)
                 s = _random_cumsum_spectrum(n, crng)
-                triple = HornTriple(r, s, _sum_spectrum(spectrum_of(r), s, crng))
+                u = haar_unitary(n, crng)
+                triple = HornTriple(r, s, _sum_spectrum(spectrum_of(r),
+                                                        spectrum_of(s), u))
             else:
                 r = _random_cumsum_spectrum(n, crng)
                 s = _random_cumsum_spectrum(n, crng)
@@ -314,13 +327,13 @@ def exceptional_mass_estimate(r, s, count, slack, rng):
     estimator falsifiable.
     """
     r, s = _float_pair(r, s)
-    lam_r = spectrum_of(r)
+    lam_r, lam_s = spectrum_of(r), spectrum_of(s)
     eps = as_rational(slack)
 
     def worker(crng, m, off):
         bad = 0
-        for _ in range(m):
-            triple = HornTriple(r, s, _sum_spectrum(lam_r, s, crng))
+        for u in _haar_stream(len(r), m, crng):
+            triple = HornTriple(r, s, _sum_spectrum(lam_r, lam_s, u))
             bad += not kt_member(triple, eps)
         return [bad]
 

@@ -43,7 +43,10 @@ class PolytopeSampler:
             for i in range(1, k + 1):
                 self._index[(k, i)] = len(self._index)
 
-        rows = []  # (variable indices, coefficients, constant)
+        # (indices with coefficient +1, indices with -1, constant); every
+        # family lists its +1 terms first, so a step that adds the first
+        # group and subtracts the second keeps the order of the sum
+        rows = []
 
         def term(acc, k, i, cf):
             if i == 0:
@@ -51,8 +54,7 @@ class PolytopeSampler:
             if k == n:
                 acc[2] += cf * self.r[i - 1]
             else:
-                acc[0].append(self._index[(k, i)])
-                acc[1].append(float(cf))
+                acc[0 if cf > 0 else 1].append(self._index[(k, i)])
 
         for k in range(1, n):
             for i in range(1, k + 1):
@@ -82,7 +84,7 @@ class PolytopeSampler:
 
     def _refill(self):
         self._normals = self.rng.standard_normal((self._block, self.dim))
-        self._uniforms = self.rng.random(self._block)
+        self._uniforms = self.rng.random(self._block).tolist()
         self._cursor = 0
 
     def step(self):
@@ -90,21 +92,29 @@ class PolytopeSampler:
             return
         if self._cursor >= self._block:
             self._refill()
-        direction = self._normals[self._cursor]
+        # plain floats: numpy scalars would cost more than the arithmetic
+        # done with them
+        direction = self._normals[self._cursor].tolist()
         u = self._uniforms[self._cursor]
         self._cursor += 1
-        nrm = math.sqrt(float(sum(direction * direction)))
+        nrm = 0.0
+        for x in direction:
+            nrm += x * x
+        nrm = math.sqrt(nrm)
         if nrm == 0.0:
             return
-        d = [float(x) / nrm for x in direction]
+        d = [x / nrm for x in direction]
         z = self._z
         lo, hi = -math.inf, math.inf
-        for idx, cf, const in self._rows:
+        for plus, minus, const in self._rows:
             g = 0.0
             h = const
-            for j, c in zip(idx, cf):
-                g += c * d[j]
-                h += c * z[j]
+            for j in plus:
+                g += d[j]
+                h += z[j]
+            for j in minus:
+                g -= d[j]
+                h -= z[j]
             if h < 0.0:
                 h = 0.0
             if g > 1e-300:
@@ -117,9 +127,9 @@ class PolytopeSampler:
                     hi = t
         if not lo < hi:
             return
-        t = lo + float(u) * (hi - lo)
-        for j in range(self.dim):
-            z[j] += t * d[j]
+        t = lo + u * (hi - lo)
+        for j, dj in enumerate(d):
+            z[j] += t * dj
 
     def coordinates(self):
         return tuple(self._z)

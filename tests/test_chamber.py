@@ -8,8 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hornlab import (
+    BOTTOM,
+    GZ,
     TROPICAL,
     ChamberMap,
+    PolytopeSampler,
     TROPICAL_GZ,
     Tableau,
     WbarWeighting,
@@ -188,6 +191,30 @@ def test_lt_inverse_accepts_floats_exactly():
     w = lt_inverse(xi)
     g = gamma0_cached(2)
     assert tropical_gz(g, w.embed(g)) == xi
+
+
+def test_float_patterns_invert_as_their_exact_values():
+    # float entries, alone or mixed with Fractions, are read through their
+    # binary expansions: the weighting and kappa are those of the exact
+    # pattern, to the last bit
+    for n, r, s in ((2, (2.0, 0.0), (1.0, 0.0)),
+                    (3, (3.0, 4.0, 3.0), (2.0, 2.5, 1.5))):
+        ch = find_delta0_chamber(n)
+        pr = PolytopeSampler(r, np.random.default_rng(n))
+        ps = PolytopeSampler(s, np.random.default_rng(n + 10))
+        for _ in range(20):
+            u, v = pr.draw(), ps.draw()
+            exact = [Tableau(n, tuple(tuple(F(x) for x in row) for row in t.rows), GZ)
+                     for t in (u, v)]
+            mixed = Tableau(n, tuple(exact[0].rows[k] if k % 2 else row
+                                     for k, row in enumerate(u.rows)), GZ)
+            assert lt_inverse(u, ch) == lt_inverse(exact[0], ch) \
+                == lt_inverse(mixed, ch)
+            assert kappa(u, v, ch) == kappa(*exact, ch)
+    bottomed = Tableau(2, ((F(0),), (F(0), BOTTOM), (F(0), F(2), F(2))),
+                       TROPICAL_GZ)
+    with pytest.raises(ValueError):
+        lt_inverse(bottomed)
 
 
 # -- kappa --------------------------------------------------------------------

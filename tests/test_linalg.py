@@ -23,7 +23,7 @@ from hornlab import (
     spectrum_of,
     upper_cholesky,
 )
-from hornlab.linalg import dagger, mat_mul_c
+from hornlab.linalg import dagger, haar_unitaries, mat_mul_c
 
 
 def _random_hermitian(n, rng, scale=1.0):
@@ -150,6 +150,27 @@ def test_haar_unitary_is_unitary_and_seeded():
             assert abs(uu[i][j] - (1.0 if i == j else 0.0)) < 1e-12
     v = haar_unitary(4, np.random.default_rng(11))
     assert all(u[i][j] == v[i][j] for i in range(4) for j in range(4))
+
+
+def _haar_one_at_a_time(n, rng):
+    # QR of one Ginibre matrix, real part drawn before imaginary part
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    z *= 1.0 / math.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return (q * (d / np.abs(d))).tolist()
+
+
+def test_haar_unitaries_read_the_stream_as_single_draws():
+    # a batch is bit for bit the sequence of one-matrix draws
+    for n in (1, 2, 3, 4):
+        batch = haar_unitaries(n, 5, np.random.default_rng(n))
+        rng = np.random.default_rng(n)
+        assert batch.shape == (5, n, n)
+        assert [u.tolist() for u in batch] \
+            == [_haar_one_at_a_time(n, rng) for _ in range(5)]
+        rng = np.random.default_rng(n)
+        assert haar_unitary(n, rng) == batch[0].tolist()
 
 
 def test_spectrum_of_inverts_partial_sums():

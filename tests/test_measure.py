@@ -102,6 +102,18 @@ def test_generator_seed_determinism(gen):
     assert a.vectors == b.vectors
 
 
+def test_haar_block_does_not_change_the_output(monkeypatch):
+    # the block size bounds memory only: the stream is read in order
+    want = sample_hermitian_sum(R2, S2, 40, np.random.default_rng(3)).vectors
+    mass = exceptional_mass_estimate(R2, S2, 40, -0.5, np.random.default_rng(4))
+    for block in (1, 7):
+        monkeypatch.setattr(measure, "HAAR_BLOCK", block)
+        assert sample_hermitian_sum(R2, S2, 40,
+                                    np.random.default_rng(3)).vectors == want
+        assert exceptional_mass_estimate(R2, S2, 40, -0.5,
+                                         np.random.default_rng(4)) == mass
+
+
 @pytest.mark.parametrize("gen", GENS)
 def test_generator_rejects_mismatched_lengths(gen):
     with pytest.raises(ValueError):
