@@ -28,7 +28,7 @@ from .chamber import (ChamberMap, GenericityReport, WbarWeighting,
 from .linalg import (eigh, gz_B, gz_H, haar_unitary, l_map, reconstruct_H,
                      sample_B_r, sample_H_r, sigma_values, singular_l,
                      spectrum_of, upper_cholesky)
-from .polytope import PolytopeSampler, rejection_sample
+from .polytope import gz_pattern
 from .measure import (CHUNK, GENERATORS, EmpiricalSample, ForwardReport,
                       KSResult, SweepResult, exceptional_mass_estimate,
                       horn_forward_test, ks_distance, limit_sweep,
@@ -57,7 +57,7 @@ __all__ = [
     "eigh", "gz_B", "gz_H", "haar_unitary", "l_map", "reconstruct_H",
     "sample_B_r", "sample_H_r", "sigma_values", "singular_l", "spectrum_of",
     "upper_cholesky",
-    "PolytopeSampler", "rejection_sample",
+    "gz_pattern",
     "CHUNK", "GENERATORS", "EmpiricalSample", "ForwardReport", "KSResult",
     "SweepResult", "exceptional_mass_estimate", "horn_forward_test",
     "ks_distance", "limit_sweep", "projection_set", "sample_hermitian_sum",

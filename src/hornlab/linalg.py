@@ -149,17 +149,15 @@ def _block(a, idx):
     return [[a[i][j] for j in idx] for i in idx]
 
 
-def gz_H(k, leading=False):
+def gz_H(k):
     """Pattern of cumulative spectra of nested principal blocks.
 
-    Row j comes from the trailing j x j block (bottom-right corner); pass
-    leading=True for the mirrored convention.
+    Row j comes from the trailing j x j block (bottom-right corner).
     """
     n = len(k)
     rows = [(0.0,)]
     for j in range(1, n + 1):
-        idx = range(j) if leading else range(n - j, n)
-        rows.append((0.0,) + l_map(_block(k, idx)))
+        rows.append((0.0,) + l_map(_block(k, range(n - j, n))))
     return Tableau(n, tuple(rows), GZ)
 
 
@@ -208,13 +206,12 @@ def singular_l(a):
     return tuple(out)
 
 
-def gz_B(a, leading=False):
-    """Pattern of cumulative log singular values of nested blocks."""
+def gz_B(a):
+    """Pattern of cumulative log singular values of nested trailing blocks."""
     n = len(a)
     rows = [(0.0,)]
     for j in range(1, n + 1):
-        idx = range(j) if leading else range(n - j, n)
-        rows.append((0.0,) + tuple(singular_l(_block(a, idx))))
+        rows.append((0.0,) + tuple(singular_l(_block(a, range(n - j, n)))))
     return Tableau(n, tuple(rows), GZ)
 
 
@@ -344,20 +341,19 @@ def reconstruct_H(xi, angles):
     return _reconstruct_from_spectra(spectra, angles)
 
 
-def sample_B_r(r, rng, chain=None):
+def sample_B_r(r, rng):
     """Random upper-triangular matrix with positive diagonal whose
     cumulative log singular values equal r.
 
-    A pattern is drawn uniformly below the top row, a positive matrix with
-    exponentiated trailing spectra is rebuilt with uniform phases, and its
-    reversed Cholesky factor is returned.
+    A pattern is drawn exactly from the uniform law below the top row
+    (polytope.gz_pattern), a positive matrix with exponentiated trailing
+    spectra is rebuilt with uniform phases, and its reversed Cholesky
+    factor is returned.
     """
-    from .polytope import PolytopeSampler
+    from .polytope import gz_pattern
 
     n = len(r)
-    if chain is None:
-        chain = PolytopeSampler(r, rng)
-    u = chain.draw()
+    u = gz_pattern(r, rng)
     spectra = [[math.exp(2.0 * g) for g in spectrum_of(u.rows[k][1:])]
                for k in range(1, n + 1)]
     angles = [rng.uniform(0.0, 2.0 * math.pi, size=k).tolist() for k in range(1, n)]

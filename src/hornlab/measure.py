@@ -21,11 +21,12 @@ from .hive import HornTriple, kt_member
 from .linalg import (haar_unitaries, haar_unitary, hermitian_with_spectrum,
                      l_map, mat_mul_c, sample_B_r, singular_l, spectrum_of)
 from .paths import complex_lift, m_k
-from .polytope import PolytopeSampler
+from .polytope import gz_pattern
 from .semiring import TROPICAL, as_rational
 
 CHUNK = 8192
 HAAR_BLOCK = 256
+MAX_N = 5  # desk scale: the exact cone test grows steeply beyond it
 
 
 @dataclass(frozen=True)
@@ -97,17 +98,17 @@ def sample_hermitian_sum(r, s, count, rng):
 
 
 def sample_multiplicative(r, s, count, rng):
-    """Cumulative log singular values of B_r-like times B_s-like factors."""
+    """Cumulative log singular values of products a c, with a from
+    sample_B_r(r) and c from sample_B_r(s): each factor is rebuilt from an
+    exact uniform pattern below its top row."""
     r, s = _float_pair(r, s)
     n = len(r)
 
     def worker(crng, m, off):
-        chain_r = PolytopeSampler(r, crng)
-        chain_s = PolytopeSampler(s, crng)
         out = []
         for _ in range(m):
-            a = sample_B_r(r, crng, chain=chain_r)
-            c = sample_B_r(s, crng, chain=chain_s)
+            a = sample_B_r(r, crng)
+            c = sample_B_r(s, crng)
             out.append(tuple(singular_l(mat_mul_c(a, c))))
         return out
 
@@ -116,18 +117,17 @@ def sample_multiplicative(r, s, count, rng):
 
 
 def sample_tropical_kappa(r, s, count, rng):
-    """Tropical product spectra of uniform patterns below r and s."""
+    """Tropical product spectra kappa(u, v) of independent exact uniform
+    patterns u below r and v below s (polytope.gz_pattern)."""
     r, s = _float_pair(r, s)
     n = len(r)
     chamber = find_delta0_chamber(n)
 
     def worker(crng, m, off):
-        chain_r = PolytopeSampler(r, crng)
-        chain_s = PolytopeSampler(s, crng)
         out = []
         for _ in range(m):
-            u = chain_r.draw()
-            v = chain_s.draw()
+            u = gz_pattern(r, crng)
+            v = gz_pattern(s, crng)
             out.append(tuple(float(x) for x in kappa(u, v, chamber)))
         return out
 
@@ -224,6 +224,8 @@ def limit_sweep(w, taus, phases=None):
     report = genericity_check(w, 0)
     if not report.generic:
         raise ValueError("weighting is not generic; the limit need not hold")
+    if report.min_margin is None:  # n == 1: no rows below the top
+        raise ValueError("a rank-one weighting has no genericity margin")
     delta = min(x for x in (report.min_separation, report.min_margin)
                 if x is not None)
     wdict = w.embed(g)
@@ -284,10 +286,13 @@ def horn_forward_test(mode, n, count, slack, rng):
 
     tropical draws exact random reduced weightings (the cone is closed, so
     degenerate pairs still belong and are kept), hermitian and
-    multiplicative draw random spectra.
+    multiplicative draw random spectra; multiplicative builds each factor
+    with sample_B_r.  n must lie in 1..MAX_N.
     """
     if mode not in ("tropical", "hermitian", "multiplicative"):
         raise ValueError("unknown mode %r" % (mode,))
+    if not 1 <= n <= MAX_N:
+        raise ValueError("n must be between 1 and %d" % MAX_N)
     eps = as_rational(slack)
 
     def worker(crng, m, off):

@@ -1,0 +1,180 @@
+"""Reference samplers that only the tests use.
+
+They are the independent routes to the uniform law on patterns below a
+fixed cumulative top row, which hornlab.gz_pattern samples exactly.
+
+PolytopeSampler runs hit-and-run over the pattern polytope (dimension
+n(n-1)/2): from the current interior point, pick a uniform direction,
+intersect the line with every constraint to get a chord, jump to a uniform
+point of the chord.  Steps are plain scalar arithmetic; at these
+dimensions that beats vectorizing by a wide margin.
+
+rejection_sample draws uniformly from a bounding box and keeps what lands
+in the cone.
+"""
+
+from __future__ import annotations
+
+import math
+
+from hornlab.hive import GZ, Tableau, gz_check
+from hornlab.linalg import spectrum_of
+
+
+class PolytopeSampler:
+    """Hit-and-run chain over patterns below a fixed top row.
+
+    burn_in steps are taken once at construction; draw() advances the chain
+    by `thinning` steps (default 8 per dimension) and returns a pattern.
+    The top row must have strictly decreasing gaps, otherwise the polytope
+    has empty interior.
+    """
+
+    def __init__(self, r, rng, burn_in=1000, thinning=None):
+        self.r = tuple(float(v) for v in r)
+        self.n = len(self.r)
+        lam = spectrum_of(self.r)
+        if any(a <= b for a, b in zip(lam, lam[1:])):
+            raise ValueError("top row gaps must be strictly decreasing")
+        self.rng = rng
+        n = self.n
+        self.dim = n * (n - 1) // 2
+        self.thinning = max(8, 8 * self.dim) if thinning is None else int(thinning)
+        self._index = {}
+        for k in range(1, n):
+            for i in range(1, k + 1):
+                self._index[(k, i)] = len(self._index)
+
+        # (indices with coefficient +1, indices with -1, constant); every
+        # family lists its +1 terms first, so a step that adds the first
+        # group and subtracts the second keeps the order of the sum
+        rows = []
+
+        def term(acc, k, i, cf):
+            if i == 0:
+                return
+            if k == n:
+                acc[2] += cf * self.r[i - 1]
+            else:
+                acc[0 if cf > 0 else 1].append(self._index[(k, i)])
+
+        for k in range(1, n):
+            for i in range(1, k + 1):
+                for coeffs in (((k + 1, i, 1), (k, i - 1, 1), (k + 1, i - 1, -1), (k, i, -1)),
+                               ((k + 1, i, 1), (k, i, 1), (k + 1, i + 1, -1), (k, i - 1, -1))):
+                    acc = [[], [], 0.0]
+                    for (kk, ii, cf) in coeffs:
+                        term(acc, kk, ii, cf)
+                    rows.append((tuple(acc[0]), tuple(acc[1]), acc[2]))
+        self._rows = rows
+
+        z = [0.0] * self.dim
+        level = lam
+        for k in range(n - 1, 0, -1):
+            level = [0.5 * (level[j] + level[j + 1]) for j in range(k)]
+            acc = 0.0
+            for i, v in enumerate(level, start=1):
+                acc += v
+                z[self._index[(k, i)]] = acc
+        self._z = z
+        self._block = 1024
+        self._normals = None
+        self._uniforms = None
+        self._cursor = self._block
+        for _ in range(burn_in):
+            self.step()
+
+    def _refill(self):
+        self._normals = self.rng.standard_normal((self._block, self.dim))
+        self._uniforms = self.rng.random(self._block).tolist()
+        self._cursor = 0
+
+    def step(self):
+        if self.dim == 0:
+            return
+        if self._cursor >= self._block:
+            self._refill()
+        # plain floats: numpy scalars would cost more than the arithmetic
+        # done with them
+        direction = self._normals[self._cursor].tolist()
+        u = self._uniforms[self._cursor]
+        self._cursor += 1
+        nrm = 0.0
+        for x in direction:
+            nrm += x * x
+        nrm = math.sqrt(nrm)
+        if nrm == 0.0:
+            return
+        d = [x / nrm for x in direction]
+        z = self._z
+        lo, hi = -math.inf, math.inf
+        for plus, minus, const in self._rows:
+            g = 0.0
+            h = const
+            for j in plus:
+                g += d[j]
+                h += z[j]
+            for j in minus:
+                g -= d[j]
+                h -= z[j]
+            if h < 0.0:
+                h = 0.0
+            if g > 1e-300:
+                t = -h / g
+                if t > lo:
+                    lo = t
+            elif g < -1e-300:
+                t = -h / g
+                if t < hi:
+                    hi = t
+        if not lo < hi:
+            return
+        t = lo + u * (hi - lo)
+        for j, dj in enumerate(d):
+            z[j] += t * dj
+
+    def coordinates(self):
+        return tuple(self._z)
+
+    def as_tableau(self):
+        n = self.n
+        rows = [(0.0,)]
+        for k in range(1, n):
+            rows.append((0.0,) + tuple(self._z[self._index[(k, i)]]
+                                       for i in range(1, k + 1)))
+        rows.append((0.0,) + self.r)
+        return Tableau(n, tuple(rows), GZ)
+
+    def draw(self):
+        for _ in range(self.thinning):
+            self.step()
+        return self.as_tableau()
+
+
+def rejection_sample(r, count, rng, max_tries=10_000_000):
+    """Reference sampler: uniform box proposals filtered by the cone test."""
+    r = tuple(float(v) for v in r)
+    n = len(r)
+    lam = spectrum_of(r)
+    lo_hi = []
+    slots = [(k, i) for k in range(1, n) for i in range(1, k + 1)]
+    for (k, i) in slots:
+        lo_hi.append((sum(lam[-i:]), sum(lam[:i])))
+    pos = {slot: j for j, slot in enumerate(slots)}
+    out = []
+    for _ in range(max_tries):
+        if len(out) >= count:
+            break
+        z = [lo + float(u) * (hi - lo)
+             for (lo, hi), u in zip(lo_hi, rng.random(len(slots)))]
+        rows = [(0.0,)]
+        for k in range(1, n):
+            rows.append((0.0,) + tuple(z[pos[(k, i)]]
+                                       for i in range(1, k + 1)))
+        rows.append((0.0,) + r)
+        t = Tableau(n, tuple(rows), GZ)
+        if gz_check(t, 0):
+            out.append(t)
+    if len(out) < count:
+        raise RuntimeError("rejection sampler did not reach the requested count")
+    return out

@@ -12,7 +12,6 @@ from hornlab import (
     GZ,
     TROPICAL,
     ChamberMap,
-    PolytopeSampler,
     TROPICAL_GZ,
     Tableau,
     WbarWeighting,
@@ -32,6 +31,7 @@ from hornlab import (
     wbar_to_json,
 )
 from hornlab.chamber import concat_cached, gamma0_cached
+from oracles import PolytopeSampler
 
 F = Fraction
 

@@ -330,6 +330,12 @@ MALFORMED = [
     (["gz-check", "--pattern"],
      {"n": 2, "rows": [["0"], ["0", "1e400"], ["0", 0, 0.0]]}, PRECONDITION),
     (["trop-gz", "--weights"], "a directory", USAGE),
+    (["limit-sweep", "--taus", "5", "--weights"],
+     {"n": 1, "diagonals": [], "sink_horizontals": [3]}, PRECONDITION),
+    (["horn-forward", "--mode", "tropical", "--n", "7", "--count", "1"],
+     None, PRECONDITION),
+    (["horn-forward", "--mode", "tropical", "--n", "-1", "--count", "1"],
+     None, PRECONDITION),
 ]
 
 

@@ -1,13 +1,17 @@
-"""Every name a hornlab module imports is used in that module.
+"""Every name a hornlab module imports is used in that module, and the
+package exports exactly what its __init__ imports.
 
-No linter ships with the project, so this stdlib-ast check keeps unused
-imports out.  The package __init__ is exempt: its imports are re-exports.
+No linter ships with the project, so these stdlib-ast checks keep unused
+imports and stale exports out.  The package __init__ is exempt from the
+first: its imports are re-exports.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import hornlab
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hornlab"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -37,3 +41,14 @@ def test_module_uses_every_import(path):
 def test_check_flags_an_unused_import():
     tree = ast.parse("import os\nfrom json import dumps, loads\nloads('1')\n")
     assert _unused_imports(tree) == [(1, "os"), (2, "dumps")]
+
+
+def test_package_exports_exactly_what_it_imports():
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom)
+                and node.module != "__future__"
+                for alias in node.names]
+    assert sorted(hornlab.__all__) == sorted(imported)
+    missing = [name for name in hornlab.__all__ if not hasattr(hornlab, name)]
+    assert missing == []

@@ -86,8 +86,6 @@ def test_gz_H_frozen_diagonal():
     # trailing block is [1]: row 1 is its cumulative spectrum
     assert t.rows[1] == (0.0, pytest.approx(1.0))
     assert t.rows[2] == (0.0, pytest.approx(3.0), pytest.approx(4.0))
-    lead = gz_H([[3 + 0j, 0j], [0j, 1 + 0j]], leading=True)
-    assert lead.rows[1] == (0.0, pytest.approx(3.0))
 
 
 def test_gz_H_interlaces_on_random_input():
@@ -256,17 +254,6 @@ def test_sample_B_r_triangular_with_requested_log_spectrum():
         b = sample_B_r(r, rng)
         assert b[1][0] == 0j and b[0][0].real > 0 and b[1][1].real > 0
         assert singular_l(b) == pytest.approx([1.0, 0.0], abs=1e-8)
-
-
-def test_sample_B_r_accepts_shared_chain():
-    from hornlab import PolytopeSampler
-
-    rng = np.random.default_rng(33)
-    r = (2.0, 1.0, -1.0)  # spectrum (2, -1, -2), strictly decreasing
-    chain = PolytopeSampler(r, rng)
-    for _ in range(5):
-        b = sample_B_r(r, rng, chain=chain)
-        assert singular_l(b) == pytest.approx(list(r), abs=1e-8)
 
 
 # -- symmetric functions of singular values -----------------------------------

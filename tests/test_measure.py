@@ -192,6 +192,12 @@ def test_limit_sweep_rejects_non_generic_weightings():
         limit_sweep(tie, [5.0, 8.0])
 
 
+def test_limit_sweep_rejects_rank_one_weightings():
+    # n = 1 has no rows below the top, so there is no margin to rate against
+    with pytest.raises(ValueError, match="rank-one weighting"):
+        limit_sweep(WbarWeighting(1, (), (F(3),)), [5.0, 8.0])
+
+
 def test_limit_sweep_accepts_fixed_phases():
     g = measure.gamma0_cached(2)
     rng = np.random.default_rng(0)
@@ -217,6 +223,12 @@ def test_horn_forward_small_runs_pass(mode):
 def test_horn_forward_unknown_mode():
     with pytest.raises(ValueError):
         horn_forward_test("quantum", 2, 5, 0, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("n", [-1, 0, 6, 7])
+def test_horn_forward_rejects_n_outside_desk_scale(n):
+    with pytest.raises(ValueError, match="n must be between 1 and 5"):
+        horn_forward_test("tropical", n, 1, 0, np.random.default_rng(0))
 
 
 def test_exceptional_mass_rejects_mismatched_lengths():

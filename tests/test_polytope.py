@@ -1,21 +1,158 @@
-"""Uniform sampling of interlacing patterns below a fixed top row."""
+"""Uniform sampling of interlacing patterns below a fixed top row.
+
+gz_pattern is the library's exact sampler; the hit-and-run chain and the
+box-rejection sampler in oracles.py are the independent routes it is
+checked against.
+"""
+
+import math
 
 import numpy as np
 import pytest
 
+import hornlab.polytope as polytope
 from hornlab import (
     EmpiricalSample,
-    PolytopeSampler,
     Tableau,
     gz_check,
+    gz_pattern,
     ks_distance,
-    rejection_sample,
 )
+from oracles import PolytopeSampler, rejection_sample
 
 
 def _slot_sample(tableaux, k, i):
     vecs = tuple((float(t.value(k, i)),) for t in tableaux)
     return EmpiricalSample("slot", 1, (), (), len(vecs), vecs)
+
+
+def _slots(n):
+    return [(k, i) for k in range(1, n) for i in range(1, k + 1)]
+
+
+def _all_slots(tableaux):
+    """Every entry below the top row, one coordinate per slot."""
+    n = tableaux[0].n
+    vecs = tuple(tuple(float(t.value(k, i)) for k, i in _slots(n))
+                 for t in tableaux)
+    return EmpiricalSample("slots", len(vecs[0]), (), (), len(vecs), vecs)
+
+
+def _ess(x):
+    """Effective sample size of a chain by Geyer's initial positive
+    sequence (a copy of the benchmark's, kept independent of it)."""
+    x = np.asarray(x, dtype=float)
+    n = len(x)
+    x = x - x.mean()
+    var = float(x @ x) / n
+    if n < 4 or var == 0.0:
+        return float(n)
+    acf = np.correlate(x, x, mode="full")[n - 1:] / (var * n)
+    tau = 1.0
+    for k in range(1, n - 1, 2):
+        pair = acf[k] + acf[k + 1]
+        if pair <= 0.0:
+            break
+        tau += 2.0 * pair
+    return min(float(n), n / tau)
+
+
+def _ks_critical(alpha, n_x, n_y):
+    """Asymptotic two-sample KS critical value at level alpha."""
+    return math.sqrt(-0.5 * math.log(alpha / 2.0)) * math.sqrt(1.0 / n_x + 1.0 / n_y)
+
+
+# -- the exact sampler --------------------------------------------------------
+
+EVEN_TOPS = [(3.0,), (2.0, 0.0), (2.0, 1.0, -1.0), (3.0, 4.0, 3.0, 0.0),
+             (4.0, 7.0, 9.0, 10.0, 10.0)]
+UNEVEN_TOP = (100.0, 101.0, 101.001, 100.0, 0.0)  # gaps 100, 1, 1e-3, -1.001, -100
+FAMILY_ALPHA = 1e-3  # level of each statistical test below, split within it
+
+
+@pytest.mark.parametrize("r", EVEN_TOPS + [UNEVEN_TOP],
+                         ids=["n1", "n2", "n3", "n4", "n5", "n5-uneven"])
+def test_gz_pattern_draws_valid_patterns_with_exact_top(r):
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        t = gz_pattern(r, rng)
+        assert isinstance(t, Tableau) and t.n == len(r)
+        assert t.top() == r
+        assert gz_check(t, 0)
+
+
+@pytest.mark.parametrize("r", [(2.0, 1.0, 0.0), (0.0, 0.0), (1.0, 1.0, 1.0)])
+def test_gz_pattern_precondition_matches_the_chain(r):
+    with pytest.raises(ValueError) as chain_err:
+        PolytopeSampler(r, np.random.default_rng(0))
+    with pytest.raises(ValueError) as exact_err:
+        gz_pattern(r, np.random.default_rng(0))
+    assert str(exact_err.value) == str(chain_err.value)
+
+
+def test_gz_pattern_bounds_its_rejection_loop(monkeypatch):
+    monkeypatch.setattr(polytope, "_MAX_PROPOSALS", 0)
+    with pytest.raises(RuntimeError, match="no interlacing row accepted"):
+        gz_pattern((2.0, 1.0, -1.0), np.random.default_rng(0))
+
+
+def test_gz_pattern_is_seed_deterministic():
+    a, b = np.random.default_rng(42), np.random.default_rng(42)
+    for r in EVEN_TOPS:
+        assert [gz_pattern(r, a) for _ in range(10)] \
+            == [gz_pattern(r, b) for _ in range(10)]
+
+
+def test_gz_pattern_interval_law_is_uniform():
+    # at size two the pattern polytope is the segment [-1, 1]: one-sample
+    # KS of iid draws against the flat CDF, at level FAMILY_ALPHA
+    count = 4000
+    rng = np.random.default_rng(8)
+    x = _slot_sample([gz_pattern((1.0, 0.0), rng) for _ in range(count)], 1, 1)
+
+    def cdf(t):
+        return np.clip((np.asarray(t) + 1.0) / 2.0, 0.0, 1.0)
+
+    crit = math.sqrt(-0.5 * math.log(FAMILY_ALPHA / 2.0) / count)
+    assert ks_distance(x, cdf).statistic < crit
+
+
+# one fixed direction per size, for a projection no single slot shows
+CHAIN_CASES = [((2.0, 1.0, -1.0), (0.6, -0.48, 0.64)),
+               ((3.0, 4.0, 3.0, 0.0), (0.5, -0.5, 0.1, 0.3, -0.4, 0.5))]
+COMPARISONS = sum(len(d) + 1 for _, d in CHAIN_CASES)
+
+
+@pytest.mark.parametrize("r, direction", CHAIN_CASES, ids=["n3", "n4"])
+def test_gz_pattern_agrees_with_the_chain(r, direction):
+    # the chain's draws are correlated, so each comparison counts it at its
+    # effective sample size; alpha is split over every comparison of both
+    # sizes (Bonferroni)
+    count = 3000
+    rng = np.random.default_rng(301)
+    exact = _all_slots([gz_pattern(r, rng) for _ in range(count)])
+    chain = PolytopeSampler(r, np.random.default_rng(302))
+    mc = _all_slots([chain.draw() for _ in range(count)])
+    arr = np.asarray(mc.vectors)
+    for proj in list(range(len(direction))) + [direction]:
+        series = arr[:, proj] if isinstance(proj, int) else arr @ np.asarray(proj)
+        crit = _ks_critical(FAMILY_ALPHA / COMPARISONS, count, _ess(series))
+        d = ks_distance(exact, mc, projection=proj)
+        assert d.statistic < crit, (proj, d.statistic, crit)
+
+
+def test_gz_pattern_agrees_with_rejection():
+    r = (2.0, 1.0, -1.0)
+    rng = np.random.default_rng(401)
+    exact = [gz_pattern(r, rng) for _ in range(2000)]
+    rj = rejection_sample(r, 2000, np.random.default_rng(402))
+    crit = _ks_critical(FAMILY_ALPHA / 3, 2000, 2000)
+    for slot in _slots(3):
+        d = ks_distance(_slot_sample(exact, *slot), _slot_sample(rj, *slot))
+        assert d.statistic < crit, (slot, d.statistic, crit)
+
+
+# -- the reference samplers ---------------------------------------------------
 
 
 def test_top_row_must_have_strictly_decreasing_gaps():
