@@ -17,9 +17,8 @@ from .paths import (MultiPath, complex_lift, correspondence_matrix,
                     tropical_singular_values)
 from .hive import (GZ, HIVE, TROPICAL_GZ, HornTriple, Tableau, boundary,
                    format_number, gz_check, gz_margin, hive_check, kt_member,
-                   kt_witness, parse_number, scale_triple, tableau_from_json,
-                   tableau_to_json, triple_csv_header, triple_from_csv,
-                   triple_to_csv)
+                   kt_witness, parse_number, tableau_from_json, tableau_to_json,
+                   triple_csv_header, triple_from_csv, triple_to_csv)
 from .simplex import feasible_point
 from .chamber import (ChamberMap, GenericityReport, WbarWeighting,
                       find_delta0_chamber, genericity_check,
@@ -48,9 +47,8 @@ __all__ = [
     "path_weight", "tropical_gz", "tropical_singular_values",
     "GZ", "HIVE", "TROPICAL_GZ", "HornTriple", "Tableau", "boundary",
     "format_number", "gz_check", "gz_margin", "hive_check", "kt_member",
-    "kt_witness", "parse_number", "scale_triple", "tableau_from_json",
-    "tableau_to_json", "triple_csv_header", "triple_from_csv",
-    "triple_to_csv", "feasible_point",
+    "kt_witness", "parse_number", "tableau_from_json", "tableau_to_json",
+    "triple_csv_header", "triple_from_csv", "triple_to_csv", "feasible_point",
     "ChamberMap", "GenericityReport", "WbarWeighting", "find_delta0_chamber",
     "genericity_check", "horn_triple_tropical", "kappa", "lt_inverse",
     "random_interior_pattern", "wbar_from_json", "wbar_to_json",

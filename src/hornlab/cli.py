@@ -122,7 +122,7 @@ _SETTINGS = {
                         "seed": 0, "threshold": 0.02},
     "limit-sweep": {"taus": None},
     "horn-forward": {"mode": _REQUIRED, "n": _REQUIRED, "count": 100,
-                     "slack": "0", "seed": 0},
+                     "slack": "1/100000000", "seed": 0},
     "exceptional-mass": {"r": _REQUIRED, "s": _REQUIRED, "count": 1000,
                          "slack": "1/100000000", "seed": 0},
 }

@@ -1,7 +1,8 @@
-"""Reference samplers that only the tests use.
+"""Reference routines that only the tests use.
 
-They are the independent routes to the uniform law on patterns below a
-fixed cumulative top row, which hornlab.gz_pattern samples exactly.
+scale_triple multiplies a Horn triple by a factor.  The samplers are the
+independent routes to the uniform law on patterns below a fixed cumulative
+top row, which hornlab.gz_pattern samples exactly.
 
 PolytopeSampler runs hit-and-run over the pattern polytope (dimension
 n(n-1)/2): from the current interior point, pick a uniform direction,
@@ -17,8 +18,15 @@ from __future__ import annotations
 
 import math
 
-from hornlab.hive import GZ, Tableau, gz_check
+from hornlab.hive import GZ, HornTriple, Tableau, gz_check
 from hornlab.linalg import spectrum_of
+from hornlab.semiring import as_rational
+
+
+def scale_triple(t, factor):
+    """Every entry of the triple t times factor."""
+    f = as_rational(factor)
+    return HornTriple(*(tuple(f * x for x in v) for v in (t.a, t.b, t.c)))
 
 
 class PolytopeSampler:

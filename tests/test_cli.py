@@ -261,6 +261,16 @@ def test_horn_forward(capsys):
     assert "pass_rate=1.0" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("mode", ["hermitian", "multiplicative"])
+def test_horn_forward_float_modes_pass_at_the_default_slack(mode, capsys):
+    # float spectra land within rounding of the closed cone; at slack 0
+    # most of these twenty triples used to fail
+    rc = main(["horn-forward", "--mode", mode, "--n", "3",
+               "--count", "20", "--seed", "2"])
+    assert rc == PASS
+    assert "failures=0" in capsys.readouterr().out
+
+
 def test_exceptional_mass(capsys):
     rc = main(["exceptional-mass", "--r", "2,0", "--s", "1,0",
                "--count", "60", "--seed", "1"])

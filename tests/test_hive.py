@@ -1,9 +1,11 @@
-"""Triangular tableaux, rhombus inequalities, cone membership by exact LP."""
+"""Triangular tableaux, rhombus inequalities, cone membership by the exact
+facet table and by the exact LP."""
 
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hornlab import (
@@ -21,13 +23,15 @@ from hornlab import (
     kt_member,
     kt_witness,
     parse_number,
-    scale_triple,
     tableau_from_json,
     tableau_to_json,
     triple_csv_header,
     triple_from_csv,
     triple_to_csv,
 )
+from hornlab import hive
+from hornlab.hive import _facets, _family_slacks, _hive_inequalities, _pinned_slots
+from oracles import scale_triple
 
 F = Fraction
 
@@ -191,6 +195,163 @@ def test_kt_member_interval_for_rank_one_spectra(c1, u):
     # and c2 = 0: eigenvalues (2,-2) and (1,-1) mix to top sums in that range
     t = HornTriple((2, 0), (1, 0), (c1, u - u))
     assert kt_member(t) == (F(1) <= c1 <= F(3))
+
+
+# -- the facet table ----------------------------------------------------------
+
+FACET_COUNTS = {1: 0, 2: 3, 3: 18, 4: 83, 5: 846}
+SLACKS = (F(0), F(1, 10 ** 8), F(1, 2), F(-1, 10))
+
+
+@pytest.mark.parametrize("n", sorted(FACET_COUNTS))
+def test_facet_rows_carry_exact_certificates(n):
+    # each row is a nonnegative combination of hive inequalities that
+    # cancels every interior slot, so it holds on every hive; no LP involved
+    ineqs = _hive_inequalities(n)
+    pinned = _pinned_slots(n)
+    table = _facets(n)
+    assert len(table) == FACET_COUNTS[n]
+    for row, lam, total in table:
+        assert len(row) == len(pinned) and len(lam) == len(ineqs)
+        assert all(x >= 0 for x in lam)
+        assert total == sum(lam) > 0
+        combo = {}
+        for x, ineq in zip(lam, ineqs):
+            for slot, cf in ineq.items():
+                combo[slot] = combo.get(slot, 0) + x * cf
+        assert ({slot: v for slot, v in combo.items() if v}
+                == {slot: v for slot, v in zip(pinned, row) if v})
+
+
+def _weyl_n2(t):
+    """Membership at n = 2 from Weyl's list alone, in spectra: both summands
+    ordered, the closing identity, c1 <= a1 + b1, c1 >= max(a1 + b2, a2 + b1)."""
+    (a1, a2), (b1, b2), (c1, _) = ((v[0], v[1] - v[0]) for v in (t.a, t.b, t.c))
+    return (a1 >= a2 and b1 >= b2 and t.a[1] + t.b[1] == t.c[1]
+            and max(a1 + b2, a2 + b1) <= c1 <= a1 + b1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-4, 4), min_size=5, max_size=5))
+@example([4, 3, 4, -4, 5])
+def test_kt_member_n2_matches_weyl(spectra):
+    # [4, 3, 4, -4, 5] is a = (4, 3), b = (4, -4), c = (5, 2): c1 < a2 + b1.
+    # With the corner slot (2, 0) left free, rhombus A(1, 1) dropped out and
+    # this triple passed as a member.
+    a1, a2, b1, b2, c1 = spectra
+    t = HornTriple((a1, a1 + a2), (b1, b1 + b2), (c1, a1 + a2 + b1 + b2))
+    assert kt_member(t) == _weyl_n2(t) == (kt_witness(t) is not None)
+
+
+def _cumulative(spectrum):
+    return tuple(accumulate(spectrum))
+
+
+@st.composite
+def small_triples(draw):
+    """Random small-integer spectra, half of them made to close."""
+    n = draw(st.integers(1, 5))
+    ints = st.lists(st.integers(-4, 4), min_size=n, max_size=n)
+    la, lb, lc = (sorted(draw(ints), reverse=True) for _ in range(3))
+    if draw(st.booleans()):
+        lc[-1] += sum(la) + sum(lb) - sum(lc)
+    return HornTriple(_cumulative(la), _cumulative(lb),
+                      _cumulative(sorted(lc, reverse=True)))
+
+
+@st.composite
+def hive_triples(draw):
+    """The boundary of an integer hive with a tight rhombus.
+
+    f(k, i) = phi(k) + psi(i) + chi(k - i) + linear is a hive whenever phi,
+    psi and chi are concave: family C sees only the second differences of
+    phi, B only those of psi, A only those of chi.  Rhombi away from their
+    creases are tight.
+    """
+    n = draw(st.integers(1, 5))
+
+    def concave():
+        steps = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        return (0,) + _cumulative(sorted(steps, reverse=True))
+
+    phi, psi, chi = concave(), concave(), concave()
+    u, v = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+
+    def f(k, i):
+        return phi[k] + psi[i] + chi[k - i] + u * k + v * i
+
+    # shifted so that the corner (n, 0) is 0, as the boundary pins it
+    t = Tableau(n, tuple(tuple(F(f(k, i) - f(n, 0)) for i in range(k + 1))
+                         for k in range(n + 1)), HIVE)
+    assert hive_check(t)
+    assume(n == 1 or 0 in _family_slacks(t, "ABC"))
+    return boundary(t)
+
+
+@st.composite
+def pushed_triples(draw):
+    """A hive triple with one entry other than the totals moved a little."""
+    t = draw(hive_triples())
+    assume(t.n >= 2)
+    which = draw(st.sampled_from("abc"))
+    j = draw(st.integers(0, t.n - 2))
+    delta = draw(st.sampled_from((F(1), F(1, 2), F(1, 10 ** 9),
+                                  F(-1), F(-1, 10 ** 9))))
+    parts = {"a": list(t.a), "b": list(t.b), "c": list(t.c)}
+    parts[which][j] += delta
+    return HornTriple(**parts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(small_triples(), hive_triples(), pushed_triples()),
+       st.sampled_from(SLACKS))
+def test_facet_table_agrees_with_the_lp(t, slack):
+    assert kt_member(t, slack) == (kt_witness(t, slack) is not None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(hive_triples(), st.sampled_from(SLACKS[:3]))
+def test_hive_boundaries_are_members(t, slack):
+    assert kt_member(t, slack)
+
+
+def _count_lp_calls(monkeypatch):
+    calls = []
+    solve = hive.feasible_point
+
+    def counted(a, b):
+        calls.append(len(a))
+        return solve(a, b)
+
+    monkeypatch.setattr(hive, "feasible_point", counted)
+    return calls
+
+
+@pytest.mark.parametrize("t, slack, member", [
+    (HornTriple((2, 4, 5, 5), (1, 2, 2, 2), (3, 6, 7, 7)), 0, True),
+    (HornTriple((2, 4, 5, 5), (1, 2, 2, 2), (4, 6, 7, 7)), 0, False),
+    (HornTriple((2, 4, 5, 5), (1, 2, 2, 2), (3, 6, 7, 7)), F(1, 10 ** 8), True),
+])
+def test_facet_table_decides_without_the_lp(t, slack, member, monkeypatch):
+    calls = _count_lp_calls(monkeypatch)
+    assert kt_member(t, slack) == member
+    assert calls == []
+
+
+@pytest.mark.parametrize("t, slack, member", [
+    # n = 6 has no table
+    (HornTriple((2, 3, 3, 3, 3, 3), (1, 2, 2, 2, 2, 2), (3, 5, 5, 5, 5, 5)), 0, True),
+    (HornTriple((2, 3, 3, 3, 3, 3), (1, 2, 2, 2, 2, 2), (4, 5, 5, 5, 5, 5)), 0, False),
+    # a facet broken by less than slack times its multiplier total
+    (HornTriple((1, 1, 0), (1, 1, 0), (2 + F(1, 10 ** 9), 2, 0)), F(1, 10 ** 8), True),
+    # negative slack tightens the hive inequalities themselves
+    (HornTriple((2, 3, 3), (1, 2, 2), (3, 5, 5)), F(-1, 10), False),
+    (HornTriple((3, 4, 3), (2, 3, 2), (4, 6, 5)), F(-1, 10), True),
+])
+def test_lp_answers_what_the_table_does_not(t, slack, member, monkeypatch):
+    calls = _count_lp_calls(monkeypatch)
+    assert kt_member(t, slack) == member
+    assert calls
 
 
 # -- serialization -----------------------------------------------------------
