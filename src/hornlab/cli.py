@@ -227,7 +227,7 @@ def cmd_kt_member(args):
         with open(args.csv, "r", encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh
                      if ln.strip() and not ln.startswith("#")]
-        if not lines:
+        if len(lines) < 2:  # nothing, or a header alone
             raise ValueError("no rows in %s" % args.csv)
         header = lines[0].split(",")
         if len(header) % 3 != 0:

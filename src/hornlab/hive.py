@@ -18,6 +18,11 @@ from the hive inequalities; each facet carries the multipliers that prove it.
 Larger n, negative slack and triples the table cannot settle at a positive
 slack go to an exact rational LP, which also builds hive witnesses.  Either
 way the answer at slack zero is a theorem, not a heuristic.
+
+Floats appear in membership only as a certified sign filter: a facet row
+whose float value clears a forward error bound is positive in exact
+arithmetic too, and every other row is evaluated in integers.  So every
+verdict is the exact one.
 """
 
 from __future__ import annotations
@@ -25,8 +30,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul
+
+import numpy as np
 
 from .semiring import BOTTOM, as_rational
 from .simplex import feasible_point
@@ -258,17 +266,57 @@ def _closes(triple, eps):
     return abs(triple.a[-1] + triple.b[-1] - triple.c[-1]) <= abs(eps)
 
 
-def _facet_verdict(triple, eps):
-    """Membership at slack eps >= 0 from the facet table: True when every
-    row holds at slack 0, False when a row fails by more than eps times its
-    multiplier total, None when only the LP can tell."""
-    values = _pin_values(triple)
-    den = lcm(*(v.denominator for v in values))
-    pins = [v.numerator * (den // v.denominator) for v in values]
+# The float filter evaluates d_j - bound_j for every facet row F_j (length
+# k) at once, as [F | -_FILTER_C k 2^-53 |F|] @ [p ; |p|] with each integer
+# pin rounded once to p.  So bound_j = _FILTER_C k 2^-53 (|F_j| . |p|), and
+# the float result is off d_j - bound_j by at most about
+# (2k + 1) 2^-53 (|F_j| . |p|), in any summation order and with or without
+# fused multiply-adds; a row whose float result is positive is positive in
+# exact arithmetic.  Pins are integers, so nothing is subnormal; while max|p|
+# times the largest row sum of |F| stays below _FILTER_MAX no partial sum
+# can overflow, and larger pins skip the filter.
+_FILTER_C = 8
+_FILTER_MAX = 2 ** 1000
+
+
+@lru_cache(maxsize=None)
+def _facet_matrix(n):
+    """_facets(n) for the float filter: the matrix [F | -_FILTER_C k 2^-53 |F|]
+    in float64, and the largest row sum of |F| as an int (1 for an empty
+    table)."""
+    k = len(_pinned_slots(n))
+    f = np.array([row for row, _, _ in _facets(n)], dtype=float).reshape(-1, k)
+    absolute = np.abs(f)
+    g = np.hstack([f, -_FILTER_C * k * 2.0 ** -53 * absolute])
+    g.setflags(write=False)  # shared by every caller through the cache
+    return g, int(absolute.sum(axis=1).max(initial=1))
+
+
+def _uncertain_rows(n, pins):
+    """Indices of the facet rows whose float value at the integer pins does
+    not clear its error bound; every other row is positive at pins."""
+    g, width = _facet_matrix(n)
+    if max(max(pins), -min(pins)) * width >= _FILTER_MAX:
+        return range(len(g))
+    p = list(map(float, pins))
+    x = g.dot(p + list(map(abs, p))).tolist()
+    if min(x, default=1.0) > 0.0:
+        return ()
+    return [j for j, v in enumerate(x) if v <= 0.0]
+
+
+def _facet_verdict(n, pins, den, eps):
+    """Membership at slack eps >= 0 from the facet table, given the pins as
+    integers over the common denominator den: True when every row holds at
+    slack 0, False when a row fails by more than eps times its multiplier
+    total, None when only the LP can tell.  Only the rows the float filter
+    leaves open are evaluated, in integers."""
+    table = _facets(n)
     # row . pins < -eps * total, with both sides scaled by den * eps.denominator
     scale = eps.numerator * den
     open_rows = False
-    for row, _, total in _facets(triple.n):
+    for j in _uncertain_rows(n, pins):
+        row, _, total = table[j]
         dot = sum(map(mul, row, pins))
         if dot < 0:
             if dot * eps.denominator < -scale * total:
@@ -331,21 +379,32 @@ def kt_witness(triple, slack=0):
 def kt_member(triple, slack=0):
     """Whether a triple admits a hive with that boundary, up to slack.
 
-    The closing identity is checked first, as in kt_witness.  For n <= 5
-    and slack >= 0 the exact facet table (_facets) then decides, in integer
-    arithmetic over a common denominator; only a triple that breaks some
-    facet by no more than slack times its multiplier total is handed on.
-    Negative slack, n > 5 and those triples go to the exact LP of
-    kt_witness, so every answer is exact.
+    For n <= 5 and slack >= 0, a, b and c are put over one common
+    denominator as integers; the closing identity a_n + b_n = c_n (to
+    tolerance slack) and then the exact facet table (_facets) decide on
+    those integers, with a float filter settling the rows that hold by a
+    clear margin.  Only a triple that breaks some facet by no more than
+    slack times its multiplier total is handed on.  Negative slack, n > 5
+    and those triples go to the exact LP of kt_witness, so every answer is
+    exact.
     """
     eps = as_rational(slack)
-    if not _closes(triple, eps):
+    n = triple.n
+    if eps.numerator < 0 or n > _FACET_MAX_N:
+        return kt_witness(triple, eps) is not None
+    ratios = [v.as_integer_ratio() for v in triple.a + triple.b + triple.c]
+    den = lcm(*{d for _, d in ratios})
+    ints = [x * (den // d) for x, d in ratios]
+    a, b, c = ints[:n], ints[n:2 * n], ints[2 * n:]
+    # |a_n + b_n - c_n| <= eps, with both sides scaled by den * eps.denominator
+    if abs(a[-1] + b[-1] - c[-1]) * eps.denominator > eps.numerator * den:
         return False
-    if eps >= 0 and triple.n <= _FACET_MAX_N:
-        verdict = _facet_verdict(triple, eps)
-        if verdict is not None:
-            return verdict
-    return kt_witness(triple, eps) is not None
+    # the values of _pinned_slots(n), as _pin_values gives them
+    pins = [0, *a, *map(add, b[:-1], repeat(a[-1])), *c]
+    verdict = _facet_verdict(n, pins, den, eps)
+    if verdict is None:
+        return kt_witness(triple, eps) is not None
+    return verdict
 
 
 # -- serialization ----------------------------------------------------------

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from itertools import combinations
 
 import numpy as np
 
@@ -206,15 +205,6 @@ def singular_l(a):
     return tuple(out)
 
 
-def gz_B(a):
-    """Pattern of cumulative log singular values of nested trailing blocks."""
-    n = len(a)
-    rows = [(0.0,)]
-    for j in range(1, n + 1):
-        rows.append((0.0,) + tuple(singular_l(_block(a, range(n - j, n)))))
-    return Tableau(n, tuple(rows), GZ)
-
-
 def haar_unitaries(n, count, rng):
     """count Haar-distributed unitaries, an array of shape (count, n, n),
     via QR of complex Ginibre matrices with the R diagonal phase fixed so
@@ -359,38 +349,3 @@ def sample_B_r(r, rng):
     angles = [rng.uniform(0.0, 2.0 * math.pi, size=k).tolist() for k in range(1, n)]
     p = _reconstruct_from_spectra(spectra, angles)
     return upper_cholesky(p)
-
-
-def _det(a):
-    n = len(a)
-    m = [row[:] for row in a]
-    det = 1.0 + 0j
-    for col in range(n):
-        piv = max(range(col, n), key=lambda i: abs(m[i][col]))
-        if m[piv][col] == 0j:
-            return 0j
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1.0 / m[col][col]
-        for i in range(col + 1, n):
-            f = m[i][col] * inv
-            for j in range(col, n):
-                m[i][j] -= f * m[col][j]
-    return det
-
-
-def sigma_values(a):
-    """Elementary symmetric functions of the squared singular values,
-    k = 1..n, via sums of squared minors (Cauchy-Binet)."""
-    n = len(a)
-    out = []
-    for k in range(1, n + 1):
-        total = 0.0
-        for rows in combinations(range(n), k):
-            for cols in combinations(range(n), k):
-                sub = [[a[i][j] for j in cols] for i in rows]
-                total += abs(_det(sub)) ** 2
-        out.append(total)
-    return tuple(out)

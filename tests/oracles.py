@@ -1,6 +1,9 @@
 """Reference routines that only the tests use.
 
-scale_triple multiplies a Horn triple by a factor.  The samplers are the
+scale_triple multiplies a Horn triple by a factor.  facet_verdict is the
+pure-integer route through the Horn-cone facet table, with no float filter
+in front of it; integer_pins gives the values it reads the table at.  complex_det, sigma_values and gz_B are the direct minor and
+singular-value routes of the linear algebra tests.  The samplers are the
 independent routes to the uniform law on patterns below a fixed cumulative
 top row, which hornlab.gz_pattern samples exactly.
 
@@ -17,9 +20,12 @@ in the cone.
 from __future__ import annotations
 
 import math
+from itertools import combinations
+from operator import mul
 
-from hornlab.hive import GZ, HornTriple, Tableau, gz_check
-from hornlab.linalg import spectrum_of
+from hornlab.hive import (GZ, HornTriple, Tableau, _facets, _pin_values,
+                          gz_check)
+from hornlab.linalg import _block, singular_l, spectrum_of
 from hornlab.semiring import as_rational
 
 
@@ -27,6 +33,78 @@ def scale_triple(t, factor):
     """Every entry of the triple t times factor."""
     f = as_rational(factor)
     return HornTriple(*(tuple(f * x for x in v) for v in (t.a, t.b, t.c)))
+
+
+def integer_pins(t):
+    """The pinned values of t over their common denominator: (den, pins)."""
+    values = _pin_values(t)
+    den = math.lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
+
+
+def facet_verdict(t, slack):
+    """kt_member's answer at slack >= 0 for n <= 5, from every row of the
+    facet table in integers: True, False, or None where the LP decides."""
+    eps = as_rational(slack)
+    if abs(t.a[-1] + t.b[-1] - t.c[-1]) > eps:
+        return False
+    den, pins = integer_pins(t)
+    # row . pins < -eps * total, with both sides scaled by den * eps.denominator
+    scale = eps.numerator * den
+    open_rows = False
+    for row, _, total in _facets(t.n):
+        dot = sum(map(mul, row, pins))
+        if dot < 0:
+            if dot * eps.denominator < -scale * total:
+                return False
+            open_rows = True
+    return None if open_rows else True
+
+
+def complex_det(a):
+    """Determinant of a small complex matrix by Gaussian elimination with
+    partial pivoting."""
+    n = len(a)
+    m = [row[:] for row in a]
+    out = 1.0 + 0j
+    for col in range(n):
+        piv = max(range(col, n), key=lambda i: abs(m[i][col]))
+        if m[piv][col] == 0j:
+            return 0j
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            out = -out
+        out *= m[col][col]
+        inv = 1.0 / m[col][col]
+        for i in range(col + 1, n):
+            f = m[i][col] * inv
+            for j in range(col, n):
+                m[i][j] -= f * m[col][j]
+    return out
+
+
+def sigma_values(a):
+    """Elementary symmetric functions of the squared singular values,
+    k = 1..n, via sums of squared minors (Cauchy-Binet)."""
+    n = len(a)
+    out = []
+    for k in range(1, n + 1):
+        total = 0.0
+        for rows in combinations(range(n), k):
+            for cols in combinations(range(n), k):
+                sub = [[a[i][j] for j in cols] for i in rows]
+                total += abs(complex_det(sub)) ** 2
+        out.append(total)
+    return tuple(out)
+
+
+def gz_B(a):
+    """Pattern of cumulative log singular values of nested trailing blocks."""
+    n = len(a)
+    rows = [(0.0,)]
+    for j in range(1, n + 1):
+        rows.append((0.0,) + tuple(singular_l(_block(a, range(n - j, n)))))
+    return Tableau(n, tuple(rows), GZ)
 
 
 class PolytopeSampler:

@@ -105,6 +105,17 @@ def test_kt_member_csv(tmp_path, capsys):
     assert main(["kt-member", "--csv", str(ok)]) == PASS
 
 
+@pytest.mark.parametrize("text", ["", "# n=2\n", "a1,a2,b1,b2,c1,c2\n",
+                                  "# n=2\na1,a2,b1,b2,c1,c2\n\n"])
+def test_kt_member_csv_without_rows(text, tmp_path, capsys):
+    csv = tmp_path / "t.csv"
+    csv.write_text(text)
+    assert main(["kt-member", "--csv", str(csv)]) == PRECONDITION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no rows in %s\n" % csv
+
+
 def test_kt_member_input_validation(capsys):
     # exactly one of --csv / --triple
     assert main(["kt-member"]) == PRECONDITION

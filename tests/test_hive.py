@@ -1,9 +1,11 @@
 """Triangular tableaux, rhombus inequalities, cone membership by the exact
-facet table and by the exact LP."""
+facet table (behind its float filter) and by the exact LP."""
 
+import warnings
 from fractions import Fraction
 from itertools import accumulate
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -30,8 +32,10 @@ from hornlab import (
     triple_to_csv,
 )
 from hornlab import hive
-from hornlab.hive import _facets, _family_slacks, _hive_inequalities, _pinned_slots
-from oracles import scale_triple
+from hornlab.hive import (_facets, _family_slacks, _hive_inequalities,
+                          _pin_values, _pinned_slots)
+from hornlab.linalg import haar_unitaries
+from oracles import facet_verdict, integer_pins, scale_triple
 
 F = Fraction
 
@@ -352,6 +356,135 @@ def test_lp_answers_what_the_table_does_not(t, slack, member, monkeypatch):
     calls = _count_lp_calls(monkeypatch)
     assert kt_member(t, slack) == member
     assert calls
+
+
+# -- the float filter in front of the facet table ------------------------------
+
+def _float_triple(n, seed, closed):
+    """Spectra of A, B and A + U B U* for Gaussian diagonal A, B and a Haar
+    U, as cumulative float vectors: dyadic rationals with large
+    denominators.  closed makes c_n equal a_n + b_n exactly."""
+    rng = np.random.default_rng(seed)
+    la, lb = (np.sort(rng.standard_normal(n))[::-1] for _ in range(2))
+    u = haar_unitaries(n, 1, rng)[0]
+    lc = np.linalg.eigvalsh(np.diag(la) + u @ np.diag(lb) @ u.conj().T)[::-1]
+    a, b, c = (list(accumulate(float(x) for x in lam)) for lam in (la, lb, lc))
+    if closed:
+        c[-1] = F(a[-1]) + F(b[-1])
+    return a, b, c
+
+
+@st.composite
+def float_triples(draw):
+    """Float-derived triples: Hermitian sums, with c_1 left alone or moved
+    by a little or a lot, and sorted float spectra that need not be sums."""
+    n = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        a, b, c = _float_triple(n, draw(st.integers(0, 2 ** 32 - 1)),
+                                draw(st.booleans()))
+        c[0] += draw(st.sampled_from((0.0, 2.0 ** -40, -2.0 ** -40, 0.25, -0.25)))
+        return HornTriple(a, b, c)
+    floats = st.lists(st.floats(-4, 4), min_size=n, max_size=n)
+    a, b, c = (_cumulative(sorted(draw(floats), reverse=True)) for _ in range(3))
+    if draw(st.booleans()):
+        c = c[:-1] + (F(a[-1]) + F(b[-1]),)
+    return HornTriple(a, b, c)
+
+
+@st.composite
+def last_bit_triples(draw):
+    """A hive triple plus the boundary of an affine function, with one
+    entry then moved by 2^-60 either way.
+
+    Adding x k + y i to a hive keeps every rhombus slack, so the triple
+    stays tight in the same rows; it moves a_i by y i, b_i by -(x + y) i
+    and c_i by -x i.  With x and y of about 2^62 / 2^60 the pins round to
+    floats with errors in the thousands, against the 1 by which the moved
+    entry shifts a tight row.
+    """
+    t = draw(hive_triples())
+    x, y = (F(draw(st.integers(-2 ** 62, 2 ** 62)), 2 ** 60) for _ in range(2))
+    parts = {"a": [v + y * i for i, v in enumerate(t.a, 1)],
+             "b": [v - (x + y) * i for i, v in enumerate(t.b, 1)],
+             "c": [v - x * i for i, v in enumerate(t.c, 1)]}
+    which = draw(st.sampled_from("abc"))
+    j = draw(st.integers(0, t.n - 1))
+    parts[which][j] += draw(st.sampled_from((F(1, 2 ** 60), F(-1, 2 ** 60))))
+    return HornTriple(**parts)
+
+
+@st.composite
+def huge_triples(draw):
+    """Triples scaled so that the pins sit inside the filter's range
+    (2^990), near the top of the float range (10^300 to 10^307; F @ p
+    overflows from about 10^306) or beyond it (10^400)."""
+    t = draw(st.one_of(small_triples(), hive_triples(), pushed_triples()))
+    return scale_triple(t, draw(st.sampled_from(
+        (F(2) ** 990, F(10) ** 300, F(10) ** 306, F(10) ** 307, F(10) ** 400))))
+
+
+def _table_verdict(t, slack):
+    """kt_member's answer, or None where it hands the triple to the LP."""
+    handed = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hive, "kt_witness", lambda t, eps: handed.append(t))
+        got = kt_member(t, slack)
+    return None if handed else got
+
+
+E60 = F(1, 2 ** 60)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(float_triples(), hive_triples(), pushed_triples(),
+                 last_bit_triples(), huge_triples()),
+       st.sampled_from(SLACKS[:3]))
+# a non-member with a row at -1 among pins near 2^60, which floats cannot see
+@example(HornTriple((1 + E60, 2), (-1 - E60, -2 - 2 * E60), (-E60, -2 * E60)), F(0))
+def test_float_filter_matches_the_integer_route(t, slack):
+    # an overflow in the filter would show as a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _table_verdict(t, slack) == facet_verdict(t, slack)
+        _, pins = integer_pins(t)
+        open_rows = set(hive._uncertain_rows(t.n, pins))
+    # every row the filter settles is positive in exact arithmetic
+    assert all(sum(x * p for x, p in zip(row, pins)) > 0
+               for j, (row, _, _) in enumerate(_facets(t.n)) if j not in open_rows)
+
+
+def _count_exact_rows(monkeypatch):
+    sent = []
+    pick = hive._uncertain_rows
+
+    def counted(n, pins):
+        rows = pick(n, pins)
+        sent.append(list(rows))
+        return rows
+
+    monkeypatch.setattr(hive, "_uncertain_rows", counted)
+    return sent
+
+
+def test_generic_float_member_needs_no_exact_row(monkeypatch):
+    sent = _count_exact_rows(monkeypatch)
+    for seed in range(5):
+        a, b, c = _float_triple(4, seed, closed=False)
+        assert kt_member(HornTriple(a, b, c), F(1, 10 ** 8))
+    assert sent == [[]] * 5
+
+
+def test_a_triple_on_a_facet_sends_that_row(monkeypatch):
+    # c_1 = a_1 + b_1: Weyl's row a_1 + (b_1 + a_4) - a_4 - c_1 >= 0 is tight
+    t = HornTriple((2, 4, 5, 5), (1, 2, 2, 2), (3, 6, 7, 7))
+    weyl = (0, 1, 0, 0, -1, 1, 0, 0, -1, 0, 0, 0)
+    rows = [row for row, _, _ in _facets(4)]
+    pins = _pin_values(t)
+    tight = [j for j, row in enumerate(rows)
+             if sum(x * p for x, p in zip(row, pins)) == 0]
+    sent = _count_exact_rows(monkeypatch)
+    assert kt_member(t)
+    assert sent == [tight] and rows.index(weyl) in tight
 
 
 # -- serialization -----------------------------------------------------------

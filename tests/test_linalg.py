@@ -10,7 +10,6 @@ from hornlab import (
     GZ,
     Tableau,
     eigh,
-    gz_B,
     gz_H,
     gz_check,
     haar_unitary,
@@ -18,12 +17,12 @@ from hornlab import (
     reconstruct_H,
     sample_B_r,
     sample_H_r,
-    sigma_values,
     singular_l,
     spectrum_of,
     upper_cholesky,
 )
 from hornlab.linalg import dagger, haar_unitaries, mat_mul_c
+from oracles import gz_B, sigma_values
 
 
 def _random_hermitian(n, rng, scale=1.0):
