@@ -1,16 +1,17 @@
 """Tropical, Hermitian and multiplicative Horn problems at desk scale.
 
-Exact path-counting on small planar networks, hive-cone membership by
-rational linear programming, dense eigensolvers for the classical sides,
-and Monte Carlo machinery to compare the three product measures.
+Exact path-counting on small planar networks, Horn-cone membership from
+exact facets (rational linear programming beyond them), dense eigensolvers
+for the classical sides, and Monte Carlo machinery to compare the three
+product measures.
 """
 
 from .semiring import (BOTTOM, COMPLEX, RATIONAL, TROPICAL, Bottom, Semiring,
-                       as_rational, mat_equal, mat_identity, mat_mul)
+                       as_rational, mat_mul)
 from .network import (DIAGONAL, HORIZONTAL, SINK_HORIZONTAL, Edge,
                       PlanarNetwork, build_gamma0, compose_weightings,
-                      concatenate, constant_weighting, network_from_json,
-                      network_to_dot, network_to_json, subnetwork)
+                      concatenate, network_from_json, network_to_dot,
+                      network_to_json, subnetwork)
 from .paths import (MultiPath, complex_lift, correspondence_matrix,
                     enumerate_kpaths, enumerate_paths, m_k, minor, minor_enum,
                     multipath_weight, path_weight, tropical_gz,
@@ -38,10 +39,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BOTTOM", "Bottom", "COMPLEX", "RATIONAL", "TROPICAL",
-    "Semiring", "as_rational", "mat_equal", "mat_identity", "mat_mul",
+    "Semiring", "as_rational", "mat_mul",
     "DIAGONAL", "HORIZONTAL", "SINK_HORIZONTAL", "Edge", "PlanarNetwork",
-    "build_gamma0", "compose_weightings", "concatenate", "constant_weighting",
-    "network_from_json", "network_to_dot", "network_to_json", "subnetwork",
+    "build_gamma0", "compose_weightings", "concatenate", "network_from_json",
+    "network_to_dot", "network_to_json", "subnetwork",
     "MultiPath", "complex_lift", "correspondence_matrix", "enumerate_kpaths",
     "enumerate_paths", "m_k", "minor", "minor_enum", "multipath_weight",
     "path_weight", "tropical_gz", "tropical_singular_values",

@@ -12,12 +12,12 @@ cut out the interlacing (Gelfand-Zeitlin) cone; all three cut out hives.
 
 A boundary triple (a, b, c) pins the long row, the right edge and the left
 edge; it lies in the Horn cone when some hive has that boundary (Knutson-Tao
-saturation).  For n <= 5 membership is read off an exact table of the Horn
-cone's facets, found by Fourier-Motzkin elimination of the interior slots
-from the hive inequalities; each facet carries the multipliers that prove it.
-Larger n, negative slack and triples the table cannot settle at a positive
-slack go to an exact rational LP, which also builds hive witnesses.  Either
-way the answer at slack zero is a theorem, not a heuristic.
+saturation).  For n <= 5 membership at every slack is read off an exact
+table of the Horn cone's facets, found by Fourier-Motzkin elimination of the
+interior slots from the hive inequalities; each facet carries the
+multipliers that prove it.  An exact rational LP decides larger n and builds
+hive witnesses.  Either way the answer at slack zero is a theorem, not a
+heuristic.
 
 Floats appear in membership only as a certified sign filter: a facet row
 whose float value clears a forward error bound is positive in exact
@@ -201,22 +201,21 @@ def _hive_inequalities(n):
 _FACET_MAX_N = 5
 
 
-@lru_cache(maxsize=None)
-def _facets(n):
-    """The Horn cone of size n as rows (row, multipliers, total).
+def _fourier_motzkin(n):
+    """Every row Fourier-Motzkin keeps for the Horn cone of size n, as
+    (row, multipliers).
 
-    row is an integer vector over _pinned_slots(n), and row . pins >= 0 for
-    every triple in the cone.  multipliers are nonnegative integers, one per
-    entry of _hive_inequalities(n), whose combination of the hive
-    inequalities cancels every free slot and leaves row; total is their sum.
-    So a triple with row . pins < -slack * total has no hive at that slack.
-
-    By Knutson-Tao saturation the Horn cone is the projection of the hive
-    cone onto the boundary, found here by Fourier-Motzkin elimination of
-    the free slots in integers.  Chernikov's rule (after k eliminations a
-    row combining more than k + 1 inequalities is redundant) and dropping
-    every row whose set of inequalities contains that of a row already kept
-    keep the table small; neither drops a row the projection needs.
+    row is an integer vector over _pinned_slots(n); multipliers are
+    nonnegative integers, one per entry of _hive_inequalities(n), whose
+    combination of the hive inequalities cancels every free slot and leaves
+    row.  By Knutson-Tao saturation the Horn cone is the projection of the
+    hive cone onto the boundary, found here by eliminating the free slots
+    in integers.  Chernikov's rule (after k eliminations a row combining
+    more than k + 1 inequalities is redundant) and dropping every row whose
+    set of inequalities contains that of a row already kept leave only
+    multiplier vectors of minimal support, and elimination reaches every
+    one: these are the extreme rays of the cone of all such combinations,
+    so by Farkas they decide the projection at any slack.
     """
     ineqs = _hive_inequalities(n)
     pinned = _pinned_slots(n)
@@ -251,13 +250,21 @@ def _facets(n):
         for r in kept:
             if not any(o <= r[2] for _, _, o in rows):
                 rows.append(r)
+    return [(tuple(vec[:len(pinned)]), tuple(lam)) for vec, lam, _ in rows]
 
-    # one entry per distinct row, with the smallest multiplier total
+
+@lru_cache(maxsize=None)
+def _facets(n):
+    """The Horn cone of size n as rows (row, multipliers, total), one per
+    distinct row of _fourier_motzkin(n); total is the multipliers' sum.
+
+    A boundary has a hive at slack eps (of either sign) exactly when
+    row . pins >= -eps * total for every row.  Up to n = 5 no distinct row
+    comes with two totals, so keeping the first serves both signs of eps.
+    """
     table = {}
-    for vec, lam, _ in rows:
-        row = tuple(vec[:len(pinned)])
-        if row not in table or sum(lam) < table[row][2]:
-            table[row] = (row, tuple(lam), sum(lam))
+    for row, lam in _fourier_motzkin(n):
+        table.setdefault(row, (row, lam, sum(lam)))
     return tuple(table.values())
 
 
@@ -306,23 +313,19 @@ def _uncertain_rows(n, pins):
 
 
 def _facet_verdict(n, pins, den, eps):
-    """Membership at slack eps >= 0 from the facet table, given the pins as
-    integers over the common denominator den: True when every row holds at
-    slack 0, False when a row fails by more than eps times its multiplier
-    total, None when only the LP can tell.  Only the rows the float filter
-    leaves open are evaluated, in integers."""
+    """Membership at slack eps from the facet table, given the pins as
+    integers over the common denominator den: whether every row holds at
+    that slack.  At eps >= 0 only the rows the float filter leaves open are
+    evaluated, in integers; at eps < 0 every row is."""
     table = _facets(n)
-    # row . pins < -eps * total, with both sides scaled by den * eps.denominator
+    rows = _uncertain_rows(n, pins) if eps.numerator >= 0 else range(len(table))
+    # row . pins >= -eps * total, with both sides scaled by den * eps.denominator
     scale = eps.numerator * den
-    open_rows = False
-    for j in _uncertain_rows(n, pins):
+    for j in rows:
         row, _, total = table[j]
-        dot = sum(map(mul, row, pins))
-        if dot < 0:
-            if dot * eps.denominator < -scale * total:
-                return False
-            open_rows = True
-    return None if open_rows else True
+        if sum(map(mul, row, pins)) * eps.denominator < -scale * total:
+            return False
+    return True
 
 
 def kt_witness(triple, slack=0):
@@ -379,32 +382,26 @@ def kt_witness(triple, slack=0):
 def kt_member(triple, slack=0):
     """Whether a triple admits a hive with that boundary, up to slack.
 
-    For n <= 5 and slack >= 0, a, b and c are put over one common
-    denominator as integers; the closing identity a_n + b_n = c_n (to
-    tolerance slack) and then the exact facet table (_facets) decide on
-    those integers, with a float filter settling the rows that hold by a
-    clear margin.  Only a triple that breaks some facet by no more than
-    slack times its multiplier total is handed on.  Negative slack, n > 5
-    and those triples go to the exact LP of kt_witness, so every answer is
-    exact.
+    For n <= 5, a, b and c are put over one common denominator as integers;
+    the closing identity a_n + b_n = c_n (to tolerance |slack|) and then the
+    exact facet table (_facets) decide on those integers at any slack.  At
+    slack >= 0 a float filter settles the rows that hold by a clear margin.
+    Only n > 5 goes to the exact LP of kt_witness, so every answer is exact.
     """
     eps = as_rational(slack)
     n = triple.n
-    if eps.numerator < 0 or n > _FACET_MAX_N:
+    if n > _FACET_MAX_N:
         return kt_witness(triple, eps) is not None
     ratios = [v.as_integer_ratio() for v in triple.a + triple.b + triple.c]
     den = lcm(*{d for _, d in ratios})
     ints = [x * (den // d) for x, d in ratios]
     a, b, c = ints[:n], ints[n:2 * n], ints[2 * n:]
-    # |a_n + b_n - c_n| <= eps, with both sides scaled by den * eps.denominator
-    if abs(a[-1] + b[-1] - c[-1]) * eps.denominator > eps.numerator * den:
+    # |a_n + b_n - c_n| <= |eps|, with both sides scaled by den * eps.denominator
+    if abs(a[-1] + b[-1] - c[-1]) * eps.denominator > abs(eps.numerator) * den:
         return False
     # the values of _pinned_slots(n), as _pin_values gives them
     pins = [0, *a, *map(add, b[:-1], repeat(a[-1])), *c]
-    verdict = _facet_verdict(n, pins, den, eps)
-    if verdict is None:
-        return kt_witness(triple, eps) is not None
-    return verdict
+    return _facet_verdict(n, pins, den, eps)
 
 
 # -- serialization ----------------------------------------------------------

@@ -118,9 +118,12 @@ def sample_multiplicative(r, s, count, rng):
 
 def sample_tropical_kappa(r, s, count, rng):
     """Tropical product spectra kappa(u, v) of independent exact uniform
-    patterns u below r and v below s (polytope.gz_pattern)."""
+    patterns u below r and v below s (polytope.gz_pattern).  n must lie in
+    1..MAX_N."""
     r, s = _float_pair(r, s)
     n = len(r)
+    if not 1 <= n <= MAX_N:
+        raise ValueError("n must be between 1 and %d" % MAX_N)
     chamber = find_delta0_chamber(n)
 
     def worker(crng, m, off):

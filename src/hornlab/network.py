@@ -299,10 +299,6 @@ def compose_weightings(gc, w1, w2):
     return w
 
 
-def constant_weighting(g, value):
-    return {e: value for e in g.edges}
-
-
 # -- serialization ----------------------------------------------------------
 
 

@@ -135,20 +135,3 @@ def mat_mul(ring, a, b):
         out.append(new)
     return out
 
-
-def mat_identity(ring, n):
-    return [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]
-
-
-def mat_equal(a, b):
-    if len(a) != len(b):
-        return False
-    for ra, rb in zip(a, b):
-        if len(ra) != len(rb):
-            return False
-        for x, y in zip(ra, rb):
-            if (x is BOTTOM) != (y is BOTTOM):
-                return False
-            if x is not BOTTOM and x != y:
-                return False
-    return True

@@ -2,10 +2,14 @@
 
 scale_triple multiplies a Horn triple by a factor.  facet_verdict is the
 pure-integer route through the Horn-cone facet table, with no float filter
-in front of it; integer_pins gives the values it reads the table at.  complex_det, sigma_values and gz_B are the direct minor and
-singular-value routes of the linear algebra tests.  The samplers are the
-independent routes to the uniform law on patterns below a fixed cumulative
-top row, which hornlab.gz_pattern samples exactly.
+in front of it; integer_pins gives the values it reads the table at.
+minimal_support_rows finds the table again by brute force over the supports
+of the multiplier vectors, with null_space and rank in Fractions, and
+horn_list_verdict decides membership from Horn's recursive list of
+inequalities instead of from hives.  complex_det, sigma_values and gz_B are
+the direct minor and singular-value routes of the linear algebra tests.
+The samplers are the independent routes to the uniform law on patterns
+below a fixed cumulative top row, which hornlab.gz_pattern samples exactly.
 
 PolytopeSampler runs hit-and-run over the pattern polytope (dimension
 n(n-1)/2): from the current interior point, pick a uniform direction,
@@ -20,10 +24,13 @@ in the cone.
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations, product
 from operator import mul
 
-from hornlab.hive import (GZ, HornTriple, Tableau, _facets, _pin_values,
+from hornlab.hive import (GZ, HornTriple, Tableau, _facets,
+                          _hive_inequalities, _pin_values, _pinned_slots,
                           gz_check)
 from hornlab.linalg import _block, singular_l, spectrum_of
 from hornlab.semiring import as_rational
@@ -43,22 +50,116 @@ def integer_pins(t):
 
 
 def facet_verdict(t, slack):
-    """kt_member's answer at slack >= 0 for n <= 5, from every row of the
-    facet table in integers: True, False, or None where the LP decides."""
+    """kt_member's answer for n <= 5 at any slack, from every row of the
+    facet table in integers."""
     eps = as_rational(slack)
-    if abs(t.a[-1] + t.b[-1] - t.c[-1]) > eps:
+    if abs(t.a[-1] + t.b[-1] - t.c[-1]) > abs(eps):
         return False
     den, pins = integer_pins(t)
-    # row . pins < -eps * total, with both sides scaled by den * eps.denominator
+    # row . pins >= -eps * total, with both sides scaled by den * eps.denominator
     scale = eps.numerator * den
-    open_rows = False
-    for row, _, total in _facets(t.n):
-        dot = sum(map(mul, row, pins))
-        if dot < 0:
-            if dot * eps.denominator < -scale * total:
-                return False
-            open_rows = True
-    return None if open_rows else True
+    return all(sum(map(mul, row, pins)) * eps.denominator >= -scale * total
+               for row, _, total in _facets(t.n))
+
+
+def null_space(m, width):
+    """A basis of {x : m x = 0} over the rationals, for a list m of rows of
+    length width, by Gauss-Jordan elimination in Fractions."""
+    rows = [[Fraction(v) for v in r] for r in m]
+    pivots = []
+    for c in range(width):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        pivot = rows[r][c]
+        rows[r] = [v / pivot for v in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                rows[i] = [v - row[c] * w for v, w in zip(row, rows[r])]
+        pivots.append(c)
+    basis = []
+    for c in sorted(set(range(width)) - set(pivots)):
+        x = [Fraction(0)] * width
+        x[c] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            x[pc] = -rows[r][c]
+        basis.append(x)
+    return basis
+
+
+def rank(m, width):
+    """Rank of a list m of rational rows of length width."""
+    return width - len(null_space(m, width))
+
+
+def free_slots(n):
+    """The interior slots of a size-n hive, in the order _facets eliminates
+    them."""
+    ineqs = _hive_inequalities(n)
+    return sorted({slot for ineq in ineqs for slot in ineq} - set(_pinned_slots(n)))
+
+
+def minimal_support_rows(n):
+    """(row, total) for every multiplier vector of minimal support, found
+    by brute force: each support of at most free + 1 hive inequalities whose
+    free-slot coefficients have a one-dimensional left null space with a
+    strictly positive generator.  Each pair is scaled as _facets scales it,
+    to coprime integers."""
+    ineqs = _hive_inequalities(n)
+    free = free_slots(n)
+    out = set()
+    for size in range(1, len(free) + 2):
+        for support in combinations(range(len(ineqs)), size):
+            basis = null_space([[ineqs[j].get(slot, 0) for j in support]
+                                for slot in free], size)
+            if len(basis) != 1:
+                continue
+            lam = basis[0]
+            if lam[0] < 0:
+                lam = [-x for x in lam]
+            if min(lam) <= 0:
+                continue
+            den = math.lcm(*(x.denominator for x in lam))
+            lam = [int(x * den) for x in lam]
+            row = [sum(x * ineqs[j].get(slot, 0) for x, j in zip(lam, support))
+                   for slot in _pinned_slots(n)]
+            g = math.gcd(*row, *lam)
+            out.add((tuple(v // g for v in row), sum(lam) // g))
+    return out
+
+
+@lru_cache(maxsize=None)
+def horn_index_triples(n, r):
+    """Horn's set T^n_r of triples (I, J, K) of r-subsets of 1..n, by his
+    recursion (Fulton 2000): sum I + sum J = sum K + r(r + 1)/2, and every
+    (F, G, H) in T^r_p with p < r gives
+    sum_F i_f + sum_G j_g <= sum_H k_h + p(p + 1)/2."""
+    subsets = list(combinations(range(1, n + 1), r))
+    return tuple(
+        (i, j, k) for i, j, k in product(subsets, repeat=3)
+        if sum(i) + sum(j) == sum(k) + r * (r + 1) // 2
+        and all(sum(i[f - 1] for f in ff) + sum(j[g - 1] for g in gg)
+                <= sum(k[h - 1] for h in hh) + p * (p + 1) // 2
+                for p in range(1, r) for ff, gg, hh in horn_index_triples(r, p)))
+
+
+def horn_list_verdict(t):
+    """Membership of a triple in the Horn cone from Horn's list: the three
+    spectra weakly decreasing, the closing identity, and
+    sum_K gamma <= sum_I alpha + sum_J beta over every T^n_r with r < n."""
+    def spectrum(v):
+        return [x - y for x, y in zip(v, (0,) + v[:-1])]
+
+    alpha, beta, gamma = (spectrum(v) for v in (t.a, t.b, t.c))
+    if any(x < y for lam in (alpha, beta, gamma) for x, y in zip(lam, lam[1:])):
+        return False
+    if t.a[-1] + t.b[-1] != t.c[-1]:
+        return False
+    return all(sum(gamma[x - 1] for x in k)
+               <= sum(alpha[x - 1] for x in i) + sum(beta[x - 1] for x in j)
+               for r in range(1, t.n) for i, j, k in horn_index_triples(t.n, r))
 
 
 def complex_det(a):

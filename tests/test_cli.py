@@ -357,6 +357,9 @@ MALFORMED = [
      None, PRECONDITION),
     (["horn-forward", "--mode", "tropical", "--n", "-1", "--count", "1"],
      None, PRECONDITION),
+    (["kappa-sample", "--r", "7,13,18,22,25,27,28",
+      "--s", "7,13,18,22,25,27,28", "--count", "1", "--seed", "1"],
+     None, PRECONDITION),
 ]
 
 

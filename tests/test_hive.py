@@ -1,5 +1,5 @@
 """Triangular tableaux, rhombus inequalities, cone membership by the exact
-facet table (behind its float filter) and by the exact LP."""
+facet table (behind its float filter), by the exact LP and by Horn's list."""
 
 import warnings
 from fractions import Fraction
@@ -32,10 +32,11 @@ from hornlab import (
     triple_to_csv,
 )
 from hornlab import hive
-from hornlab.hive import (_facets, _family_slacks, _hive_inequalities,
-                          _pin_values, _pinned_slots)
+from hornlab.hive import (_facets, _family_slacks, _fourier_motzkin,
+                          _hive_inequalities, _pin_values, _pinned_slots)
 from hornlab.linalg import haar_unitaries
-from oracles import facet_verdict, integer_pins, scale_triple
+from oracles import (facet_verdict, free_slots, horn_list_verdict,
+                     integer_pins, minimal_support_rows, rank, scale_triple)
 
 F = Fraction
 
@@ -204,7 +205,7 @@ def test_kt_member_interval_for_rank_one_spectra(c1, u):
 # -- the facet table ----------------------------------------------------------
 
 FACET_COUNTS = {1: 0, 2: 3, 3: 18, 4: 83, 5: 846}
-SLACKS = (F(0), F(1, 10 ** 8), F(1, 2), F(-1, 10))
+SLACKS = (F(0), F(1, 10 ** 8), F(1, 2), F(-1, 10), F(-1, 10 ** 8), F(-1, 2))
 
 
 @pytest.mark.parametrize("n", sorted(FACET_COUNTS))
@@ -227,6 +228,36 @@ def test_facet_rows_carry_exact_certificates(n):
                 == {slot: v for slot, v in zip(pinned, row) if v})
 
 
+@pytest.mark.parametrize("n", sorted(FACET_COUNTS))
+def test_facet_multipliers_have_minimal_support(n):
+    # the free-slot coefficients of the inequalities a row combines leave a
+    # one-dimensional space of combinations that cancel every free slot, so
+    # the row's multipliers are an extreme ray of the multiplier cone
+    ineqs = _hive_inequalities(n)
+    free = free_slots(n)
+    for _, lam, _ in _facets(n):
+        support = [ineqs[j] for j, x in enumerate(lam) if x]
+        coeffs = [[ineq.get(slot, 0) for slot in free] for ineq in support]
+        assert rank(coeffs, len(free)) == len(support) - 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_brute_force_finds_the_facet_table(n):
+    # every minimal-support multiplier vector, found without Fourier-Motzkin,
+    # gives a row of the table with its total, and nothing else does
+    assert minimal_support_rows(n) == {(row, total) for row, _, total in _facets(n)}
+
+
+@pytest.mark.parametrize("n", sorted(FACET_COUNTS))
+def test_no_facet_row_has_two_totals(n):
+    # so the one total the table keeps per row serves both signs of slack
+    totals = {}
+    for row, lam in _fourier_motzkin(n):
+        totals.setdefault(row, set()).add(sum(lam))
+    assert all(len(t) == 1 for t in totals.values())
+    assert len(totals) == FACET_COUNTS[n]
+
+
 def _weyl_n2(t):
     """Membership at n = 2 from Weyl's list alone, in spectra: both summands
     ordered, the closing identity, c1 <= a1 + b1, c1 >= max(a1 + b2, a2 + b1)."""
@@ -235,16 +266,24 @@ def _weyl_n2(t):
             and max(a1 + b2, a2 + b1) <= c1 <= a1 + b1)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(-4, 4), min_size=5, max_size=5))
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.lists(
+    st.integers(-4, 4), min_size=3 * n - 1, max_size=3 * n - 1)))
 @example([4, 3, 4, -4, 5])
 def test_kt_member_n2_matches_weyl(spectra):
+    # Spectra of a, b and all of c but its last entry, for n = 1..3; c closes.
+    # Horn's list is the independent route; at n = 2 it is Weyl's.
     # [4, 3, 4, -4, 5] is a = (4, 3), b = (4, -4), c = (5, 2): c1 < a2 + b1.
     # With the corner slot (2, 0) left free, rhombus A(1, 1) dropped out and
     # this triple passed as a member.
-    a1, a2, b1, b2, c1 = spectra
-    t = HornTriple((a1, a1 + a2), (b1, b1 + b2), (c1, a1 + a2 + b1 + b2))
-    assert kt_member(t) == _weyl_n2(t) == (kt_witness(t) is not None)
+    n = (len(spectra) + 1) // 3
+    a, b = _cumulative(spectra[:n]), _cumulative(spectra[n:2 * n])
+    c = _cumulative(spectra[2 * n:]) + (a[-1] + b[-1],)
+    t = HornTriple(a, b, c)
+    verdict = kt_member(t)
+    assert verdict == horn_list_verdict(t) == (kt_witness(t) is not None)
+    if n == 2:
+        assert verdict == _weyl_n2(t)
 
 
 def _cumulative(spectrum):
@@ -306,11 +345,27 @@ def pushed_triples(draw):
     return HornTriple(**parts)
 
 
+def _no_lp(a, b):
+    raise AssertionError("kt_member reached the LP")
+
+
+def _table_verdict(t, slack):
+    """kt_member's answer with the LP made to fail: the table alone decides."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hive, "feasible_point", _no_lp)
+        return kt_member(t, slack)
+
+
+BAND = HornTriple((1, 1, 0), (1, 1, 0), (2 + F(1, 10 ** 9), 2, 0))
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(small_triples(), hive_triples(), pushed_triples()),
        st.sampled_from(SLACKS))
+# a facet broken by less than slack times its multiplier total
+@example(BAND, F(1, 10 ** 8))
 def test_facet_table_agrees_with_the_lp(t, slack):
-    assert kt_member(t, slack) == (kt_witness(t, slack) is not None)
+    assert _table_verdict(t, slack) == (kt_witness(t, slack) is not None)
 
 
 @settings(max_examples=40, deadline=None)
@@ -335,6 +390,11 @@ def _count_lp_calls(monkeypatch):
     (HornTriple((2, 4, 5, 5), (1, 2, 2, 2), (3, 6, 7, 7)), 0, True),
     (HornTriple((2, 4, 5, 5), (1, 2, 2, 2), (4, 6, 7, 7)), 0, False),
     (HornTriple((2, 4, 5, 5), (1, 2, 2, 2), (3, 6, 7, 7)), F(1, 10 ** 8), True),
+    # a facet broken by less than slack times its multiplier total
+    (BAND, F(1, 10 ** 8), True),
+    # negative slack tightens the hive inequalities themselves
+    (HornTriple((2, 3, 3), (1, 2, 2), (3, 5, 5)), F(-1, 10), False),
+    (HornTriple((3, 4, 3), (2, 3, 2), (4, 6, 5)), F(-1, 10), True),
 ])
 def test_facet_table_decides_without_the_lp(t, slack, member, monkeypatch):
     calls = _count_lp_calls(monkeypatch)
@@ -346,11 +406,6 @@ def test_facet_table_decides_without_the_lp(t, slack, member, monkeypatch):
     # n = 6 has no table
     (HornTriple((2, 3, 3, 3, 3, 3), (1, 2, 2, 2, 2, 2), (3, 5, 5, 5, 5, 5)), 0, True),
     (HornTriple((2, 3, 3, 3, 3, 3), (1, 2, 2, 2, 2, 2), (4, 5, 5, 5, 5, 5)), 0, False),
-    # a facet broken by less than slack times its multiplier total
-    (HornTriple((1, 1, 0), (1, 1, 0), (2 + F(1, 10 ** 9), 2, 0)), F(1, 10 ** 8), True),
-    # negative slack tightens the hive inequalities themselves
-    (HornTriple((2, 3, 3), (1, 2, 2), (3, 5, 5)), F(-1, 10), False),
-    (HornTriple((3, 4, 3), (2, 3, 2), (4, 6, 5)), F(-1, 10), True),
 ])
 def test_lp_answers_what_the_table_does_not(t, slack, member, monkeypatch):
     calls = _count_lp_calls(monkeypatch)
@@ -423,22 +478,13 @@ def huge_triples(draw):
         (F(2) ** 990, F(10) ** 300, F(10) ** 306, F(10) ** 307, F(10) ** 400))))
 
 
-def _table_verdict(t, slack):
-    """kt_member's answer, or None where it hands the triple to the LP."""
-    handed = []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hive, "kt_witness", lambda t, eps: handed.append(t))
-        got = kt_member(t, slack)
-    return None if handed else got
-
-
 E60 = F(1, 2 ** 60)
 
 
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(float_triples(), hive_triples(), pushed_triples(),
                  last_bit_triples(), huge_triples()),
-       st.sampled_from(SLACKS[:3]))
+       st.sampled_from(SLACKS))
 # a non-member with a row at -1 among pins near 2^60, which floats cannot see
 @example(HornTriple((1 + E60, 2), (-1 - E60, -2 - 2 * E60), (-E60, -2 * E60)), F(0))
 def test_float_filter_matches_the_integer_route(t, slack):

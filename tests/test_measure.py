@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import hornlab.hive as hive
 import hornlab.measure as measure
 from hornlab import (
     EmpiricalSample,
@@ -13,6 +14,7 @@ from hornlab import (
     exceptional_mass_estimate,
     horn_forward_test,
     kt_member,
+    kt_witness,
     ks_distance,
     limit_sweep,
     projection_set,
@@ -231,6 +233,13 @@ def test_horn_forward_rejects_n_outside_desk_scale(n):
         horn_forward_test("tropical", n, 1, 0, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("n", [0, 6, 7])
+def test_tropical_kappa_rejects_n_outside_desk_scale(n):
+    # checked before the chamber is built, which takes seconds from n = 6
+    with pytest.raises(ValueError, match="n must be between 1 and 5"):
+        sample_tropical_kappa((1.0,) * n, (1.0,) * n, 1, np.random.default_rng(0))
+
+
 def test_exceptional_mass_rejects_mismatched_lengths():
     with pytest.raises(ValueError):
         exceptional_mass_estimate((1.0, 0.0), (1.0, 0.0, 0.0), 4, F(1, 10 ** 8),
@@ -249,3 +258,23 @@ def test_exceptional_mass_positive_when_overtightened():
     mass = exceptional_mass_estimate(R2, S2, 300, F(-1, 10),
                                      np.random.default_rng(4))
     assert mass > 0.0
+
+
+def test_exceptional_mass_at_negative_slack_needs_no_lp(monkeypatch):
+    # at n = 4 and slack -1/10 the facet table alone gives the mass the LP
+    # gives, with some triples on each side
+    def run():
+        return exceptional_mass_estimate((3, 4, 3, 0), (2, 3, 3, 2), 200,
+                                         F(-1, 10), np.random.default_rng(5))
+
+    with monkeypatch.context() as mp:
+        mp.setattr(measure, "kt_member",
+                   lambda t, eps: kt_witness(t, eps) is not None)
+        want = run()
+
+    def no_lp(a, b):
+        raise AssertionError("kt_member reached the LP")
+
+    monkeypatch.setattr(hive, "feasible_point", no_lp)
+    assert run() == want
+    assert 0.0 < want < 1.0

@@ -13,7 +13,6 @@ from hornlab import (
     build_gamma0,
     compose_weightings,
     concatenate,
-    constant_weighting,
     network_from_json,
     network_to_dot,
     network_to_json,
@@ -148,8 +147,8 @@ def test_concatenate_retags_interior_sink_edges():
 def test_compose_weightings_covers_every_edge():
     g = build_gamma0(2)
     gc = concatenate(g, g)
-    w1 = constant_weighting(g, Fraction(1))
-    w2 = constant_weighting(g, Fraction(2))
+    w1 = {e: Fraction(1) for e in g.edges}
+    w2 = {e: Fraction(2) for e in g.edges}
     w = compose_weightings(gc, w1, w2)
     assert set(w) == set(gc.edges)
     assert sorted(w.values()) == [Fraction(1)] * 5 + [Fraction(2)] * 5

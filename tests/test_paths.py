@@ -16,7 +16,6 @@ from hornlab import (
     build_gamma0,
     compose_weightings,
     concatenate,
-    constant_weighting,
     correspondence_matrix,
     enumerate_kpaths,
     enumerate_paths,

@@ -12,8 +12,6 @@ from hornlab import (
     RATIONAL,
     TROPICAL,
     as_rational,
-    mat_equal,
-    mat_identity,
     mat_mul,
 )
 
@@ -105,9 +103,10 @@ def test_mat_identity_left_and_right():
     a = [[Fraction(1), BOTTOM, Fraction(2)],
          [Fraction(0), Fraction(5), BOTTOM],
          [BOTTOM, Fraction(-1), Fraction(3)]]
-    e = mat_identity(TROPICAL, 3)
-    assert mat_equal(mat_mul(TROPICAL, e, a), a)
-    assert mat_equal(mat_mul(TROPICAL, a, e), a)
+    e = [[TROPICAL.one if i == j else TROPICAL.zero for j in range(3)]
+         for i in range(3)]
+    assert mat_mul(TROPICAL, e, a) == a
+    assert mat_mul(TROPICAL, a, e) == a
     assert e[0][1] is BOTTOM and e[1][1] == 0
 
 
@@ -117,7 +116,7 @@ def test_mat_mul_associative_over_tropical():
     c = [[Fraction(3), Fraction(-1)], [Fraction(1), Fraction(1)]]
     lhs = mat_mul(TROPICAL, mat_mul(TROPICAL, a, b), c)
     rhs = mat_mul(TROPICAL, a, mat_mul(TROPICAL, b, c))
-    assert mat_equal(lhs, rhs)
+    assert lhs == rhs
 
 
 def test_complex_ring():
