@@ -13,9 +13,8 @@ from .network import (DIAGONAL, HORIZONTAL, SINK_HORIZONTAL, Edge,
                       concatenate, network_from_json, network_to_dot,
                       network_to_json, subnetwork)
 from .paths import (MultiPath, complex_lift, correspondence_matrix,
-                    enumerate_kpaths, enumerate_paths, m_k, minor, minor_enum,
-                    multipath_weight, path_weight, tropical_gz,
-                    tropical_singular_values)
+                    enumerate_kpaths, m_k, minor, multipath_weight,
+                    path_weight, tropical_gz, tropical_singular_values)
 from .hive import (GZ, HIVE, TROPICAL_GZ, HornTriple, Tableau, boundary,
                    format_number, gz_check, gz_margin, hive_check, kt_member,
                    kt_witness, parse_number, tableau_from_json, tableau_to_json,
@@ -44,8 +43,8 @@ __all__ = [
     "build_gamma0", "compose_weightings", "concatenate", "network_from_json",
     "network_to_dot", "network_to_json", "subnetwork",
     "MultiPath", "complex_lift", "correspondence_matrix", "enumerate_kpaths",
-    "enumerate_paths", "m_k", "minor", "minor_enum", "multipath_weight",
-    "path_weight", "tropical_gz", "tropical_singular_values",
+    "m_k", "minor", "multipath_weight", "path_weight", "tropical_gz",
+    "tropical_singular_values",
     "GZ", "HIVE", "TROPICAL_GZ", "HornTriple", "Tableau", "boundary",
     "format_number", "gz_check", "gz_margin", "hive_check", "kt_member",
     "kt_witness", "parse_number", "tableau_from_json", "tableau_to_json",

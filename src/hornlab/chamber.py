@@ -14,6 +14,11 @@ by one fixed path system.  find_delta0_chamber selects, per slot, the unique
 argmax of P at a weighting deep in the dominant chamber, inverts the
 selected rows exactly, and then refuses to return anything that does not
 verify against the independent sweep on random interior patterns.
+
+kappa_block evaluates kappa on blocks of float patterns with numpy: one
+product with the chamber's inverse, one with P, a certificate per sample
+that the exact route would accept the pattern, and the exact kappa for
+every sample without one.
 """
 
 from __future__ import annotations
@@ -22,14 +27,16 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, compress
 
 import numpy as np
 
 from .hive import (GZ, TROPICAL_GZ, HornTriple, Tableau, _exact_in,
-                   _json_fields, gz_check, gz_margin)
+                   _family_slacks, _json_fields, gz_check, gz_margin)
 from .network import build_gamma0, concatenate
 from .paths import _subnets_of, enumerate_kpaths, tropical_gz
+from .polytope import pattern_tableau
 from .semiring import BOTTOM, as_rational
 
 _ZERO = Fraction(0)
@@ -249,6 +256,10 @@ class ChamberMap:
                                     for (k, i) in self.slots])
         return _weighting(self.n, *self._solve(vec, den))
 
+    @cached_property
+    def _float_route(self):
+        return _FloatRoute.of(self)
+
 
 def _weighting(n, coords, den):
     d = n * (n - 1) // 2
@@ -398,6 +409,109 @@ def kappa(u, v, chamber=None):
     return _scaled_minors(_profiles(n, True), _top_slots(n),
                           [c * (den // dv) for c in cv]
                           + [c * (den // du) for c in cu], den)
+
+
+# kappa_block's error bound.  Let u = 2^-53, m the number of slots (and of
+# coordinates), U a pattern's slot values, A the chamber's integer inverse
+# and T = |U| . colsum(|A|), so that T >= sum |U| and every 0/1 row of P
+# adds at most T (per factor) of |U| |A|^T.  In any summation order, with
+# or without fused multiply-adds, the coordinates U A^T are off by at most
+# m u T, a row of P times them by 2m u T more, a rival margin
+# (value * den - row product, where |value * den| <= T) by 2u T more, a
+# four-term interlacing slack by 3u T, and a composite value, divided by
+# den and set against the rounded exact value, by 2u (T_u + T_v) / den more.
+# So a pair's bound 2 (3m + 3) (u (T_u + T_v) + 2^-1022), twice the
+# first-order total, covers every check of either pattern and, divided by
+# den, the output; the 2^-1022 covers subnormal partial sums, and while
+# T_u + T_v stays below _KAPPA_MAX no partial sum can overflow.  One bound
+# serves the whole pair, so a pattern whose own margins sit inside the
+# other factor's rounding error goes to the exact route.
+_U = 2.0 ** -53
+_TINY = 2.0 ** -1022
+_KAPPA_MAX = 2.0 ** 1000
+
+
+@dataclass(frozen=True)
+class _FloatRoute:
+    """A chamber's data as float64 matrices for kappa_block: the inverse
+    (transposed), the column sums of its absolute value, the interlacing
+    slacks (families A and B) as columns, the rows of P that each slot's
+    own row must beat (rival rows) with their slots, the composite top
+    rows of P with the start of each slot's run, the inverse's denominator
+    and the error bound's constant."""
+
+    inverse: np.ndarray
+    weight: np.ndarray
+    interlace: np.ndarray
+    rivals: np.ndarray
+    rival_slot: np.ndarray
+    composite: np.ndarray
+    starts: np.ndarray
+    den: float
+    c: int
+
+    @classmethod
+    def of(cls, chamber):
+        n, m = chamber.n, len(chamber.slots)
+        inverse = np.array(chamber._inverse_ints, dtype=float)
+        profiles = _profiles(n)
+        rivals = [(j, row) for j, (s, own) in enumerate(zip(chamber.slots,
+                                                            chamber.matrix))
+                  for row in profiles[s] if row != own]
+        composite = _profiles(n, True)
+        top = [composite[s] for s in _top_slots(n)]
+        return cls(
+            inverse=inverse.T,
+            weight=np.abs(inverse).sum(axis=0),
+            interlace=np.array([_family_slacks(pattern_tableau(e), "AB")
+                                for e in np.eye(m)]),
+            rivals=np.array([row for _, row in rivals],
+                            dtype=float).reshape(-1, m).T,
+            rival_slot=np.array([j for j, _ in rivals], dtype=int),
+            composite=np.array([row for rows in top for row in rows],
+                               dtype=float).T,
+            starts=np.cumsum([0] + [len(rows) for rows in top[:-1]]),
+            den=float(chamber._inverse_den),
+            c=2 * (3 * m + 3))
+
+
+def _certify(block, coords, bound, route):
+    """Which pattern rows of block the exact route certainly accepts:
+    strictly interlacing, and every rival row of P below its slot's value,
+    each by more than the row's bound."""
+    bound = bound[:, None]
+    return ((block @ route.interlace > bound).all(axis=1)
+            & (block[:, route.rival_slot] * route.den - coords @ route.rivals
+               > bound).all(axis=1))
+
+
+def kappa_block(us, vs, chamber):
+    """kappa of each pair of rows of two gz_block arrays, as floats.
+
+    Returns (values, bounds): values[j] is within bounds[j] of
+    float(kappa(u_j, v_j)) entry by entry.  A pair is evaluated in float64
+    (one product with the chamber's inverse per factor, then each top slot
+    as a maximum over the composite rows of P) when its scale is below
+    _KAPPA_MAX and both patterns clear the pair's error bound in _certify;
+    every other pair, including one with a non-finite entry, goes through
+    kappa itself, raises what it raises, and has bound 0.
+    """
+    route = chamber._float_route
+    with np.errstate(all="ignore"):
+        # coordinates times the inverse's denominator, and the scales T
+        cu, tu = us @ route.inverse, np.abs(us) @ route.weight
+        cv, tv = vs @ route.inverse, np.abs(vs) @ route.weight
+        bounds = route.c * (_U * (tu + tv) + _TINY)
+        ok = ((tu + tv < _KAPPA_MAX)  # false for inf and nan
+              & _certify(us, cu, bounds, route)
+              & _certify(vs, cv, bounds, route))
+        values = np.maximum.reduceat(np.hstack([cv, cu]) @ route.composite,
+                                     route.starts, axis=1) / route.den
+    bounds = np.where(ok, bounds / route.den, 0.0)
+    for j in np.flatnonzero(~ok):
+        values[j] = [float(x) for x in kappa(pattern_tableau(us[j]),
+                                             pattern_tableau(vs[j]), chamber)]
+    return values, bounds
 
 
 def horn_triple_tropical(w1, w2):

@@ -1,10 +1,12 @@
 """Monte Carlo comparison of the three product measures, and the scaling
 limit experiment.
 
-Sampling is chunked: a run of `count` draws is split into fixed blocks of
+Sampling is chunked: a run of `count` draws is split into fixed chunks of
 8192, each chunk gets its own child generator spawned from the caller's rng,
-and chunk results are concatenated in chunk order.  The output is therefore
-a function of (seed, count) alone.
+and chunk results are concatenated in chunk order.  Inside a chunk, Haar
+unitaries and the tropical generator's patterns are drawn in fixed blocks
+of 256, read from the chunk's generator in block order.  The output is
+therefore a function of (seed, count) alone.
 """
 
 from __future__ import annotations
@@ -16,16 +18,17 @@ from fractions import Fraction
 import numpy as np
 
 from .chamber import (WbarWeighting, find_delta0_chamber, gamma0_cached,
-                      genericity_check, horn_triple_tropical, kappa)
+                      genericity_check, horn_triple_tropical, kappa_block)
 from .hive import HornTriple, kt_member
 from .linalg import (haar_unitaries, haar_unitary, hermitian_with_spectrum,
                      l_map, mat_mul_c, sample_B_r, singular_l, spectrum_of)
 from .paths import complex_lift, m_k
-from .polytope import gz_pattern
+from .polytope import gz_block
 from .semiring import TROPICAL, as_rational
 
 CHUNK = 8192
 HAAR_BLOCK = 256
+PATTERN_BLOCK = 256
 MAX_N = 5  # desk scale: the exact cone test grows steeply beyond it
 
 
@@ -118,8 +121,10 @@ def sample_multiplicative(r, s, count, rng):
 
 def sample_tropical_kappa(r, s, count, rng):
     """Tropical product spectra kappa(u, v) of independent exact uniform
-    patterns u below r and v below s (polytope.gz_pattern).  n must lie in
-    1..MAX_N."""
+    patterns u below r and v below s.  Each block of PATTERN_BLOCK pairs
+    is drawn by polytope.gz_block (the u block, then the v block) and
+    mapped by chamber.kappa_block, which certifies every float result or
+    computes it exactly.  n must lie in 1..MAX_N."""
     r, s = _float_pair(r, s)
     n = len(r)
     if not 1 <= n <= MAX_N:
@@ -128,10 +133,11 @@ def sample_tropical_kappa(r, s, count, rng):
 
     def worker(crng, m, off):
         out = []
-        for _ in range(m):
-            u = gz_pattern(r, crng)
-            v = gz_pattern(s, crng)
-            out.append(tuple(float(x) for x in kappa(u, v, chamber)))
+        for start in range(0, m, PATTERN_BLOCK):
+            size = min(PATTERN_BLOCK, m - start)
+            us = gz_block(r, size, crng)
+            vs = gz_block(s, size, crng)
+            out.extend(map(tuple, kappa_block(us, vs, chamber)[0].tolist()))
         return out
 
     vecs = _run_chunks(worker, count, rng)

@@ -1,13 +1,15 @@
 """Path systems and their generating functions over a semiring.
 
-Two independent routes compute the same quantities.  enumerate_kpaths and
-minor_enum walk every vertex-disjoint path system explicitly and are the
-reference; minor / m_k run a dynamic program that sweeps the network one
-x-layer at a time, multiplying per-slice compound matrices.  Edges spanning
-several layers are subdivided on the fly (the weight rides on the first
-segment), so each slice is a plain bipartite step and, by planarity, every
-disjoint system inside a slice is the unique order-preserving matching of
-its endpoints.  The two routes must agree exactly; tests enforce this.
+Two independent routes compute the same quantities.  enumerate_kpaths
+walks every vertex-disjoint path system explicitly: the chamber reads its
+path-system profiles off it, and the tests' reference minor (minor_enum in
+tests/oracles.py) sums over it.  minor / m_k run a dynamic program that
+sweeps the network one x-layer at a time, multiplying per-slice compound
+matrices.  Edges spanning several layers are subdivided on the fly (the
+weight rides on the first segment), so each slice is a plain bipartite
+step and, by planarity, every disjoint system inside a slice is the unique
+order-preserving matching of its endpoints.  The two routes must agree
+exactly; tests enforce this.
 
 In a planar left-to-right network a vertex-disjoint system always connects
 the a-th smallest of its source labels to the a-th smallest of its sink
@@ -48,27 +50,6 @@ def path_weight(w, path, ring):
 
 def multipath_weight(w, mp, ring):
     return ring.prod(w[e] for e in mp.edges())
-
-
-def enumerate_paths(g, i, j):
-    """All directed paths from source label i to sink label j, in lexicographic
-    order of their edge sequences."""
-    start = g.source_of_label(i)
-    goal = g.sink_of_label(j)
-    out = []
-    stack = []
-
-    def walk(v):
-        if v == goal:
-            out.append(tuple(stack))
-            return
-        for e in g.out_edges(v):
-            stack.append(e)
-            walk(e.head)
-            stack.pop()
-
-    walk(start)
-    return out
 
 
 def enumerate_kpaths(g, rows, cols):
@@ -117,12 +98,6 @@ def enumerate_kpaths(g, rows, cols):
 
     place(0)
     return out
-
-
-def minor_enum(g, w, rows, cols, ring):
-    """Reference minor: explicit sum over enumerate_kpaths."""
-    return ring.sum(multipath_weight(w, mp, ring)
-                    for mp in enumerate_kpaths(g, rows, cols))
 
 
 # -- layered dynamic program -------------------------------------------------

@@ -7,12 +7,17 @@ has volume proportional to the Vandermonde product Delta(mu), so given
 the spectrum lam of one row, the spectrum mu of the next has density
 proportional to Delta(mu) on the interlacing box prod_i [lam_{i+1}, lam_i].
 gz_pattern draws each row by rejection from that box, so every draw is an
-independent exact sample and the sampler keeps no state.
+independent exact sample and the sampler keeps no state.  gz_block draws a
+block of patterns the same way with one numpy call per rejection round,
+and returns them as an array of slot values; pattern_tableau turns one of
+its rows back into a tableau.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
+
+import numpy as np
 
 from .hive import GZ, Tableau
 from .linalg import spectrum_of
@@ -21,6 +26,21 @@ from .linalg import spectrum_of
 # takes about 33 proposals on average, on even spectra and on spectra with
 # 1000:1 gap ratios alike.
 _MAX_PROPOSALS = 100_000
+
+
+def _top_spectrum(r):
+    """r as floats and its spectrum, which must be strictly decreasing,
+    otherwise the polytope has empty interior."""
+    r = tuple(float(v) for v in r)
+    lam = spectrum_of(r)
+    if any(a <= b for a, b in zip(lam, lam[1:])):
+        raise ValueError("top row gaps must be strictly decreasing")
+    return r, lam
+
+
+def _no_row_accepted():
+    return RuntimeError("no interlacing row accepted in %d proposals"
+                        % _MAX_PROPOSALS)
 
 
 def _next_spectrum(lam, rng):
@@ -40,24 +60,74 @@ def _next_spectrum(lam, rng):
                 accept *= (mu[i] - mu[j]) / (lam[i] - lam[j + 1])
         if u[k] < accept:
             return mu
-    raise RuntimeError("no interlacing row accepted in %d proposals"
-                       % _MAX_PROPOSALS)
+    raise _no_row_accepted()
+
+
+def _next_spectra(lam, rng):
+    """_next_spectrum for every row of the array lam.  Each round proposes
+    once for every row not yet accepted, so each row sees the same
+    proposal law and acceptance test as in _next_spectrum, and the rows
+    stay independent."""
+    size, k = lam.shape[0], lam.shape[1] - 1
+    i, j = np.triu_indices(k, 1)
+    gap = lam[:, :-1] - lam[:, 1:]
+    width = lam[:, i] - lam[:, j + 1]
+    mu = np.empty((size, k))
+    pending = np.arange(size)
+    for _ in range(_MAX_PROPOSALS):
+        u = rng.random((pending.size, k + 1))
+        prop = lam[pending, 1:] + u[:, :k] * gap[pending]
+        accept = np.prod((prop[:, i] - prop[:, j]) / width[pending], axis=1)
+        ok = u[:, k] < accept
+        mu[pending[ok]] = prop[ok]
+        pending = pending[~ok]
+        if not pending.size:
+            return mu
+    raise _no_row_accepted()
 
 
 def gz_pattern(r, rng):
     """One pattern drawn exactly from the uniform law below the cumulative
     top row r, as a GZ tableau whose top row is r.
 
-    The spectrum of r (its gaps) must be strictly decreasing, otherwise
-    the polytope has empty interior.
+    The spectrum of r (its gaps) must be strictly decreasing.
     """
-    r = tuple(float(v) for v in r)
-    lam = spectrum_of(r)
-    if any(a <= b for a, b in zip(lam, lam[1:])):
-        raise ValueError("top row gaps must be strictly decreasing")
+    r, lam = _top_spectrum(r)
     rows = [(0.0,) + r]
     for _ in range(len(r) - 1):
         lam = _next_spectrum(lam, rng)
         rows.append((0.0,) + tuple(accumulate(lam)))
     rows.append((0.0,))
     return Tableau(len(r), tuple(reversed(rows)), GZ)
+
+
+def gz_block(r, size, rng):
+    """size independent patterns from gz_pattern's law, as a float array of
+    shape (size, n(n+1)/2): row j holds pattern j's entries value(k, i) in
+    the order k = 1..n, i = 1..k (the chamber's slot order), and its last n
+    entries are r.
+
+    Values outside the float range give inf or nan entries, without a
+    numpy warning; the caller decides what they mean.
+    """
+    r, lam = _top_spectrum(r)
+    n = len(r)
+    out = np.empty((size, n * (n + 1) // 2))
+    out[:, n * (n - 1) // 2:] = r
+    lam = np.tile(lam, (size, 1))
+    with np.errstate(all="ignore"):
+        for k in range(n - 1, 0, -1):
+            lam = _next_spectra(lam, rng)
+            out[:, k * (k - 1) // 2:k * (k + 1) // 2] = np.cumsum(lam, axis=1)
+    return out
+
+
+def pattern_tableau(values):
+    """The GZ tableau whose entries value(k, i), in gz_block's order, are
+    values (one row of a gz_block array)."""
+    values = [float(v) for v in values]
+    rows, k = [(0.0,)], 0
+    while len(values) > k * (k + 1) // 2:
+        k += 1
+        rows.append((0.0,) + tuple(values[k * (k - 1) // 2:k * (k + 1) // 2]))
+    return Tableau(k, tuple(rows), GZ)

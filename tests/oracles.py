@@ -8,6 +8,8 @@ of the multiplier vectors, with null_space and rank in Fractions, and
 horn_list_verdict decides membership from Horn's recursive list of
 inequalities instead of from hives.  complex_det, sigma_values and gz_B are
 the direct minor and singular-value routes of the linear algebra tests.
+enumerate_paths lists single paths by depth-first search, and minor_enum is
+the reference minor: an explicit sum over every vertex-disjoint system.
 The samplers are the independent routes to the uniform law on patterns
 below a fixed cumulative top row, which hornlab.gz_pattern samples exactly.
 
@@ -33,7 +35,34 @@ from hornlab.hive import (GZ, HornTriple, Tableau, _facets,
                           _hive_inequalities, _pin_values, _pinned_slots,
                           gz_check)
 from hornlab.linalg import _block, singular_l, spectrum_of
+from hornlab.paths import enumerate_kpaths, multipath_weight
 from hornlab.semiring import as_rational
+
+
+def enumerate_paths(g, i, j):
+    """All directed paths from source label i to sink label j, in lexicographic
+    order of their edge sequences."""
+    goal = g.sink_of_label(j)
+    out = []
+    stack = []
+
+    def walk(v):
+        if v == goal:
+            out.append(tuple(stack))
+            return
+        for e in g.out_edges(v):
+            stack.append(e)
+            walk(e.head)
+            stack.pop()
+
+    walk(g.source_of_label(i))
+    return out
+
+
+def minor_enum(g, w, rows, cols, ring):
+    """Reference minor: explicit sum over enumerate_kpaths."""
+    return ring.sum(multipath_weight(w, mp, ring)
+                    for mp in enumerate_kpaths(g, rows, cols))
 
 
 def scale_triple(t, factor):

@@ -33,7 +33,6 @@ from hornlab import (
     limit_sweep,
     lt_inverse,
     mat_mul,
-    minor_enum,
     projection_set,
     random_interior_pattern,
     reconstruct_H,
@@ -46,7 +45,7 @@ from hornlab import (
     tropical_singular_values,
 )
 from hornlab.chamber import gamma0_cached
-from oracles import PolytopeSampler, complex_det
+from oracles import PolytopeSampler, complex_det, minor_enum
 
 F = Fraction
 EPS8 = F(1, 10 ** 8)

@@ -30,7 +30,9 @@ from hornlab import (
     wbar_from_json,
     wbar_to_json,
 )
-from hornlab.chamber import concat_cached, gamma0_cached
+import hornlab.chamber as chamber
+from hornlab.chamber import concat_cached, gamma0_cached, kappa_block
+from hornlab.polytope import gz_block, pattern_tableau
 from oracles import PolytopeSampler
 
 F = Fraction
@@ -286,6 +288,85 @@ def test_zero_weighting_is_tropically_neutral():
     assert t.c == t.a == (F(3), F(2))
     z = horn_triple_tropical(w0, w0)
     assert z.a == z.b == z.c == (F(0), F(0))
+
+
+# -- kappa on blocks of float patterns ----------------------------------------
+
+BLOCK_TOPS = {1: ((3.0,), (1.0,)),
+              2: ((2.0, 0.0), (1.0, 0.0)),
+              3: ((3.0, 4.0, 3.0), (2.0, 2.5, 1.5)),
+              4: ((3.0, 4.0, 3.0, 0.0), (2.0, 3.0, 3.0, 2.0)),
+              5: ((4.0, 7.0, 9.0, 10.0, 10.0), (1.5, 2.5, 3.0, 3.0, 2.0))}
+
+
+def _blocks(n, size=48):
+    r, s = BLOCK_TOPS[n]
+    rng = np.random.default_rng(500 + n)
+    return gz_block(r, size, rng), gz_block(s, size, rng)
+
+
+def _exact_kappa(us, vs, ch):
+    """float(kappa(u, v)) for each row pair, through the Fraction route."""
+    return np.array([[float(x) for x in kappa(pattern_tableau(u),
+                                              pattern_tableau(v), ch)]
+                     for u, v in zip(us, vs)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_kappa_block_is_within_its_bound_of_kappa(n):
+    ch = find_delta0_chamber(n)
+    us, vs = _blocks(n)
+    values, bounds = kappa_block(us, vs, ch)
+    assert (bounds > 0).all()  # interior draws all pass the certificate
+    assert (np.abs(values - _exact_kappa(us, vs, ch)) <= bounds[:, None]).all()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_kappa_block_without_certificate_is_kappa_bit_for_bit(n, monkeypatch):
+    monkeypatch.setattr(chamber, "_certify",
+                        lambda block, *rest: np.zeros(len(block), dtype=bool))
+    ch = find_delta0_chamber(n)
+    us, vs = _blocks(n)
+    values, bounds = kappa_block(us, vs, ch)
+    assert (bounds == 0).all()
+    assert values.tolist() == _exact_kappa(us, vs, ch).tolist()
+
+
+def test_kappa_block_sends_boundary_patterns_to_kappa():
+    # a middle entry on its interlacing bound has slack 0, which no float
+    # certificate can clear: the pair takes the exact route
+    ch = find_delta0_chamber(2)
+    us, vs = _blocks(2, size=4)
+    us[0, 0], vs[1, 0] = 2.0, -1.0
+    values, bounds = kappa_block(us, vs, ch)
+    assert bounds[0] == bounds[1] == 0.0 and (bounds[2:] > 0).all()
+    assert values[:2].tolist() == _exact_kappa(us[:2], vs[:2], ch).tolist()
+
+
+@pytest.mark.parametrize("entry, error", [(3.0, ValueError),
+                                          (float("inf"), OverflowError),
+                                          (float("nan"), ValueError)],
+                         ids=["outside", "inf", "nan"])
+def test_kappa_block_raises_what_kappa_raises(entry, error):
+    ch = find_delta0_chamber(2)
+    us, vs = _blocks(2, size=4)
+    us[2, 0] = entry
+    with pytest.raises(error) as exact:
+        kappa(pattern_tableau(us[2]), pattern_tableau(vs[2]), ch)
+    with pytest.raises(error) as block:
+        kappa_block(us, vs, ch)
+    assert str(block.value) == str(exact.value)
+
+
+def test_kappa_block_sends_lopsided_pairs_to_kappa():
+    # at r near 1e300 and s of order 1, the small factor's margins sit
+    # inside the pair's error bound, so every pair is exact
+    ch = find_delta0_chamber(2)
+    rng = np.random.default_rng(9)
+    us, vs = gz_block((1e300, 0.0), 8, rng), gz_block((1.0, 0.0), 8, rng)
+    values, bounds = kappa_block(us, vs, ch)
+    assert (bounds == 0).all()
+    assert values.tolist() == [[1e300, 0.0]] * 8
 
 
 def test_kappa_image_interval_rank_two():

@@ -360,6 +360,8 @@ MALFORMED = [
     (["kappa-sample", "--r", "7,13,18,22,25,27,28",
       "--s", "7,13,18,22,25,27,28", "--count", "1", "--seed", "1"],
      None, PRECONDITION),
+    (["kappa-sample", "--r", "1e308,0", "--s", "1,0", "--count", "2"],
+     None, PRECONDITION),
 ]
 
 
@@ -373,6 +375,32 @@ def test_malformed_input_exit_code(argv, doc, code, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+# Spectra near the top of the float range, run as a real process so that a
+# numpy warning would reach stderr: at 1e300 every pair still samples, through
+# the exact route, and gives the rows it always gave; at 1e308 the pattern
+# overflows and the run stops with one error line.
+FLOAT_RANGE = [
+    (["kappa-sample", "--r", "1e300,0", "--s", "1,0", "--count", "3",
+      "--seed", "1"], PASS,
+     ["a1,a2,b1,b2,c1,c2"] + ["1e+300,0.0,1.0,0.0,1e+300,0.0"] * 3, ""),
+    (["kappa-sample", "--r", "1e308,0", "--s", "1,0", "--count", "3",
+      "--seed", "1"], PRECONDITION, [],
+     "error: input out of the float range"
+     " (cannot convert Infinity to integer ratio)\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, rows, err", FLOAT_RANGE,
+                         ids=["1e300", "1e308"])
+def test_float_range_spectra(argv, code, rows, err):
+    run = subprocess.run([sys.executable, "-m", "hornlab"] + argv,
+                         capture_output=True, text=True)
+    assert run.returncode == code
+    assert [ln for ln in run.stdout.splitlines()
+            if not ln.startswith("#")] == rows
+    assert run.stderr == err
 
 
 def _run(argv, stdin=""):

@@ -1,5 +1,6 @@
 """Pushforward generators, KS machinery, and the scaling-limit sweep."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -169,6 +170,24 @@ def test_generator_scale_equivariance(gen):
                              tuple(tuple(2.0 * x for x in v) for v in ref.vectors))
     d = ks_distance(big, scaled, projection=0)
     assert d.statistic < 0.05
+
+
+def test_tropical_kappa_agrees_with_hermitian_sum_at_n4():
+    # the paper's corollary one size above acceptance test 07: the tropical
+    # pushforward has the law of the spectrum of D_r + U D_s U*.  Both
+    # generators draw iid samples (ESS = count); the last coordinate is the
+    # atom r4 + s4, so the first three coordinates and projection_set's
+    # three directions are compared, at family level 1e-3 split over them
+    r, s = (3.0, 4.0, 3.0, 0.0), (2.0, 3.0, 3.0, 2.0)
+    count = 20_000
+    trop = sample_tropical_kappa(r, s, count, np.random.default_rng([410, 0]))
+    herm = sample_hermitian_sum(r, s, count, np.random.default_rng([410, 1]))
+    projections = [0, 1, 2] + projection_set(4, seed=410)[4:]
+    alpha = 1e-3 / len(projections)
+    crit = math.sqrt(-0.5 * math.log(alpha / 2.0)) * math.sqrt(2.0 / count)
+    for proj in projections:
+        d = ks_distance(trop, herm, projection=proj)
+        assert d.statistic < crit, (proj, d.statistic, crit)
 
 
 # -- scaling limit ------------------------------------------------------------

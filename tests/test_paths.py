@@ -18,16 +18,15 @@ from hornlab import (
     concatenate,
     correspondence_matrix,
     enumerate_kpaths,
-    enumerate_paths,
     m_k,
     mat_mul,
     minor,
-    minor_enum,
     multipath_weight,
     path_weight,
     tropical_gz,
     tropical_singular_values,
 )
+from oracles import enumerate_paths, minor_enum
 
 # reference weighting used throughout: one diagonal of weight 2, sink edges
 # at heights 1 and 2 both weight 1, every other edge weight 0

@@ -1,8 +1,8 @@
 """Uniform sampling of interlacing patterns below a fixed top row.
 
-gz_pattern is the library's exact sampler; the hit-and-run chain and the
-box-rejection sampler in oracles.py are the independent routes it is
-checked against.
+gz_pattern is the library's exact sampler and gz_block its block form;
+the hit-and-run chain and the box-rejection sampler in oracles.py are the
+independent routes both are checked against.
 """
 
 import math
@@ -18,7 +18,22 @@ from hornlab import (
     gz_pattern,
     ks_distance,
 )
+from hornlab.polytope import gz_block, pattern_tableau
 from oracles import PolytopeSampler, rejection_sample
+
+
+def _scalar_draws(r, count, rng):
+    return [gz_pattern(r, rng) for _ in range(count)]
+
+
+def _block_draws(r, count, rng):
+    return [pattern_tableau(row) for row in gz_block(r, count, rng)]
+
+
+# the exact sampler one pattern per call, and as one block: every test of
+# the exact sampler below runs both, and in the statistical ones each
+# sampler's comparisons form their own family at FAMILY_ALPHA
+SAMPLERS = (_scalar_draws, _block_draws)
 
 
 def _slot_sample(tableaux, k, i):
@@ -73,48 +88,49 @@ FAMILY_ALPHA = 1e-3  # level of each statistical test below, split within it
 @pytest.mark.parametrize("r", EVEN_TOPS + [UNEVEN_TOP],
                          ids=["n1", "n2", "n3", "n4", "n5", "n5-uneven"])
 def test_gz_pattern_draws_valid_patterns_with_exact_top(r):
-    rng = np.random.default_rng(11)
-    for _ in range(200):
-        t = gz_pattern(r, rng)
-        assert isinstance(t, Tableau) and t.n == len(r)
-        assert t.top() == r
-        assert gz_check(t, 0)
+    for draw in SAMPLERS:
+        for t in draw(r, 200, np.random.default_rng(11)):
+            assert isinstance(t, Tableau) and t.n == len(r)
+            assert t.top() == r
+            assert gz_check(t, 0)
 
 
 @pytest.mark.parametrize("r", [(2.0, 1.0, 0.0), (0.0, 0.0), (1.0, 1.0, 1.0)])
 def test_gz_pattern_precondition_matches_the_chain(r):
     with pytest.raises(ValueError) as chain_err:
         PolytopeSampler(r, np.random.default_rng(0))
-    with pytest.raises(ValueError) as exact_err:
-        gz_pattern(r, np.random.default_rng(0))
-    assert str(exact_err.value) == str(chain_err.value)
+    for draw in SAMPLERS:
+        with pytest.raises(ValueError) as exact_err:
+            draw(r, 1, np.random.default_rng(0))
+        assert str(exact_err.value) == str(chain_err.value)
 
 
 def test_gz_pattern_bounds_its_rejection_loop(monkeypatch):
     monkeypatch.setattr(polytope, "_MAX_PROPOSALS", 0)
-    with pytest.raises(RuntimeError, match="no interlacing row accepted"):
-        gz_pattern((2.0, 1.0, -1.0), np.random.default_rng(0))
+    for draw in SAMPLERS:
+        with pytest.raises(RuntimeError, match="no interlacing row accepted"):
+            draw((2.0, 1.0, -1.0), 1, np.random.default_rng(0))
 
 
 def test_gz_pattern_is_seed_deterministic():
-    a, b = np.random.default_rng(42), np.random.default_rng(42)
-    for r in EVEN_TOPS:
-        assert [gz_pattern(r, a) for _ in range(10)] \
-            == [gz_pattern(r, b) for _ in range(10)]
+    for draw in SAMPLERS:
+        a, b = np.random.default_rng(42), np.random.default_rng(42)
+        for r in EVEN_TOPS:
+            assert draw(r, 10, a) == draw(r, 10, b)
 
 
 def test_gz_pattern_interval_law_is_uniform():
     # at size two the pattern polytope is the segment [-1, 1]: one-sample
     # KS of iid draws against the flat CDF, at level FAMILY_ALPHA
     count = 4000
-    rng = np.random.default_rng(8)
-    x = _slot_sample([gz_pattern((1.0, 0.0), rng) for _ in range(count)], 1, 1)
 
     def cdf(t):
         return np.clip((np.asarray(t) + 1.0) / 2.0, 0.0, 1.0)
 
     crit = math.sqrt(-0.5 * math.log(FAMILY_ALPHA / 2.0) / count)
-    assert ks_distance(x, cdf).statistic < crit
+    for draw in SAMPLERS:
+        x = _slot_sample(draw((1.0, 0.0), count, np.random.default_rng(8)), 1, 1)
+        assert ks_distance(x, cdf).statistic < crit, draw.__name__
 
 
 # one fixed direction per size, for a projection no single slot shows
@@ -129,27 +145,27 @@ def test_gz_pattern_agrees_with_the_chain(r, direction):
     # effective sample size; alpha is split over every comparison of both
     # sizes (Bonferroni)
     count = 3000
-    rng = np.random.default_rng(301)
-    exact = _all_slots([gz_pattern(r, rng) for _ in range(count)])
     chain = PolytopeSampler(r, np.random.default_rng(302))
     mc = _all_slots([chain.draw() for _ in range(count)])
     arr = np.asarray(mc.vectors)
-    for proj in list(range(len(direction))) + [direction]:
-        series = arr[:, proj] if isinstance(proj, int) else arr @ np.asarray(proj)
-        crit = _ks_critical(FAMILY_ALPHA / COMPARISONS, count, _ess(series))
-        d = ks_distance(exact, mc, projection=proj)
-        assert d.statistic < crit, (proj, d.statistic, crit)
+    for draw in SAMPLERS:
+        exact = _all_slots(draw(r, count, np.random.default_rng(301)))
+        for proj in list(range(len(direction))) + [direction]:
+            series = arr[:, proj] if isinstance(proj, int) else arr @ np.asarray(proj)
+            crit = _ks_critical(FAMILY_ALPHA / COMPARISONS, count, _ess(series))
+            d = ks_distance(exact, mc, projection=proj)
+            assert d.statistic < crit, (draw.__name__, proj, d.statistic, crit)
 
 
 def test_gz_pattern_agrees_with_rejection():
     r = (2.0, 1.0, -1.0)
-    rng = np.random.default_rng(401)
-    exact = [gz_pattern(r, rng) for _ in range(2000)]
     rj = rejection_sample(r, 2000, np.random.default_rng(402))
     crit = _ks_critical(FAMILY_ALPHA / 3, 2000, 2000)
-    for slot in _slots(3):
-        d = ks_distance(_slot_sample(exact, *slot), _slot_sample(rj, *slot))
-        assert d.statistic < crit, (slot, d.statistic, crit)
+    for draw in SAMPLERS:
+        exact = draw(r, 2000, np.random.default_rng(401))
+        for slot in _slots(3):
+            d = ks_distance(_slot_sample(exact, *slot), _slot_sample(rj, *slot))
+            assert d.statistic < crit, (draw.__name__, slot, d.statistic, crit)
 
 
 # -- the reference samplers ---------------------------------------------------
