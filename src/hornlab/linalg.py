@@ -1,11 +1,13 @@
 """Dense Hermitian and triangular linear algebra at desk scale.
 
-Everything works on small nested lists of Python complex.  Eigenvalues come
-from a two-sided Jacobi iteration, singular values from a one-sided Jacobi
-on columns (chosen for its relative accuracy on badly scaled matrices: the
-sweeps compare column Grams, not absolute magnitudes, so a singular value
-of 1e-13 next to one of 1e+13 still comes out to full relative precision).
-numpy is used only as a random-number and QR backend for Haar sampling.
+The solvers work on small nested lists of Python complex.  Eigenvalues
+come from a two-sided Jacobi iteration, singular values from a one-sided
+Jacobi on columns (chosen for its relative accuracy on badly scaled
+matrices: the sweeps compare column Grams, not absolute magnitudes, so a
+singular value of 1e-13 next to one of 1e+13 still comes out to full
+relative precision).  Haar unitaries come as numpy blocks from one QR call;
+callers build whole blocks of matrices from them in numpy and hand each
+matrix to the solvers as a nested list.
 
 The matrix size never exceeds a handful here, so the quadratic little loops
 are both fast enough and easy to audit.
@@ -22,12 +24,6 @@ from .hive import GZ, Tableau
 
 _EIGH_TOL = 1e-13
 _MAX_SWEEPS = 100
-
-
-def dagger(a):
-    n = len(a)
-    m = len(a[0])
-    return [[a[i][j].conjugate() for i in range(n)] for j in range(m)]
 
 
 def mat_mul_c(a, b):
@@ -208,19 +204,15 @@ def singular_l(a):
 def haar_unitaries(n, count, rng):
     """count Haar-distributed unitaries, an array of shape (count, n, n),
     via QR of complex Ginibre matrices with the R diagonal phase fixed so
-    the distribution is exactly invariant.  One QR call serves the batch;
-    the stream is read as count calls of haar_unitary would read it."""
+    the distribution is exactly invariant.  One QR call serves the batch,
+    and the stream is read draw by draw: a block is the sequence of the
+    blocks of one that the same stream would give."""
     g = rng.standard_normal((count, 2, n, n))
     z = g[:, 0] + 1j * g[:, 1]
     z *= 1.0 / math.sqrt(2.0)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[:, None, :]
-
-
-def haar_unitary(n, rng):
-    """One Haar-distributed unitary, as nested lists."""
-    return haar_unitaries(n, 1, rng)[0].tolist()
 
 
 def spectrum_of(r):
@@ -231,26 +223,6 @@ def spectrum_of(r):
         out.append(float(v) - prev)
         prev = float(v)
     return out
-
-
-def sample_H_r(r, rng):
-    """Random Hermitian matrix with spectrum given by the gaps of r."""
-    lam = spectrum_of(r)
-    return hermitian_with_spectrum(lam, haar_unitary(len(lam), rng))
-
-
-def hermitian_with_spectrum(lam, u):
-    """U diag(lam) U*, Hermitian to the last bit."""
-    n = len(lam)
-    k = [[sum(u[i][t] * lam[t] * u[j][t].conjugate() for t in range(n))
-          for j in range(n)] for i in range(n)]
-    for i in range(n):
-        k[i][i] = complex(k[i][i].real, 0.0)
-        for j in range(i + 1, n):
-            avg = 0.5 * (k[i][j] + k[j][i].conjugate())
-            k[i][j] = avg
-            k[j][i] = avg.conjugate()
-    return k
 
 
 def upper_cholesky(p):
@@ -331,21 +303,31 @@ def reconstruct_H(xi, angles):
     return _reconstruct_from_spectra(spectra, angles)
 
 
+def b_factor(values, phases):
+    """Upper-triangular matrix with positive diagonal whose trailing k x k
+    block has row k of a pattern as cumulative log singular values: the
+    reversed Cholesky factor of the positive matrix with exponentiated
+    trailing spectra and torus coordinates phases (k of them for row k).
+    values are in gz_block's slot order; a non-finite one raises
+    OverflowError, as math.exp does on a finite one too large."""
+    if not all(map(math.isfinite, values)):
+        raise OverflowError("non-finite pattern entry")
+    n = (math.isqrt(8 * len(values) + 1) - 1) // 2
+    rows = [values[k * (k - 1) // 2:k * (k + 1) // 2] for k in range(1, n + 1)]
+    spectra = [[math.exp(2.0 * g) for g in spectrum_of(row)] for row in rows]
+    angles = [phases[k * (k - 1) // 2:k * (k + 1) // 2]
+              for k in range(1, n)]
+    return upper_cholesky(_reconstruct_from_spectra(spectra, angles))
+
+
 def sample_B_r(r, rng):
     """Random upper-triangular matrix with positive diagonal whose
-    cumulative log singular values equal r.
-
-    A pattern is drawn exactly from the uniform law below the top row
-    (polytope.gz_pattern), a positive matrix with exponentiated trailing
-    spectra is rebuilt with uniform phases, and its reversed Cholesky
-    factor is returned.
-    """
-    from .polytope import gz_pattern
+    cumulative log singular values equal r: b_factor of one exact uniform
+    pattern below r (polytope.gz_block) and uniform phases, read from rng
+    in that order."""
+    from .polytope import gz_block
 
     n = len(r)
-    u = gz_pattern(r, rng)
-    spectra = [[math.exp(2.0 * g) for g in spectrum_of(u.rows[k][1:])]
-               for k in range(1, n + 1)]
-    angles = [rng.uniform(0.0, 2.0 * math.pi, size=k).tolist() for k in range(1, n)]
-    p = _reconstruct_from_spectra(spectra, angles)
-    return upper_cholesky(p)
+    values = gz_block(r, 1, rng)[0].tolist()
+    return b_factor(values, rng.uniform(0.0, 2.0 * math.pi,
+                                        size=n * (n - 1) // 2).tolist())

@@ -1,12 +1,12 @@
 """Monte Carlo comparison of the three product measures, and the scaling
 limit experiment.
 
-Sampling is chunked: a run of `count` draws is split into fixed chunks of
-8192, each chunk gets its own child generator spawned from the caller's rng,
-and chunk results are concatenated in chunk order.  Inside a chunk, Haar
-unitaries and the tropical generator's patterns are drawn in fixed blocks
-of 256, read from the chunk's generator in block order.  The output is
-therefore a function of (seed, count) alone.
+Each generator and estimator is one draw function, run by one block
+runner: a run of `count` draws is split into fixed chunks of 8192, each
+with its own child generator spawned from the caller's rng, and a chunk
+is drawn in blocks of 256 (Haar unitaries from linalg.haar_unitaries,
+patterns from polytope.gz_block) read from its generator in block order.
+The output is therefore a function of (seed, count) alone.
 """
 
 from __future__ import annotations
@@ -20,15 +20,14 @@ import numpy as np
 from .chamber import (WbarWeighting, find_delta0_chamber, gamma0_cached,
                       genericity_check, horn_triple_tropical, kappa_block)
 from .hive import HornTriple, kt_member
-from .linalg import (haar_unitaries, haar_unitary, hermitian_with_spectrum,
-                     l_map, mat_mul_c, sample_B_r, singular_l, spectrum_of)
+from .linalg import (b_factor, haar_unitaries, l_map, mat_mul_c, sample_B_r,
+                     singular_l, spectrum_of)
 from .paths import complex_lift, m_k
 from .polytope import gz_block
 from .semiring import TROPICAL, as_rational
 
 CHUNK = 8192
-HAAR_BLOCK = 256
-PATTERN_BLOCK = 256
+BLOCK = 256
 MAX_N = 5  # desk scale: the exact cone test grows steeply beyond it
 
 
@@ -44,20 +43,23 @@ class EmpiricalSample:
     vectors: tuple
 
 
-def _run_chunks(worker, count, rng):
-    """worker(child_rng, size, offset) over CHUNK-sized blocks, each with
-    its own spawned stream; the results are concatenated in block order.
-    A count below 1 and a float overflow raise ValueError."""
+def _run_blocks(draw, count, rng):
+    """The list of count results of draw(child_rng, size), called on
+    blocks of at most BLOCK inside CHUNK-sized chunks, each chunk with its
+    own spawned stream.  A count below 1 and a float overflow raise
+    ValueError."""
     if count < 1:
         raise ValueError("count must be at least 1, got %d" % count)
     offsets = range(0, count, CHUNK)
-    merged = []
+    out = []
     try:
         for crng, off in zip(rng.spawn(len(offsets)), offsets):
-            merged.extend(worker(crng, min(CHUNK, count - off), off))
+            size = min(CHUNK, count - off)
+            for start in range(0, size, BLOCK):
+                out.extend(draw(crng, min(BLOCK, size - start)))
     except OverflowError as exc:  # spectra too large for float arithmetic
         raise ValueError("input out of the float range (%s)" % exc) from None
-    return merged
+    return out
 
 
 def _float_pair(r, s):
@@ -68,79 +70,65 @@ def _float_pair(r, s):
     return r, s
 
 
-def _haar_stream(n, count, rng):
-    """count Haar unitaries as nested lists, read from rng as count calls
-    of haar_unitary would read it; blocks of HAAR_BLOCK share a QR call
-    and bound the memory."""
-    for start in range(0, count, HAAR_BLOCK):
-        for u in haar_unitaries(n, min(HAAR_BLOCK, count - start), rng):
-            yield u.tolist()
-
-
-def _sum_spectrum(lam_r, lam_s, u):
-    """Cumulative spectrum of D_r + U D_s U*; lam_r and lam_s are the
-    spectra of r and s."""
-    k = hermitian_with_spectrum(lam_s, u)
-    for i, lam in enumerate(lam_r):
-        k[i][i] = complex(k[i][i].real + lam, 0.0)
-    return l_map(k)
+def _sum_spectra(r, s, us):
+    """Cumulative spectra of D_r + U D_s U*, one per unitary U of the block
+    us, with D_r and D_s the diagonal matrices of the spectra of r and s."""
+    with np.errstate(all="ignore"):
+        k = (us * spectrum_of(s)) @ us.conj().transpose(0, 2, 1)
+        k += np.diag(spectrum_of(r))
+    if not np.isfinite(k).all():
+        raise OverflowError("non-finite matrix entry")
+    return [l_map(m) for m in k.tolist()]
 
 
 def sample_hermitian_sum(r, s, count, rng):
     """Spectra of D_r + U D_s U* with U Haar, as cumulative vectors."""
     r, s = _float_pair(r, s)
-    lam_r, lam_s = spectrum_of(r), spectrum_of(s)
     n = len(r)
 
-    def worker(crng, m, off):
-        return [tuple(_sum_spectrum(lam_r, lam_s, u))
-                for u in _haar_stream(n, m, crng)]
+    def draw(crng, size):
+        return _sum_spectra(r, s, haar_unitaries(n, size, crng))
 
-    vecs = _run_chunks(worker, count, rng)
+    vecs = _run_blocks(draw, count, rng)
     return EmpiricalSample("hermitian-sum", n, r, s, count, tuple(vecs))
 
 
 def sample_multiplicative(r, s, count, rng):
-    """Cumulative log singular values of products a c, with a from
-    sample_B_r(r) and c from sample_B_r(s): each factor is rebuilt from an
-    exact uniform pattern below its top row."""
+    """Cumulative log singular values of products a c of independent
+    factors a below r and c below s: each factor is linalg.b_factor of an
+    exact uniform pattern and uniform phases.  A block draws the r
+    patterns, then the s patterns, then the phases."""
     r, s = _float_pair(r, s)
     n = len(r)
 
-    def worker(crng, m, off):
-        out = []
-        for _ in range(m):
-            a = sample_B_r(r, crng)
-            c = sample_B_r(s, crng)
-            out.append(tuple(singular_l(mat_mul_c(a, c))))
-        return out
+    def draw(crng, size):
+        us, vs = gz_block(r, size, crng), gz_block(s, size, crng)
+        phases = crng.uniform(0.0, 2.0 * math.pi, (size, 2, n * (n - 1) // 2))
+        return [singular_l(mat_mul_c(b_factor(u, pu), b_factor(v, pv)))
+                for u, v, (pu, pv) in zip(us.tolist(), vs.tolist(),
+                                          phases.tolist())]
 
-    vecs = _run_chunks(worker, count, rng)
+    vecs = _run_blocks(draw, count, rng)
     return EmpiricalSample("multiplicative", n, r, s, count, tuple(vecs))
 
 
 def sample_tropical_kappa(r, s, count, rng):
     """Tropical product spectra kappa(u, v) of independent exact uniform
-    patterns u below r and v below s.  Each block of PATTERN_BLOCK pairs
-    is drawn by polytope.gz_block (the u block, then the v block) and
-    mapped by chamber.kappa_block, which certifies every float result or
-    computes it exactly.  n must lie in 1..MAX_N."""
+    patterns u below r and v below s.  Each block of pairs is drawn by
+    polytope.gz_block (the u block, then the v block) and mapped by
+    chamber.kappa_block, which certifies every float result or computes it
+    exactly.  n must lie in 1..MAX_N."""
     r, s = _float_pair(r, s)
     n = len(r)
     if not 1 <= n <= MAX_N:
         raise ValueError("n must be between 1 and %d" % MAX_N)
     chamber = find_delta0_chamber(n)
 
-    def worker(crng, m, off):
-        out = []
-        for start in range(0, m, PATTERN_BLOCK):
-            size = min(PATTERN_BLOCK, m - start)
-            us = gz_block(r, size, crng)
-            vs = gz_block(s, size, crng)
-            out.extend(map(tuple, kappa_block(us, vs, chamber)[0].tolist()))
-        return out
+    def draw(crng, size):
+        us, vs = gz_block(r, size, crng), gz_block(s, size, crng)
+        return map(tuple, kappa_block(us, vs, chamber)[0].tolist())
 
-    vecs = _run_chunks(worker, count, rng)
+    vecs = _run_blocks(draw, count, rng)
     return EmpiricalSample("tropical-kappa", n, r, s, count, tuple(vecs))
 
 
@@ -296,7 +284,8 @@ def horn_forward_test(mode, n, count, slack, rng):
     tropical draws exact random reduced weightings (the cone is closed, so
     degenerate pairs still belong and are kept), hermitian and
     multiplicative draw random spectra; multiplicative builds each factor
-    with sample_B_r.  n must lie in 1..MAX_N.
+    with sample_B_r.  Each instance is drawn whole before the next, so the
+    block size does not change the output.  n must lie in 1..MAX_N.
     """
     if mode not in ("tropical", "hermitian", "multiplicative"):
         raise ValueError("unknown mode %r" % (mode,))
@@ -304,31 +293,24 @@ def horn_forward_test(mode, n, count, slack, rng):
         raise ValueError("n must be between 1 and %d" % MAX_N)
     eps = as_rational(slack)
 
-    def worker(crng, m, off):
-        bad = []
-        for idx in range(m):
-            if mode == "tropical":
-                w1 = _random_wbar(n, crng)
-                w2 = _random_wbar(n, crng)
-                triple = horn_triple_tropical(w1, w2)
-            elif mode == "hermitian":
-                r = _random_cumsum_spectrum(n, crng)
-                s = _random_cumsum_spectrum(n, crng)
-                u = haar_unitary(n, crng)
-                triple = HornTriple(r, s, _sum_spectrum(spectrum_of(r),
-                                                        spectrum_of(s), u))
-            else:
-                r = _random_cumsum_spectrum(n, crng)
-                s = _random_cumsum_spectrum(n, crng)
-                a = sample_B_r(r, crng)
-                c = sample_B_r(s, crng)
-                triple = HornTriple(r, s, singular_l(mat_mul_c(a, c)))
-            if not kt_member(triple, eps):
-                bad.append(off + idx)
-        return bad
+    def triple(crng):
+        if mode == "tropical":
+            return horn_triple_tropical(_random_wbar(n, crng),
+                                        _random_wbar(n, crng))
+        r = _random_cumsum_spectrum(n, crng)
+        s = _random_cumsum_spectrum(n, crng)
+        if mode == "hermitian":
+            c = _sum_spectra(r, s, haar_unitaries(n, 1, crng))[0]
+        else:
+            c = singular_l(mat_mul_c(sample_B_r(r, crng), sample_B_r(s, crng)))
+        return HornTriple(r, s, c)
 
-    failures = _run_chunks(worker, count, rng)
-    return ForwardReport(mode, n, count, eps, tuple(failures),
+    def draw(crng, size):
+        return [kt_member(triple(crng), eps) for _ in range(size)]
+
+    passed = _run_blocks(draw, count, rng)
+    failures = tuple(i for i, ok in enumerate(passed) if not ok)
+    return ForwardReport(mode, n, count, eps, failures,
                          1.0 - len(failures) / count)
 
 
@@ -341,15 +323,11 @@ def exceptional_mass_estimate(r, s, count, slack, rng):
     estimator falsifiable.
     """
     r, s = _float_pair(r, s)
-    lam_r, lam_s = spectrum_of(r), spectrum_of(s)
+    n = len(r)
     eps = as_rational(slack)
 
-    def worker(crng, m, off):
-        bad = 0
-        for u in _haar_stream(len(r), m, crng):
-            triple = HornTriple(r, s, _sum_spectrum(lam_r, lam_s, u))
-            bad += not kt_member(triple, eps)
-        return [bad]
+    def draw(crng, size):
+        return [not kt_member(HornTriple(r, s, c), eps)
+                for c in _sum_spectra(r, s, haar_unitaries(n, size, crng))]
 
-    per_chunk = _run_chunks(worker, count, rng)
-    return sum(per_chunk) / count
+    return sum(_run_blocks(draw, count, rng)) / count

@@ -6,16 +6,14 @@ measure of the Gelfand-Zeitlin torus action, and it factors row by row
 has volume proportional to the Vandermonde product Delta(mu), so given
 the spectrum lam of one row, the spectrum mu of the next has density
 proportional to Delta(mu) on the interlacing box prod_i [lam_{i+1}, lam_i].
-gz_pattern draws each row by rejection from that box, so every draw is an
-independent exact sample and the sampler keeps no state.  gz_block draws a
-block of patterns the same way with one numpy call per rejection round,
-and returns them as an array of slot values; pattern_tableau turns one of
-its rows back into a tableau.
+gz_block draws a block of patterns row by row, each row by rejection from
+that box with one numpy call per rejection round, so every pattern is an
+independent exact sample and the sampler keeps no state.  It returns the
+block as an array of slot values, and pattern_tableau turns one of its rows
+back into a tableau; gz_pattern is a block of one row.
 """
 
 from __future__ import annotations
-
-from itertools import accumulate
 
 import numpy as np
 
@@ -38,36 +36,17 @@ def _top_spectrum(r):
     return r, lam
 
 
-def _no_row_accepted():
-    return RuntimeError("no interlacing row accepted in %d proposals"
-                        % _MAX_PROPOSALS)
-
-
-def _next_spectrum(lam, rng):
-    """A spectrum mu interlacing lam, with density prop. to Delta(mu).
-
-    A box proposal is accepted with probability
-    Delta(mu) / prod_{i<j} (lam_i - lam_{j+1}), a product of ratios each
-    at most one, since mu_i - mu_j <= lam_i - lam_{j+1}.
-    """
-    k = len(lam) - 1
-    for _ in range(_MAX_PROPOSALS):
-        u = rng.random(k + 1).tolist()
-        mu = [lam[i + 1] + u[i] * (lam[i] - lam[i + 1]) for i in range(k)]
-        accept = 1.0
-        for i in range(k):
-            for j in range(i + 1, k):
-                accept *= (mu[i] - mu[j]) / (lam[i] - lam[j + 1])
-        if u[k] < accept:
-            return mu
-    raise _no_row_accepted()
-
-
 def _next_spectra(lam, rng):
-    """_next_spectrum for every row of the array lam.  Each round proposes
-    once for every row not yet accepted, so each row sees the same
-    proposal law and acceptance test as in _next_spectrum, and the rows
-    stay independent."""
+    """For every row lam_j of the array lam, a spectrum mu_j interlacing it
+    with density prop. to Delta(mu_j).
+
+    Each round draws one box proposal for every row not yet accepted and
+    accepts it with probability Delta(mu) / prod_{i<j} (lam_i - lam_{j+1}),
+    a product of ratios each at most one, since mu_i - mu_j <= lam_i -
+    lam_{j+1}.  The rows stay independent, and a row reads k + 1 uniforms
+    per proposal, so a block of one row reads the stream proposal by
+    proposal.
+    """
     size, k = lam.shape[0], lam.shape[1] - 1
     i, j = np.triu_indices(k, 1)
     gap = lam[:, :-1] - lam[:, 1:]
@@ -83,26 +62,12 @@ def _next_spectra(lam, rng):
         pending = pending[~ok]
         if not pending.size:
             return mu
-    raise _no_row_accepted()
-
-
-def gz_pattern(r, rng):
-    """One pattern drawn exactly from the uniform law below the cumulative
-    top row r, as a GZ tableau whose top row is r.
-
-    The spectrum of r (its gaps) must be strictly decreasing.
-    """
-    r, lam = _top_spectrum(r)
-    rows = [(0.0,) + r]
-    for _ in range(len(r) - 1):
-        lam = _next_spectrum(lam, rng)
-        rows.append((0.0,) + tuple(accumulate(lam)))
-    rows.append((0.0,))
-    return Tableau(len(r), tuple(reversed(rows)), GZ)
+    raise RuntimeError("no interlacing row accepted in %d proposals"
+                       % _MAX_PROPOSALS)
 
 
 def gz_block(r, size, rng):
-    """size independent patterns from gz_pattern's law, as a float array of
+    """size independent uniform patterns below r, as a float array of
     shape (size, n(n+1)/2): row j holds pattern j's entries value(k, i) in
     the order k = 1..n, i = 1..k (the chamber's slot order), and its last n
     entries are r.
@@ -120,6 +85,12 @@ def gz_block(r, size, rng):
             lam = _next_spectra(lam, rng)
             out[:, k * (k - 1) // 2:k * (k + 1) // 2] = np.cumsum(lam, axis=1)
     return out
+
+
+def gz_pattern(r, rng):
+    """One pattern from gz_block's law, as a GZ tableau whose top row is r:
+    a block of one row, read from rng as gz_block reads it."""
+    return pattern_tableau(gz_block(r, 1, rng)[0])
 
 
 def pattern_tableau(values):

@@ -7,7 +7,8 @@ minimal_support_rows finds the table again by brute force over the supports
 of the multiplier vectors, with null_space and rank in Fractions, and
 horn_list_verdict decides membership from Horn's recursive list of
 inequalities instead of from hives.  complex_det, sigma_values and gz_B are
-the direct minor and singular-value routes of the linear algebra tests.
+the direct minor and singular-value routes of the linear algebra tests, and
+dagger, hermitian_with_spectrum and sample_H_r build their test matrices.
 enumerate_paths lists single paths by depth-first search, and minor_enum is
 the reference minor: an explicit sum over every vertex-disjoint system.
 The samplers are the independent routes to the uniform law on patterns
@@ -34,7 +35,7 @@ from operator import mul
 from hornlab.hive import (GZ, HornTriple, Tableau, _facets,
                           _hive_inequalities, _pin_values, _pinned_slots,
                           gz_check)
-from hornlab.linalg import _block, singular_l, spectrum_of
+from hornlab.linalg import _block, haar_unitaries, singular_l, spectrum_of
 from hornlab.paths import enumerate_kpaths, multipath_weight
 from hornlab.semiring import as_rational
 
@@ -235,6 +236,33 @@ def gz_B(a):
     for j in range(1, n + 1):
         rows.append((0.0,) + tuple(singular_l(_block(a, range(n - j, n)))))
     return Tableau(n, tuple(rows), GZ)
+
+
+def dagger(a):
+    """Conjugate transpose of a nested-list matrix."""
+    return [[a[i][j].conjugate() for i in range(len(a))]
+            for j in range(len(a[0]))]
+
+
+def hermitian_with_spectrum(lam, u):
+    """U diag(lam) U*, Hermitian to the last bit."""
+    n = len(lam)
+    k = [[sum(u[i][t] * lam[t] * u[j][t].conjugate() for t in range(n))
+          for j in range(n)] for i in range(n)]
+    for i in range(n):
+        k[i][i] = complex(k[i][i].real, 0.0)
+        for j in range(i + 1, n):
+            avg = 0.5 * (k[i][j] + k[j][i].conjugate())
+            k[i][j] = avg
+            k[j][i] = avg.conjugate()
+    return k
+
+
+def sample_H_r(r, rng):
+    """Random Hermitian matrix with spectrum given by the gaps of r."""
+    lam = spectrum_of(r)
+    return hermitian_with_spectrum(
+        lam, haar_unitaries(len(lam), 1, rng)[0].tolist())
 
 
 class PolytopeSampler:

@@ -1,9 +1,10 @@
-"""Every name a hornlab module imports is used in that module, and the
-package exports exactly what its __init__ imports.
+"""Every name a hornlab module imports is used in that module, every
+module-level function or class is used somewhere in the package or
+exported, and the package exports exactly what its __init__ imports.
 
 No linter ships with the project, so these stdlib-ast checks keep unused
-imports and stale exports out.  The package __init__ is exempt from the
-first: its imports are re-exports.
+imports, dead definitions and stale exports out.  The package __init__ is
+exempt from the first: its imports are re-exports.
 """
 
 import ast
@@ -41,6 +42,35 @@ def test_module_uses_every_import(path):
 def test_check_flags_an_unused_import():
     tree = ast.parse("import os\nfrom json import dumps, loads\nloads('1')\n")
     assert _unused_imports(tree) == [(1, "os"), (2, "dumps")]
+
+
+def _dead_definitions(trees, exported):
+    """(module, name) of every module-level function or class whose name no
+    module reads and the package does not export."""
+    used = set(exported)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return sorted((module, node.name) for module, tree in trees.items()
+                  for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and node.name not in used)
+
+
+def test_every_definition_is_used_or_exported():
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
+             for p in MODULES}
+    assert _dead_definitions(trees, hornlab.__all__) == []
+
+
+def test_check_flags_a_dead_definition():
+    trees = {"a": ast.parse("def f():\n    return g()\ndef g(): pass\n"
+                            "def h(): pass\nclass K: pass\n"),
+             "b": ast.parse("import a\nclass C: pass\na.K()\n")}
+    assert _dead_definitions(trees, ["C"]) == [("a", "f"), ("a", "h")]
 
 
 def test_package_exports_exactly_what_it_imports():

@@ -12,17 +12,16 @@ from hornlab import (
     eigh,
     gz_H,
     gz_check,
-    haar_unitary,
     l_map,
     reconstruct_H,
     sample_B_r,
-    sample_H_r,
     singular_l,
     spectrum_of,
     upper_cholesky,
 )
-from hornlab.linalg import dagger, haar_unitaries, mat_mul_c
-from oracles import gz_B, sigma_values
+from hornlab.linalg import b_factor, haar_unitaries, mat_mul_c
+from hornlab.polytope import gz_block, pattern_tableau
+from oracles import dagger, gz_B, sample_H_r, sigma_values
 
 
 def _random_hermitian(n, rng, scale=1.0):
@@ -139,13 +138,12 @@ def test_gz_B_frozen_diagonal():
 # -- random matrix factories --------------------------------------------------
 
 def test_haar_unitary_is_unitary_and_seeded():
-    rng = np.random.default_rng(11)
-    u = haar_unitary(4, rng)
+    u = haar_unitaries(4, 1, np.random.default_rng(11))[0].tolist()
     uu = mat_mul_c(dagger(u), u)
     for i in range(4):
         for j in range(4):
             assert abs(uu[i][j] - (1.0 if i == j else 0.0)) < 1e-12
-    v = haar_unitary(4, np.random.default_rng(11))
+    v = haar_unitaries(4, 1, np.random.default_rng(11))[0].tolist()
     assert all(u[i][j] == v[i][j] for i in range(4) for j in range(4))
 
 
@@ -159,7 +157,8 @@ def _haar_one_at_a_time(n, rng):
 
 
 def test_haar_unitaries_read_the_stream_as_single_draws():
-    # a batch is bit for bit the sequence of one-matrix draws
+    # a batch is bit for bit the sequence of one-matrix draws, and the
+    # sequence of one-draw blocks read from the same stream
     for n in (1, 2, 3, 4):
         batch = haar_unitaries(n, 5, np.random.default_rng(n))
         rng = np.random.default_rng(n)
@@ -167,7 +166,8 @@ def test_haar_unitaries_read_the_stream_as_single_draws():
         assert [u.tolist() for u in batch] \
             == [_haar_one_at_a_time(n, rng) for _ in range(5)]
         rng = np.random.default_rng(n)
-        assert haar_unitary(n, rng) == batch[0].tolist()
+        assert [u.tolist() for u in batch] \
+            == [haar_unitaries(n, 1, rng)[0].tolist() for _ in range(5)]
 
 
 def test_spectrum_of_inverts_partial_sums():
@@ -253,6 +253,34 @@ def test_sample_B_r_triangular_with_requested_log_spectrum():
         b = sample_B_r(r, rng)
         assert b[1][0] == 0j and b[0][0].real > 0 and b[1][1].real > 0
         assert singular_l(b) == pytest.approx([1.0, 0.0], abs=1e-8)
+
+
+def test_b_factor_trailing_blocks_follow_the_pattern():
+    # row k of the pattern is the cumulative log spectrum of the trailing
+    # k x k block, read back through the direct route of oracles.gz_B
+    rng = np.random.default_rng(31)
+    for r in ((1.0, 0.0), (2.0, 1.0, -1.0), (3.0, 4.0, 3.0, 0.0)):
+        n = len(r)
+        for values in gz_block(r, 5, rng).tolist():
+            phases = rng.uniform(0.0, 2 * math.pi, n * (n - 1) // 2).tolist()
+            got = gz_B(b_factor(values, phases))
+            for row, want in zip(got.rows, pattern_tableau(values).rows):
+                assert row == pytest.approx(want, abs=1e-8)
+
+
+def test_sample_B_r_is_b_factor_of_a_one_row_block():
+    rng, ref = np.random.default_rng(33), np.random.default_rng(33)
+    r = (3.0, 4.0, 3.0)
+    for _ in range(5):
+        values = gz_block(r, 1, ref)[0].tolist()
+        phases = ref.uniform(0.0, 2 * math.pi, 3).tolist()
+        assert sample_B_r(r, rng) == b_factor(values, phases)
+
+
+def test_b_factor_refuses_non_finite_entries():
+    # the overflow a too-large top row leaves in a gz_block pattern
+    with pytest.raises(OverflowError, match="non-finite pattern entry"):
+        b_factor([math.inf, 1e308, 0.0], [0.0])
 
 
 # -- symmetric functions of singular values -----------------------------------

@@ -17,12 +17,16 @@ from hornlab import (
     kt_member,
     kt_witness,
     ks_distance,
+    l_map,
     limit_sweep,
     projection_set,
     sample_hermitian_sum,
     sample_multiplicative,
     sample_tropical_kappa,
+    spectrum_of,
 )
+from hornlab.linalg import haar_unitaries
+from oracles import hermitian_with_spectrum
 
 F = Fraction
 
@@ -106,15 +110,40 @@ def test_generator_seed_determinism(gen):
 
 
 def test_haar_block_does_not_change_the_output(monkeypatch):
-    # the block size bounds memory only: the stream is read in order
-    want = sample_hermitian_sum(R2, S2, 40, np.random.default_rng(3)).vectors
-    mass = exceptional_mass_estimate(R2, S2, 40, -0.5, np.random.default_rng(4))
-    for block in (1, 7):
-        monkeypatch.setattr(measure, "HAAR_BLOCK", block)
-        assert sample_hermitian_sum(R2, S2, 40,
-                                    np.random.default_rng(3)).vectors == want
-        assert exceptional_mass_estimate(R2, S2, 40, -0.5,
-                                         np.random.default_rng(4)) == mass
+    # these runs draw one instance at a time from the chunk's stream, so
+    # the block size bounds memory only; a small CHUNK puts the counts on
+    # both sides of a chunk boundary
+    runs = [
+        lambda c: sample_hermitian_sum(R2, S2, c,
+                                       np.random.default_rng(3)).vectors,
+        lambda c: exceptional_mass_estimate(R2, S2, c, -0.5,
+                                            np.random.default_rng(4)),
+    ] + [lambda c, mode=mode: horn_forward_test(
+        mode, 2, c, F(-1, 10), np.random.default_rng(5)).failures
+         for mode in ("tropical", "hermitian", "multiplicative")]
+    counts = (11, 12, 13, 40)
+    monkeypatch.setattr(measure, "CHUNK", 12)
+    want = [[run(c) for c in counts] for run in runs]
+    assert all(w[-1] for w in want[1:])  # every check fails at count 40
+    for block in (1, 5):
+        monkeypatch.setattr(measure, "BLOCK", block)
+        assert [[run(c) for c in counts] for run in runs] == want
+
+
+def test_sum_spectra_match_the_list_route():
+    # D_r + U D_s U* built in numpy on a block, against the nested-list
+    # construction on the same unitaries; the sums run in another order,
+    # so the spectra agree to rounding, not bit for bit
+    rng = np.random.default_rng(12)
+    for r, s in ((R2, S2), ((3.0, 4.0, 3.0), (2.0, 2.5, 1.5)),
+                 ((3.0, 4.0, 3.0, 0.0), (2.0, 3.0, 3.0, 2.0)),
+                 ((4.0, 7.0, 9.0, 10.0, 10.0), (1.5, 2.5, 3.0, 3.0, 2.0))):
+        us = haar_unitaries(len(r), 50, rng)
+        for u, got in zip(us.tolist(), measure._sum_spectra(r, s, us)):
+            k = hermitian_with_spectrum(spectrum_of(s), u)
+            for i, lam in enumerate(spectrum_of(r)):
+                k[i][i] += lam
+            assert got == pytest.approx(l_map(k), rel=0, abs=1e-13)
 
 
 @pytest.mark.parametrize("gen", GENS)
@@ -172,21 +201,24 @@ def test_generator_scale_equivariance(gen):
     assert d.statistic < 0.05
 
 
-def test_tropical_kappa_agrees_with_hermitian_sum_at_n4():
+@pytest.mark.parametrize("gen", [sample_hermitian_sum, sample_multiplicative],
+                         ids=["hermitian-sum", "multiplicative"])
+def test_tropical_kappa_agrees_with_matrix_generators_at_n4(gen):
     # the paper's corollary one size above acceptance test 07: the tropical
-    # pushforward has the law of the spectrum of D_r + U D_s U*.  Both
-    # generators draw iid samples (ESS = count); the last coordinate is the
-    # atom r4 + s4, so the first three coordinates and projection_set's
-    # three directions are compared, at family level 1e-3 split over them
+    # pushforward has the law of the spectrum of D_r + U D_s U*, and of the
+    # log singular values of the product.  The generators draw iid samples
+    # (ESS = count); the last coordinate is the atom r4 + s4, so the first
+    # three coordinates and projection_set's three directions are compared,
+    # at family level 1e-3 split over them
     r, s = (3.0, 4.0, 3.0, 0.0), (2.0, 3.0, 3.0, 2.0)
     count = 20_000
     trop = sample_tropical_kappa(r, s, count, np.random.default_rng([410, 0]))
-    herm = sample_hermitian_sum(r, s, count, np.random.default_rng([410, 1]))
+    other = gen(r, s, count, np.random.default_rng([410, 1]))
     projections = [0, 1, 2] + projection_set(4, seed=410)[4:]
     alpha = 1e-3 / len(projections)
     crit = math.sqrt(-0.5 * math.log(alpha / 2.0)) * math.sqrt(2.0 / count)
     for proj in projections:
-        d = ks_distance(trop, herm, projection=proj)
+        d = ks_distance(trop, other, projection=proj)
         assert d.statistic < crit, (proj, d.statistic, crit)
 
 

@@ -1,6 +1,6 @@
 """Uniform sampling of interlacing patterns below a fixed top row.
 
-gz_pattern is the library's exact sampler and gz_block its block form;
+gz_block is the library's exact sampler and gz_pattern a block of one row;
 the hit-and-run chain and the box-rejection sampler in oracles.py are the
 independent routes both are checked against.
 """
