@@ -1,13 +1,16 @@
 """Dense Hermitian and triangular linear algebra at desk scale.
 
-The solvers work on small nested lists of Python complex.  Eigenvalues
-come from a two-sided Jacobi iteration, singular values from a one-sided
-Jacobi on columns (chosen for its relative accuracy on badly scaled
-matrices: the sweeps compare column Grams, not absolute magnitudes, so a
-singular value of 1e-13 next to one of 1e+13 still comes out to full
-relative precision).  Haar unitaries come as numpy blocks from one QR call;
-callers build whole blocks of matrices from them in numpy and hand each
-matrix to the solvers as a nested list.
+The solvers work on small nested lists of Python complex.  eigh is a
+two-sided Jacobi iteration, used where eigenvectors or an independent
+route are wanted: gz_H, the bordering behind reconstruct_H and b_factor,
+and the tests' oracle.  Singular values come from a one-sided Jacobi on
+columns (chosen for its relative accuracy on badly scaled matrices: the
+sweeps compare column Grams, not absolute magnitudes, so a singular value
+of 1e-13 next to one of 1e+13 still comes out to full relative precision).
+Haar unitaries come as numpy blocks from one QR call; the Monte Carlo
+generators build whole blocks of matrices from them in numpy, and take
+Hermitian-sum spectra from one LAPACK eigvalsh call per block (see
+measure._sum_spectra).
 
 The matrix size never exceeds a handful here, so the quadratic little loops
 are both fast enough and easy to audit.
@@ -61,10 +64,13 @@ def eigh(k):
     norm drops below 1e-13 of the matrix norm.  Eigenvectors are returned
     as columns, each normalized so its largest-magnitude entry (first such
     index on ties) is real and positive, which makes the output a pure
-    function of the input.
+    function of the input.  A matrix whose Frobenius norm is not a finite
+    float raises OverflowError: the stopping test could not compare.
     """
     n = len(k)
     nrm = frobenius(k)
+    if not math.isfinite(nrm):
+        raise OverflowError("matrix norm out of the float range")
     herm_defect = math.sqrt(sum(abs(k[i][j] - k[j][i].conjugate()) ** 2
                                 for i in range(n) for j in range(n)))
     if herm_defect > 1e-10 * max(1.0, nrm):

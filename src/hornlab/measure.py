@@ -7,6 +7,11 @@ with its own child generator spawned from the caller's rng, and a chunk
 is drawn in blocks of 256 (Haar unitaries from linalg.haar_unitaries,
 patterns from polytope.gz_block) read from its generator in block order.
 The output is therefore a function of (seed, count) alone.
+
+The spectra of D_r + U D_s U* need only absolute accuracy, so a whole
+Haar block goes through one LAPACK eigvalsh call.  The multiplicative
+generator keeps the one-sided Jacobi linalg.singular_l per sample: its
+small singular values need accuracy relative to themselves.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import numpy as np
 from .chamber import (WbarWeighting, find_delta0_chamber, gamma0_cached,
                       genericity_check, horn_triple_tropical, kappa_block)
 from .hive import HornTriple, kt_member
-from .linalg import (b_factor, haar_unitaries, l_map, mat_mul_c, sample_B_r,
+from .linalg import (b_factor, haar_unitaries, mat_mul_c, sample_B_r,
                      singular_l, spectrum_of)
 from .paths import complex_lift, m_k
 from .polytope import gz_block
@@ -72,13 +77,22 @@ def _float_pair(r, s):
 
 def _sum_spectra(r, s, us):
     """Cumulative spectra of D_r + U D_s U*, one per unitary U of the block
-    us, with D_r and D_s the diagonal matrices of the spectra of r and s."""
+    us, with D_r and D_s the diagonal matrices of the spectra of r and s.
+
+    One LAPACK eigvalsh call serves the block.  Only absolute accuracy is
+    needed: by Weyl's inequality each eigenvalue is off by at most the
+    backward error, a small multiple of eps * |K|, as with linalg.eigh.  A
+    matrix with a non-finite entry or Frobenius norm raises OverflowError,
+    so both routes accept the same matrices."""
     with np.errstate(all="ignore"):
         k = (us * spectrum_of(s)) @ us.conj().transpose(0, 2, 1)
         k += np.diag(spectrum_of(r))
-    if not np.isfinite(k).all():
-        raise OverflowError("non-finite matrix entry")
-    return [l_map(m) for m in k.tolist()]
+        if not np.isfinite(k).all():
+            raise OverflowError("non-finite matrix entry")
+        if not np.isfinite(np.linalg.norm(k, axis=(1, 2))).all():
+            raise OverflowError("matrix norm out of the float range")
+    vals = np.linalg.eigvalsh(k)[:, ::-1]
+    return list(map(tuple, np.cumsum(vals, axis=1).tolist()))
 
 
 def sample_hermitian_sum(r, s, count, rng):

@@ -45,12 +45,15 @@ def _next_spectra(lam, rng):
     a product of ratios each at most one, since mu_i - mu_j <= lam_i -
     lam_{j+1}.  The rows stay independent, and a row reads k + 1 uniforms
     per proposal, so a block of one row reads the stream proposal by
-    proposal.
+    proposal.  A width that is not a finite float would make every
+    acceptance ratio 0, so it raises OverflowError before any proposal.
     """
     size, k = lam.shape[0], lam.shape[1] - 1
     i, j = np.triu_indices(k, 1)
     gap = lam[:, :-1] - lam[:, 1:]
     width = lam[:, i] - lam[:, j + 1]
+    if not np.isfinite(width).all():
+        raise OverflowError("interlacing box width out of the float range")
     mu = np.empty((size, k))
     pending = np.arange(size)
     for _ in range(_MAX_PROPOSALS):
@@ -72,8 +75,10 @@ def gz_block(r, size, rng):
     the order k = 1..n, i = 1..k (the chamber's slot order), and its last n
     entries are r.
 
-    Values outside the float range give inf or nan entries, without a
-    numpy warning; the caller decides what they mean.
+    An interlacing box whose width lam_i - lam_{j+1} leaves the float range
+    raises OverflowError before any proposal is drawn.  Other values outside
+    the float range give inf or nan entries, without a numpy warning; the
+    caller decides what they mean.
     """
     r, lam = _top_spectrum(r)
     n = len(r)

@@ -392,27 +392,34 @@ FLOAT_RANGE = [
 ]
 
 
-def _out_of_range(cmd, r, s, reason):
+def _out_of_range(cmd, r, s, reason, count="3"):
     """A run that exits 3 with no rows and one float-range error line."""
-    return (cmd + ["--r", r, "--s", s, "--count", "3", "--seed", "1"],
+    return (cmd + ["--r", r, "--s", s, "--count", count, "--seed", "1"],
             PRECONDITION, [],
             "error: input out of the float range (%s)\n" % reason)
 
 
-_ERANGE = "(34, 'Numerical result out of range')"
+_NORM = "matrix norm out of the float range"
+_WIDTH = "interlacing box width out of the float range"
 _HERMITIAN = ["sample", "--generator", "hermitian-sum"]
 _MULTIPLICATIVE = ["sample", "--generator", "multiplicative"]
 # the matrix generators and the exceptional mass, where sums or exponentials
 # of the spectra leave the float range: no numpy warning reaches stderr
 FLOAT_RANGE += [
-    _out_of_range(_HERMITIAN, "1e300,0", "1,0", _ERANGE),
+    _out_of_range(_HERMITIAN, "1e300,0", "1,0", _NORM),
     _out_of_range(_HERMITIAN, "1e308,0", "1e308,0", "non-finite matrix entry"),
     _out_of_range(_MULTIPLICATIVE, "1e300,0", "1,0", "math range error"),
     _out_of_range(_MULTIPLICATIVE, "1e308,0", "1e308,0",
                   "non-finite pattern entry"),
-    _out_of_range(["exceptional-mass"], "1e300,0", "1,0", _ERANGE),
+    _out_of_range(["exceptional-mass"], "1e300,0", "1,0", _NORM),
     _out_of_range(["exceptional-mass"], "1e308,0", "1e308,0",
                   "non-finite matrix entry"),
+    # finite entries whose squares sum past the float range (the fourth
+    # draw): refused like the Jacobi oracle refuses them
+    _out_of_range(_HERMITIAN, "6e153,0", "6e153,0", _NORM, count="4"),
+    # a finite spectrum whose interlacing box is wider than the float range
+    _out_of_range(["kappa-sample"], "1.7e308,1.7e308,0", "1,0.5,0", _WIDTH),
+    _out_of_range(_MULTIPLICATIVE, "1.7e308,1.7e308,0", "1,0.5,0", _WIDTH),
 ]
 
 
@@ -421,7 +428,9 @@ FLOAT_RANGE += [
                               "hermitian-sum-1e300", "hermitian-sum-1e308",
                               "multiplicative-1e300", "multiplicative-1e308",
                               "exceptional-mass-1e300",
-                              "exceptional-mass-1e308"])
+                              "exceptional-mass-1e308",
+                              "hermitian-sum-6e153", "kappa-sample-box-width",
+                              "multiplicative-box-width"])
 def test_float_range_spectra(argv, code, rows, err):
     run = subprocess.run([sys.executable, "-m", "hornlab"] + argv,
                          capture_output=True, text=True)

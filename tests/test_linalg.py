@@ -72,6 +72,16 @@ def test_eigh_rejects_non_hermitian():
         eigh([[0j, 1 + 0j], [2 + 0j, 0j]])
 
 
+def test_eigh_refuses_a_norm_past_the_float_range():
+    # every entry and its square are finite but their sum is not, so the
+    # stopping test could not compare: the diagonal must not come back as
+    # the spectrum, which is +-sqrt(2) * scale
+    assert l_map([[1e153, 1e153], [1e153, -1e153]]) == pytest.approx(
+        [math.sqrt(2.0) * 1e153, 0.0], rel=1e-13, abs=1e141)
+    with pytest.raises(OverflowError, match="matrix norm out of the float"):
+        l_map([[1e154, 1e154], [1e154, -1e154]])
+
+
 def test_l_map_cumulative():
     assert l_map([[3 + 0j, 0j], [0j, 1 + 0j]]) == pytest.approx([3.0, 4.0])
 

@@ -112,6 +112,17 @@ def test_gz_pattern_bounds_its_rejection_loop(monkeypatch):
             draw((2.0, 1.0, -1.0), 1, np.random.default_rng(0))
 
 
+def test_gz_block_refuses_a_box_wider_than_the_float_range():
+    # the spectrum (1.7e308, 0, -1.7e308) is finite, but the width
+    # lam_1 - lam_3 is not, so no proposal could be accepted: the call
+    # raises before it reads the stream
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(OverflowError, match="box width"):
+        gz_block((1.7e308, 1.7e308, 0.0), 4, rng)
+    assert rng.bit_generator.state == state
+
+
 def test_gz_pattern_is_seed_deterministic():
     for draw in SAMPLERS:
         a, b = np.random.default_rng(42), np.random.default_rng(42)
