@@ -12,9 +12,8 @@ from .network import (DIAGONAL, HORIZONTAL, SINK_HORIZONTAL, Edge,
                       PlanarNetwork, build_gamma0, compose_weightings,
                       concatenate, network_from_json, network_to_dot,
                       network_to_json, subnetwork)
-from .paths import (MultiPath, complex_lift, correspondence_matrix,
-                    enumerate_kpaths, m_k, minor, multipath_weight,
-                    path_weight, tropical_gz, tropical_singular_values)
+from .paths import (complex_lift, correspondence_matrix, m_k, minor,
+                    tropical_gz, tropical_singular_values)
 from .hive import (GZ, HIVE, TROPICAL_GZ, HornTriple, Tableau, boundary,
                    format_number, gz_check, gz_margin, hive_check, kt_member,
                    kt_witness, parse_number, tableau_from_json, tableau_to_json,
@@ -41,8 +40,7 @@ __all__ = [
     "DIAGONAL", "HORIZONTAL", "SINK_HORIZONTAL", "Edge", "PlanarNetwork",
     "build_gamma0", "compose_weightings", "concatenate", "network_from_json",
     "network_to_dot", "network_to_json", "subnetwork",
-    "MultiPath", "complex_lift", "correspondence_matrix", "enumerate_kpaths",
-    "m_k", "minor", "multipath_weight", "path_weight", "tropical_gz",
+    "complex_lift", "correspondence_matrix", "m_k", "minor", "tropical_gz",
     "tropical_singular_values",
     "GZ", "HIVE", "TROPICAL_GZ", "HornTriple", "Tableau", "boundary",
     "format_number", "gz_check", "gz_margin", "hive_check", "kt_member",

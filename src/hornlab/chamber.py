@@ -4,16 +4,20 @@ The reduced weightings below put weights only on the diagonals and on the
 last horizontal edge of every line of the reference network; all other
 horizontals are zero.  Every path system is then a 0/1 profile over the
 reduced-weighting coordinates, so every tropical minor is max(P_slot . w)
-over the distinct profiles P of that slot's systems.  P is enumerated once
-per topology, for the reference network and for its concatenation with
-itself, and every minor of a reduced weighting below is read off it.
+over the distinct profiles P of that slot's systems.  P is built once per
+topology, for the reference network and for its concatenation with
+itself, by the layered sweep of paths run over the SUPPORTS semiring,
+which collects each slot's distinct system supports; every minor of a
+reduced weighting below is read off it.
 
 On a full-dimensional cone of patterns (the chamber) the map
 w -> tropical_gz(w) is linear and invertible: every pattern slot is computed
 by one fixed path system.  find_delta0_chamber selects, per slot, the unique
 argmax of P at a weighting deep in the dominant chamber, inverts the
 selected rows exactly, and then refuses to return anything that does not
-verify against the independent sweep on random interior patterns.
+reproduce tropical_gz on random interior patterns.  That check shares the
+sweep with P, so it covers the selection and the inverse but not P; the
+tests check P against a depth-first enumeration of the path systems.
 
 kappa_block evaluates kappa on blocks of float patterns with numpy: one
 product with the chamber's inverse, one with P, a certificate per sample
@@ -27,17 +31,17 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from itertools import combinations, compress
+from functools import cache, cached_property
+from itertools import compress
 
 import numpy as np
 
 from .hive import (GZ, TROPICAL_GZ, HornTriple, Tableau, _exact_in,
                    _family_slacks, _json_fields, gz_check, gz_margin)
 from .network import build_gamma0, concatenate
-from .paths import _subnets_of, enumerate_kpaths, tropical_gz
+from .paths import _subnets_of, m_k, tropical_gz
 from .polytope import pattern_tableau
-from .semiring import BOTTOM, as_rational
+from .semiring import BOTTOM, SUPPORTS, as_rational
 
 _ZERO = Fraction(0)
 
@@ -85,24 +89,17 @@ def wbar_from_json(d):
                          tuple(_exact_in(x) for x in sinks))
 
 
-# -- module-level topology caches (pure, rebuilt on demand) ------------------
-
-_G0 = {}
-_CONCAT = {}
-_PROFILES = {}
-_CHAMBER = {}
+# -- topology caches (pure, built on first use) -------------------------------
 
 
+@cache
 def gamma0_cached(n):
-    if n not in _G0:
-        _G0[n] = build_gamma0(n)
-    return _G0[n]
+    return build_gamma0(n)
 
 
+@cache
 def concat_cached(n):
-    if n not in _CONCAT:
-        _CONCAT[n] = concatenate(gamma0_cached(n), gamma0_cached(n))
-    return _CONCAT[n]
+    return concatenate(gamma0_cached(n), gamma0_cached(n))
 
 
 def _slots(n):
@@ -122,45 +119,36 @@ def _wbar_support(g):
 
 
 def _support_profiles(g, support):
-    """Deduplicated incidence vectors of every i-system of every bottom
-    subnetwork, restricted to the support edges, keyed by slot (k, i)."""
-    idx = {e: j for j, e in enumerate(support)}
+    """The distinct incidence vectors of every i-system of every bottom
+    subnetwork, restricted to the support edges and sorted, keyed by slot
+    (k, i).
+
+    m_k over SUPPORTS gives the set of the systems' support bitmasks: edge
+    j of support carries bit j and every other edge no bit.  A
+    vertex-disjoint system uses an edge at most once, so the OR of its
+    bits is its incidence vector.
+    """
+    w = {e: SUPPORTS.one for e in g.edges}
+    w.update((e, frozenset((1 << j,))) for j, e in enumerate(support))
     subs = _subnets_of(g)
-    profiles = {}
-    for k in range(1, g.rank + 1):
-        sub = subs[k]
-        for i in range(1, k + 1):
-            seen = set()
-            labels = range(1, k + 1)
-            for rows in combinations(labels, i):
-                for cols in combinations(labels, i):
-                    for mp in enumerate_kpaths(sub, rows, cols):
-                        counts = [0] * len(support)
-                        for e in mp.edges():
-                            j = idx.get(e)
-                            if j is not None:
-                                counts[j] += 1
-                        seen.add(tuple(counts))
-            profiles[(k, i)] = tuple(sorted(seen))
-    return profiles
+    width = len(support)
+    return {(k, i): tuple(sorted(tuple(mask >> j & 1 for j in range(width))
+                                 for mask in m_k(subs[k], w, i, SUPPORTS)))
+            for k in range(1, g.rank + 1) for i in range(1, k + 1)}
 
 
+@cache
 def _profiles(n, composite=False):
     """P for the rank-n reference network, or for its concatenation with
     itself, whose columns are the left factor's coordinates then the
     right factor's."""
-    key = (n, composite)
-    if key not in _PROFILES:
-        g = gamma0_cached(n)
-        support = _wbar_support(g)
-        if composite:
-            gc = concat_cached(n)
-            _PROFILES[key] = _support_profiles(
-                gc, tuple([gc.left_map[e] for e in support]
-                          + [gc.right_map[e] for e in support]))
-        else:
-            _PROFILES[key] = _support_profiles(g, support)
-    return _PROFILES[key]
+    g = gamma0_cached(n)
+    support = _wbar_support(g)
+    if composite:
+        gc = concat_cached(n)
+        return _support_profiles(gc, tuple([gc.left_map[e] for e in support]
+                                           + [gc.right_map[e] for e in support]))
+    return _support_profiles(g, support)
 
 
 def _integer_coords(coords):
@@ -290,7 +278,12 @@ def random_interior_pattern(n, rng, denom=1 << 16):
     return Tableau(n, tuple(out), TROPICAL_GZ)
 
 
-def find_delta0_chamber(n, verify_points=100):
+# random interior patterns on which find_delta0_chamber checks its inverse
+_VERIFY_POINTS = 100
+
+
+@cache
+def find_delta0_chamber(n):
     """Build and certify the chamber for the rank-n reference network.
 
     Each slot's system is the unique argmax of P at a random weighting deep
@@ -298,9 +291,12 @@ def find_delta0_chamber(n, verify_points=100):
     The selected rows are inverted exactly, and the resulting linear
     inverse must reproduce tropical_gz on random strictly interior
     patterns; any failure raises rather than returning a broken map.
+
+    tropical_gz runs the same layered sweep that P is read from, so this
+    check confirms the selection and its inverse given P, not P itself.
+    P's independent check is the tests' comparison with a depth-first
+    enumeration of the path systems.
     """
-    if n in _CHAMBER:
-        return _CHAMBER[n]
     g = gamma0_cached(n)
     rng = np.random.default_rng(0xA11CE + n)
     slots = tuple(_slots(n))
@@ -332,13 +328,12 @@ def find_delta0_chamber(n, verify_points=100):
 
     chamber = ChamberMap(n, slots, matrix, tuple(tuple(r) for r in inverse))
 
-    for t in range(verify_points):
+    for _ in range(_VERIFY_POINTS):
         xi = random_interior_pattern(n, rng)
         w = chamber.weighting_of(xi)
         got = tropical_gz(g, w.embed(g))
         if got.rows != xi.rows:
             raise RuntimeError("chamber fails to invert on an interior pattern")
-    _CHAMBER[n] = chamber
     return chamber
 
 

@@ -13,6 +13,7 @@ be at least 1.
 Exit codes: 0 success / check passed, 1 check failed, 2 usage error
 (unknown flag, missing required setting, a path that cannot be opened),
 3 precondition violated (malformed input file or number, count below 1,
+a threshold or scale that is not positive and finite, repeated scales,
 degenerate spectrum, non-generic weighting, pattern outside the cone),
 4 internal error (a bug; never reported as a failed check).
 """
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -287,6 +289,8 @@ def cmd_sample(args):
 
 def cmd_measure_compare(args):
     r, s, count, seed = args.r, args.s, args.count, args.seed
+    if not 0 < args.threshold < math.inf:
+        raise ValueError("threshold must be positive and finite")
     n = len(r)
     samples = {}
     for j, name in enumerate(sorted(GENERATORS)):

@@ -221,6 +221,20 @@ class SweepResult:
 _FLOOR = 1e-13
 
 
+def _sweep_error(g, wdict, phases, tau, ms):
+    """The worst gap at scale tau between the cumulative log singular values
+    over tau and the tropical minors ms; inf if a scaled entry overflows."""
+    mat = complex_lift(g, wdict, phases, tau)
+    shift = tau * ms[0]
+    scale = math.exp(-shift)
+    scaled = [[x * scale for x in row] for row in mat]
+    if not all(math.isfinite(abs(x)) for row in scaled for x in row):
+        return math.inf
+    ls = singular_l(scaled)
+    return max(abs((ls[i] + (i + 1) * shift) / tau - ms[i])
+               for i in range(len(ms)))
+
+
 def limit_sweep(w, taus, phases=None):
     """Error between rescaled log singular values and the tropical minors.
 
@@ -228,7 +242,9 @@ def limit_sweep(w, taus, phases=None):
     log singular values are divided by tau, and the worst coordinate gap to
     the exact tropical values is recorded.  The slope of log-error against
     tau (over points above the 1e-13 floor) estimates the decay rate, to be
-    compared with the genericity margin delta.
+    compared with the genericity margin delta.  The taus must be distinct,
+    positive and finite; one at which the lift or the error leaves the
+    float range raises ValueError.
     """
     n = w.n
     g = gamma0_cached(n)
@@ -242,19 +258,19 @@ def limit_sweep(w, taus, phases=None):
     wdict = w.embed(g)
     ms = [float(m_k(g, wdict, k, TROPICAL)) for k in range(1, n + 1)]
     taus = tuple(float(t) for t in taus)
+    if not all(0 < tau < math.inf for tau in taus):
+        raise ValueError("every tau must be positive and finite")
+    if len(set(taus)) != len(taus):
+        raise ValueError("taus must be distinct")
     errors = []
     for tau in taus:
-        mat = complex_lift(g, wdict, phases, tau)
-        shift = tau * ms[0]
-        scale = math.exp(-shift)
-        scaled = [[x * scale for x in row] for row in mat]
-        if not all(math.isfinite(abs(x)) for row in scaled for x in row):
-            raise ValueError("tau is too large for this weighting")
-        ls = singular_l(scaled)
-        err = 0.0
-        for i in range(n):
-            li = ls[i] + (i + 1) * shift
-            err = max(err, abs(li / tau - ms[i]))
+        try:
+            err = _sweep_error(g, wdict, phases, tau, ms)
+        except OverflowError:
+            err = math.inf
+        if not math.isfinite(err):
+            raise ValueError("tau=%r is out of the float range for this "
+                             "weighting" % tau)
         errors.append(err)
     pts = [(t, math.log(e)) for t, e in zip(taus, errors) if e > _FLOOR]
     slope = None

@@ -1,15 +1,17 @@
 """Path systems and their generating functions over a semiring.
 
-Two independent routes compute the same quantities.  enumerate_kpaths
-walks every vertex-disjoint path system explicitly: the chamber reads its
-path-system profiles off it, and the tests' reference minor (minor_enum in
-tests/oracles.py) sums over it.  minor / m_k run a dynamic program that
-sweeps the network one x-layer at a time, multiplying per-slice compound
-matrices.  Edges spanning several layers are subdivided on the fly (the
-weight rides on the first segment), so each slice is a plain bipartite
-step and, by planarity, every disjoint system inside a slice is the unique
-order-preserving matching of its endpoints.  The two routes must agree
-exactly; tests enforce this.
+Every path-system quantity here comes from one layered dynamic program:
+_sweep carries a distribution over sets of occupied positions through the
+network one x-layer at a time, multiplying per-slice compound matrices.
+Edges spanning several layers are subdivided on the fly (the weight rides
+on the first segment), so each slice is a plain bipartite step and, by
+planarity, every disjoint system inside a slice is the unique
+order-preserving matching of its endpoints.  minor, m_k, tropical_gz and
+correspondence_matrix all read its output, over any semiring; the
+chamber's profile table is m_k over SUPPORTS.  The independent route, a
+depth-first search over explicit path systems (enumerate_kpaths and
+minor_enum), lives in tests/oracles.py, and the tests hold the two to
+exact agreement.
 
 In a planar left-to-right network a vertex-disjoint system always connects
 the a-th smallest of its source labels to the a-th smallest of its sink
@@ -18,89 +20,12 @@ labels, so systems are indexed by the two label sets alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 import cmath
 
 from .hive import Tableau, TROPICAL_GZ
 from .network import subnetwork
 from .semiring import BOTTOM, COMPLEX, TROPICAL
-
-
-@dataclass(frozen=True)
-class MultiPath:
-    """A vertex-disjoint family of paths, one per (source, sink) label pair."""
-
-    paths: tuple
-    sources: tuple
-    sinks: tuple
-
-    @property
-    def k(self):
-        return len(self.paths)
-
-    def edges(self):
-        for p in self.paths:
-            yield from p
-
-
-def path_weight(w, path, ring):
-    return ring.prod(w[e] for e in path)
-
-
-def multipath_weight(w, mp, ring):
-    return ring.prod(w[e] for e in mp.edges())
-
-
-def enumerate_kpaths(g, rows, cols):
-    """All vertex-disjoint systems joining source labels rows to sink labels
-    cols (the order-preserving pairing), lexicographically ordered."""
-    rows = tuple(sorted(rows))
-    cols = tuple(sorted(cols))
-    if len(rows) != len(cols):
-        raise ValueError("need equally many sources and sinks")
-    if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):
-        raise ValueError("labels must be distinct")
-    for lab in rows + cols:
-        if not 1 <= lab <= g.rank:
-            raise ValueError("label out of range")
-    k = len(rows)
-    out = []
-    chosen = []
-    used = set()
-
-    def place(a):
-        if a == k:
-            out.append(MultiPath(tuple(chosen), rows, cols))
-            return
-        start = g.source_of_label(rows[a])
-        goal = g.sink_of_label(cols[a])
-        stack = []
-
-        def walk(v):
-            if v in used:
-                return
-            if v == goal:
-                used.add(v)
-                chosen.append(tuple(stack))
-                place(a + 1)
-                chosen.pop()
-                used.discard(v)
-                return
-            used.add(v)
-            for e in g.out_edges(v):
-                stack.append(e)
-                walk(e.head)
-                stack.pop()
-            used.discard(v)
-
-        walk(start)
-
-    place(0)
-    return out
-
-
-# -- layered dynamic program -------------------------------------------------
 
 
 class _Layers:
@@ -194,6 +119,10 @@ def minor(g, w, rows, cols, ring):
     cols = tuple(sorted(cols))
     if len(rows) != len(cols):
         raise ValueError("need equally many sources and sinks")
+    if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):
+        raise ValueError("labels must be distinct")
+    if not all(1 <= lab <= g.rank for lab in rows + cols):
+        raise ValueError("label out of range")
     layers = _layers_of(g)
     start_key = tuple(sorted(layers.source_pos[i - 1] for i in rows))
     goal = tuple(sorted(layers.sink_pos[j - 1] for j in cols))
@@ -216,21 +145,13 @@ def m_k(g, w, k, ring):
 
 
 def correspondence_matrix(g, w, ring):
-    """The n x n matrix of single-path generating functions."""
-    n = g.rank
-    order = sorted(g.nodes, key=lambda v: (g.nodes[v][0], g.nodes[v][1]))
+    """The n x n matrix of single-path generating functions: one sweep from
+    each source, read at every sink."""
+    layers = _layers_of(g)
     mat = []
-    for i in range(1, n + 1):
-        dist = {g.source_of_label(i): ring.one}
-        for v in order:
-            dv = dist.get(v)
-            if dv is None:
-                continue
-            for e in g.out_edges(v):
-                val = ring.mul(dv, w[e])
-                prev = dist.get(e.head)
-                dist[e.head] = val if prev is None else ring.add(prev, val)
-        mat.append([dist.get(g.sink_of_label(j), ring.zero) for j in range(1, n + 1)])
+    for a in layers.source_pos:
+        dist = _sweep(layers, w, ring, {(a,): ring.one})
+        mat.append([dist.get((b,), ring.zero) for b in layers.sink_pos])
     return mat
 
 

@@ -2,7 +2,8 @@
 
 All tropical computation in this package runs over exact rationals plus a
 distinguished bottom element, so tropical identities hold on the nose and can
-be compared with ==.
+be compared with ==.  SUPPORTS, whose values are sets of edge subsets,
+turns the same path-system sums into the list of distinct supports.
 """
 
 from __future__ import annotations
@@ -115,9 +116,25 @@ class ComplexField(Semiring):
         return a * b
 
 
+class SupportSets(Semiring):
+    """Sets of edge subsets, each stored as an int bitmask: union adds,
+    pairwise OR multiplies.  With one bit per edge a path system's product
+    is its edge set, so a sum collects the distinct supports."""
+
+    zero = frozenset()
+    one = frozenset((0,))
+
+    def add(self, a, b):
+        return a | b
+
+    def mul(self, a, b):
+        return frozenset(x | y for x in a for y in b)
+
+
 TROPICAL = TropicalSemiring()
 RATIONAL = RationalField()
 COMPLEX = ComplexField()
+SUPPORTS = SupportSets()
 
 
 def mat_mul(ring, a, b):

@@ -9,8 +9,10 @@ horn_list_verdict decides membership from Horn's recursive list of
 inequalities instead of from hives.  complex_det, sigma_values and gz_B are
 the direct minor and singular-value routes of the linear algebra tests, and
 dagger, hermitian_with_spectrum and sample_H_r build their test matrices.
-enumerate_paths lists single paths by depth-first search, and minor_enum is
-the reference minor: an explicit sum over every vertex-disjoint system.
+enumerate_paths lists single paths and enumerate_kpaths lists
+vertex-disjoint path systems (MultiPath), both by depth-first search;
+minor_enum, the reference minor, is an explicit sum of multipath_weight
+over every system, the independent route to hornlab's layered sweep.
 The samplers are the independent routes to the uniform law on patterns
 below a fixed cumulative top row, which hornlab.gz_pattern samples exactly.
 
@@ -27,6 +29,7 @@ in the cone.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -36,7 +39,6 @@ from hornlab.hive import (GZ, HornTriple, Tableau, _facets,
                           _hive_inequalities, _pin_values, _pinned_slots,
                           gz_check)
 from hornlab.linalg import _block, haar_unitaries, singular_l, spectrum_of
-from hornlab.paths import enumerate_kpaths, multipath_weight
 from hornlab.semiring import as_rational
 
 
@@ -57,6 +59,79 @@ def enumerate_paths(g, i, j):
             stack.pop()
 
     walk(g.source_of_label(i))
+    return out
+
+
+@dataclass(frozen=True)
+class MultiPath:
+    """A vertex-disjoint family of paths, one per (source, sink) label pair."""
+
+    paths: tuple
+    sources: tuple
+    sinks: tuple
+
+    @property
+    def k(self):
+        return len(self.paths)
+
+    def edges(self):
+        for p in self.paths:
+            yield from p
+
+
+def path_weight(w, path, ring):
+    return ring.prod(w[e] for e in path)
+
+
+def multipath_weight(w, mp, ring):
+    return ring.prod(w[e] for e in mp.edges())
+
+
+def enumerate_kpaths(g, rows, cols):
+    """All vertex-disjoint systems joining source labels rows to sink labels
+    cols (the order-preserving pairing), lexicographically ordered."""
+    rows = tuple(sorted(rows))
+    cols = tuple(sorted(cols))
+    if len(rows) != len(cols):
+        raise ValueError("need equally many sources and sinks")
+    if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):
+        raise ValueError("labels must be distinct")
+    for lab in rows + cols:
+        if not 1 <= lab <= g.rank:
+            raise ValueError("label out of range")
+    k = len(rows)
+    out = []
+    chosen = []
+    used = set()
+
+    def place(a):
+        if a == k:
+            out.append(MultiPath(tuple(chosen), rows, cols))
+            return
+        start = g.source_of_label(rows[a])
+        goal = g.sink_of_label(cols[a])
+        stack = []
+
+        def walk(v):
+            if v in used:
+                return
+            if v == goal:
+                used.add(v)
+                chosen.append(tuple(stack))
+                place(a + 1)
+                chosen.pop()
+                used.discard(v)
+                return
+            used.add(v)
+            for e in g.out_edges(v):
+                stack.append(e)
+                walk(e.head)
+                stack.pop()
+            used.discard(v)
+
+        walk(start)
+
+    place(0)
     return out
 
 

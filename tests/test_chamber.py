@@ -1,6 +1,8 @@
 """Linearization of the pattern map on the dominant chamber."""
 
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -33,7 +35,8 @@ from hornlab import (
 import hornlab.chamber as chamber
 from hornlab.chamber import concat_cached, gamma0_cached, kappa_block
 from hornlab.polytope import gz_block, pattern_tableau
-from oracles import PolytopeSampler
+from hornlab.paths import _subnets_of
+from oracles import PolytopeSampler, enumerate_kpaths
 
 F = Fraction
 
@@ -432,6 +435,36 @@ def test_profile_route_matches_the_sweep(case):
     assert tropical_gz(g, wu.embed(g)) == u
     ev = compose_weightings(gc, wv.embed(g), wu.embed(g))
     assert kappa(u, v, ch) == tuple(m_k(gc, ev, k, TROPICAL) for k in ks)
+
+
+def _enumerated_profiles(g, support):
+    """P by depth-first enumeration: each slot's distinct vectors of edge
+    counts over support, sorted, from every system of every label pair."""
+    subs = _subnets_of(g)
+    table = {}
+    for k in range(1, g.rank + 1):
+        for i in range(1, k + 1):
+            labels = list(combinations(range(1, k + 1), i))
+            seen = set()
+            for rows in labels:
+                for cols in labels:
+                    for mp in enumerate_kpaths(subs[k], rows, cols):
+                        counts = Counter(mp.edges())
+                        seen.add(tuple(counts[e] for e in support))
+            table[(k, i)] = tuple(sorted(seen))
+    return table
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_profiles_match_the_enumerated_systems(n):
+    # P comes from the same sweep as tropical_gz, so the chamber's own
+    # check cannot catch a wrong P; the depth-first enumeration can
+    g, gc = gamma0_cached(n), concat_cached(n)
+    support = chamber._wbar_support(g)
+    assert chamber._profiles(n) == _enumerated_profiles(g, support)
+    composite = tuple([gc.left_map[e] for e in support]
+                      + [gc.right_map[e] for e in support])
+    assert chamber._profiles(n, True) == _enumerated_profiles(gc, composite)
 
 
 # -- genericity ---------------------------------------------------------------

@@ -362,6 +362,13 @@ MALFORMED = [
      None, PRECONDITION),
     (["kappa-sample", "--r", "1e308,0", "--s", "1,0", "--count", "2"],
      None, PRECONDITION),
+] + [
+    (["limit-sweep", "--taus=" + taus, "--weights"], SWEEP, PRECONDITION)
+    for taus in ("0", "1e300", "-5,5", "1e-320", "5,5")
+] + [
+    (["measure-compare", "--r", "2,0", "--s", "1,0", "--count", "2",
+      "--threshold=" + threshold], None, PRECONDITION)
+    for threshold in ("nan", "0", "-1")
 ]
 
 

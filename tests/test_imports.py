@@ -1,6 +1,7 @@
 """Every name a hornlab module imports is used in that module, every
-module-level function or class is used somewhere in the package or
-exported, and the package exports exactly what its __init__ imports.
+module-level function, class or assigned name is read somewhere in the
+package or exported, and the package exports exactly what its __init__
+imports.
 
 No linter ships with the project, so these stdlib-ast checks keep unused
 imports, dead definitions and stale exports out.  The package __init__ is
@@ -44,20 +45,33 @@ def test_check_flags_an_unused_import():
     assert _unused_imports(tree) == [(1, "os"), (2, "dumps")]
 
 
+def _defined_names(tree):
+    """The module-level functions and classes of tree, and the names its
+    module-level assignments bind."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            for target in targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Name):
+                        yield sub.id
+
+
 def _dead_definitions(trees, exported):
-    """(module, name) of every module-level function or class whose name no
-    module reads and the package does not export."""
+    """(module, name) of every module-level function, class or assigned
+    name that no module reads and the package does not export."""
     used = set(exported)
     for tree in trees.values():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
-    return sorted((module, node.name) for module, tree in trees.items()
-                  for node in tree.body
-                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                  and node.name not in used)
+    return sorted((module, name) for module, tree in trees.items()
+                  for name in _defined_names(tree) if name not in used)
 
 
 def test_every_definition_is_used_or_exported():
@@ -68,9 +82,12 @@ def test_every_definition_is_used_or_exported():
 
 def test_check_flags_a_dead_definition():
     trees = {"a": ast.parse("def f():\n    return g()\ndef g(): pass\n"
-                            "def h(): pass\nclass K: pass\n"),
-             "b": ast.parse("import a\nclass C: pass\na.K()\n")}
-    assert _dead_definitions(trees, ["C"]) == [("a", "f"), ("a", "h")]
+                            "def h(): pass\nclass K: pass\n"
+                            "_CACHE = {}\nLIMIT = 3\n"),
+             "b": ast.parse("import a\nclass C: pass\na.K()\n"
+                            "print(a.LIMIT)\n")}
+    assert _dead_definitions(trees, ["C"]) \
+        == [("a", "_CACHE"), ("a", "f"), ("a", "h")]
 
 
 def test_package_exports_exactly_what_it_imports():

@@ -17,16 +17,14 @@ from hornlab import (
     compose_weightings,
     concatenate,
     correspondence_matrix,
-    enumerate_kpaths,
     m_k,
     mat_mul,
     minor,
-    multipath_weight,
-    path_weight,
     tropical_gz,
     tropical_singular_values,
 )
-from oracles import enumerate_paths, minor_enum
+from oracles import (enumerate_kpaths, enumerate_paths, minor_enum,
+                     multipath_weight, path_weight)
 
 # reference weighting used throughout: one diagonal of weight 2, sink edges
 # at heights 1 and 2 both weight 1, every other edge weight 0
@@ -105,6 +103,34 @@ def test_correspondence_matrix_frozen_n2():
     g = build_gamma0(2)
     m = correspondence_matrix(g, W2.embed(g), TROPICAL)
     assert m == [[Fraction(1), Fraction(3)], [BOTTOM, Fraction(1)]]
+
+
+@pytest.mark.parametrize("ring", [RATIONAL, TROPICAL])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_correspondence_matrix_sums_the_enumerated_paths(n, ring):
+    # the sweep against depth-first enumeration of single paths, on the
+    # reference network and on its concatenation with itself
+    g = build_gamma0(n)
+    rng = np.random.default_rng(60 + n)
+    for net in (g, concatenate(g, g)):
+        for _ in range(5):
+            w = _random_weighting(net, rng)
+            expect = [[ring.sum(path_weight(w, p, ring)
+                                for p in enumerate_paths(net, i, j))
+                       for j in range(1, n + 1)] for i in range(1, n + 1)]
+            assert correspondence_matrix(net, w, ring) == expect
+
+
+@pytest.mark.parametrize("rows, cols, problem", [
+    ((0,), (1,), "label out of range"),
+    ((1, 1), (1, 2), "labels must be distinct"),
+    ((1,), (4,), "label out of range"),
+])
+def test_minor_rejects_bad_labels(rows, cols, problem):
+    g = build_gamma0(3)
+    w = {e: Fraction(1) for e in g.edges}
+    with pytest.raises(ValueError, match=problem):
+        minor(g, w, rows, cols, RATIONAL)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
