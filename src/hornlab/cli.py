@@ -264,7 +264,7 @@ def cmd_kappa_sample(args):
     lines.append(triple_csv_header(n))
     # every pattern's top row is r (resp. s), so a row is the triple itself
     prefix = ",".join(format_number(x) for x in sample.r + sample.s)
-    for vec in sample.vectors:
+    for vec in sample.array.tolist():
         lines.append(",".join([prefix] + [format_number(x) for x in vec]))
     _emit("\n".join(lines) + "\n", args.out)
     return PASS
@@ -281,8 +281,8 @@ def cmd_sample(args):
                            ("count", args.count), ("seed", args.seed),
                            ("chunk", CHUNK)])
     lines.append(",".join("t%d" % i for i in range(1, n + 1)))
-    for vec in sample.vectors:
-        lines.append(",".join(repr(float(x)) for x in vec))
+    for vec in sample.array.tolist():
+        lines.append(",".join(repr(x) for x in vec))
     _emit("\n".join(lines) + "\n", args.out)
     return PASS
 
@@ -317,7 +317,7 @@ def cmd_measure_compare(args):
                               "projection": label, "statistic": stat})
     identity = []
     for name in names:
-        resid = max(abs(v[-1] - total) for v in samples[name].vectors)
+        resid = float(np.max(np.abs(samples[name].array[:, -1] - total)))
         worst = max(worst, resid)
         identity.append({"generator": name, "projection": "t%d" % n,
                          "residual": resid})

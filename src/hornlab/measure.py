@@ -6,7 +6,13 @@ runner: a run of `count` draws is split into fixed chunks of 8192, each
 with its own child generator spawned from the caller's rng, and a chunk
 is drawn in blocks of 256 (Haar unitaries from linalg.haar_unitaries,
 patterns from polytope.gz_block) read from its generator in block order.
-The output is therefore a function of (seed, count) alone.
+The runner writes the blocks into one array, so the output is a function
+of (seed, count) alone.
+
+A sample carries its draws as one read-only float64 array of shape
+(count, n), which the generators hand in straight from the runner;
+ks_distance and the CLI read that array, and the tuple field vectors is
+the same values for callers that want Python floats.
 
 The spectra of D_r + U D_s U* need only absolute accuracy, so a whole
 Haar block goes through one LAPACK eigvalsh call.  The multiplicative
@@ -17,7 +23,7 @@ small singular values need accuracy relative to themselves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -38,7 +44,15 @@ MAX_N = 5  # desk scale: the exact cone test grows steeply beyond it
 
 @dataclass(frozen=True)
 class EmpiricalSample:
-    """A batch of cumulative spectra drawn from one generator."""
+    """A batch of cumulative spectra drawn from one generator.
+
+    vectors is the tuple of count n-tuples of floats.  array holds the same
+    values once, as one read-only float64 array of shape (count, n), and
+    the numeric readers (ks_distance, the CLI) use it.  The generators hand
+    in the array their block runner wrote; a sample built from vectors
+    alone gets its array from them, once, here.  A non-finite value or an
+    array not of shape (count, n) raises ValueError.  array takes no part
+    in equality, hashing or repr."""
 
     generator: str
     n: int
@@ -46,22 +60,51 @@ class EmpiricalSample:
     s: tuple
     count: int
     vectors: tuple
+    array: np.ndarray = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        arr = _vectors_array(self.vectors) if self.array is None \
+            else np.asarray(self.array, dtype=float)
+        if arr.shape != (self.count, self.n):
+            raise ValueError("sample needs shape (count, n) = (%d, %d), "
+                             "got %s" % (self.count, self.n, arr.shape))
+        if not np.isfinite(arr).all():
+            raise ValueError("sample values must be finite")
+        arr.flags.writeable = False
+        object.__setattr__(self, "array", arr)
+
+
+def _vectors_array(vectors):
+    """A new float64 array of a tuple of equal-length vectors."""
+    return np.array(vectors, dtype=float)
+
+
+def _sample(generator, r, s, arr):
+    """The sample of a generator's (count, n) float64 draws: vectors gets
+    them as tuples of Python floats, array the array itself."""
+    # columns zipped back into rows: n list objects, not one per draw
+    vectors = tuple(zip(*arr.T.tolist()))
+    return EmpiricalSample(generator, len(r), r, s, len(arr), vectors, arr)
 
 
 def _run_blocks(draw, count, rng):
-    """The list of count results of draw(child_rng, size), called on
+    """One array of the count results of draw(child_rng, size), called on
     blocks of at most BLOCK inside CHUNK-sized chunks, each chunk with its
-    own spawned stream.  A count below 1 and a float overflow raise
-    ValueError."""
+    own spawned stream; row i is the i-th draw.  The first block sets the
+    array's row shape and dtype, and every block is written into it in
+    place.  A count below 1 and a float overflow raise ValueError."""
     if count < 1:
         raise ValueError("count must be at least 1, got %d" % count)
     offsets = range(0, count, CHUNK)
-    out = []
+    out = None
     try:
         for crng, off in zip(rng.spawn(len(offsets)), offsets):
             size = min(CHUNK, count - off)
             for start in range(0, size, BLOCK):
-                out.extend(draw(crng, min(BLOCK, size - start)))
+                block = np.asarray(draw(crng, min(BLOCK, size - start)))
+                if out is None:
+                    out = np.empty((count,) + block.shape[1:], block.dtype)
+                out[off + start:off + start + len(block)] = block
     except OverflowError as exc:  # spectra too large for float arithmetic
         raise ValueError("input out of the float range (%s)" % exc) from None
     return out
@@ -76,8 +119,9 @@ def _float_pair(r, s):
 
 
 def _sum_spectra(r, s, us):
-    """Cumulative spectra of D_r + U D_s U*, one per unitary U of the block
-    us, with D_r and D_s the diagonal matrices of the spectra of r and s.
+    """Cumulative spectra of D_r + U D_s U*, one row per unitary U of the
+    block us, with D_r and D_s the diagonal matrices of the spectra of r
+    and s.
 
     One LAPACK eigvalsh call serves the block.  Only absolute accuracy is
     needed: by Weyl's inequality each eigenvalue is off by at most the
@@ -91,8 +135,7 @@ def _sum_spectra(r, s, us):
             raise OverflowError("non-finite matrix entry")
         if not np.isfinite(np.linalg.norm(k, axis=(1, 2))).all():
             raise OverflowError("matrix norm out of the float range")
-    vals = np.linalg.eigvalsh(k)[:, ::-1]
-    return list(map(tuple, np.cumsum(vals, axis=1).tolist()))
+    return np.cumsum(np.linalg.eigvalsh(k)[:, ::-1], axis=1)
 
 
 def sample_hermitian_sum(r, s, count, rng):
@@ -103,8 +146,7 @@ def sample_hermitian_sum(r, s, count, rng):
     def draw(crng, size):
         return _sum_spectra(r, s, haar_unitaries(n, size, crng))
 
-    vecs = _run_blocks(draw, count, rng)
-    return EmpiricalSample("hermitian-sum", n, r, s, count, tuple(vecs))
+    return _sample("hermitian-sum", r, s, _run_blocks(draw, count, rng))
 
 
 def sample_multiplicative(r, s, count, rng):
@@ -122,8 +164,7 @@ def sample_multiplicative(r, s, count, rng):
                 for u, v, (pu, pv) in zip(us.tolist(), vs.tolist(),
                                           phases.tolist())]
 
-    vecs = _run_blocks(draw, count, rng)
-    return EmpiricalSample("multiplicative", n, r, s, count, tuple(vecs))
+    return _sample("multiplicative", r, s, _run_blocks(draw, count, rng))
 
 
 def sample_tropical_kappa(r, s, count, rng):
@@ -140,10 +181,9 @@ def sample_tropical_kappa(r, s, count, rng):
 
     def draw(crng, size):
         us, vs = gz_block(r, size, crng), gz_block(s, size, crng)
-        return map(tuple, kappa_block(us, vs, chamber)[0].tolist())
+        return kappa_block(us, vs, chamber)[0]
 
-    vecs = _run_blocks(draw, count, rng)
-    return EmpiricalSample("tropical-kappa", n, r, s, count, tuple(vecs))
+    return _sample("tropical-kappa", r, s, _run_blocks(draw, count, rng))
 
 
 GENERATORS = {
@@ -165,19 +205,33 @@ class KSResult:
 
 
 def _project(sample, projection):
-    arr = np.asarray(sample.vectors, dtype=float)
+    """The values of sample.array along projection: None for n = 1, a
+    coordinate index in 0..n-1, or a finite direction of length n."""
+    arr, n = sample.array, sample.n
     if projection is None:
-        if arr.shape[1] != 1:
+        if n != 1:
             raise ValueError("projection required for multivariate samples")
         return arr[:, 0]
-    if isinstance(projection, int):
+    if isinstance(projection, int):  # a bool is refused, not read as 0 or 1
+        if isinstance(projection, bool) or not 0 <= projection < n:
+            raise ValueError("coordinate %r is outside 0..%d"
+                             % (projection, n - 1))
         return arr[:, projection]
     v = np.asarray(projection, dtype=float)
+    if v.shape != (n,) or not np.isfinite(v).all():
+        raise ValueError("a projection direction must be %d finite numbers"
+                         % n)
     return arr @ v
 
 
 def ks_distance(x, y, projection=None):
-    """Two-sample KS statistic, or one-sample against a CDF callable."""
+    """Two-sample KS statistic, or one-sample against a CDF callable.
+
+    Both samples are read through their float64 arrays and must have the
+    same n; a projection outside the samples' coordinates or of the wrong
+    length raises ValueError."""
+    if not callable(y) and y.n != x.n:
+        raise ValueError("samples of different n (%d and %d)" % (x.n, y.n))
     xa = np.sort(_project(x, projection))
     nx = len(xa)
     if callable(y):
@@ -330,7 +384,7 @@ def horn_forward_test(mode, n, count, slack, rng):
         r = _random_cumsum_spectrum(n, crng)
         s = _random_cumsum_spectrum(n, crng)
         if mode == "hermitian":
-            c = _sum_spectra(r, s, haar_unitaries(n, 1, crng))[0]
+            c = _sum_spectra(r, s, haar_unitaries(n, 1, crng))[0].tolist()
         else:
             c = singular_l(mat_mul_c(sample_B_r(r, crng), sample_B_r(s, crng)))
         return HornTriple(r, s, c)
@@ -339,7 +393,7 @@ def horn_forward_test(mode, n, count, slack, rng):
         return [kt_member(triple(crng), eps) for _ in range(size)]
 
     passed = _run_blocks(draw, count, rng)
-    failures = tuple(i for i, ok in enumerate(passed) if not ok)
+    failures = tuple(np.flatnonzero(~passed).tolist())
     return ForwardReport(mode, n, count, eps, failures,
                          1.0 - len(failures) / count)
 
@@ -357,7 +411,8 @@ def exceptional_mass_estimate(r, s, count, slack, rng):
     eps = as_rational(slack)
 
     def draw(crng, size):
+        spectra = _sum_spectra(r, s, haar_unitaries(n, size, crng))
         return [not kt_member(HornTriple(r, s, c), eps)
-                for c in _sum_spectra(r, s, haar_unitaries(n, size, crng))]
+                for c in spectra.tolist()]
 
-    return sum(_run_blocks(draw, count, rng)) / count
+    return int(np.count_nonzero(_run_blocks(draw, count, rng))) / count

@@ -7,10 +7,13 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hornlab import (GENERATORS, format_number, sample_tropical_kappa,
+                     triple_csv_header)
 from hornlab.cli import PASS, FAIL, USAGE, PRECONDITION, ExperimentConfig, main
 
 W2 = {"n": 2, "diagonals": ["2"], "sink_horizontals": ["1", "1"]}
@@ -176,6 +179,48 @@ def test_sample_csv_shape(tmp_path):
         assert repr(float(t1)) == t1 and repr(float(t2)) == t2
         # trace slot: r2 + s2 = 0
         assert abs(float(t2)) <= 1e-9
+
+
+_SPECTRA = ["--r", "3,4,3", "--s", "2,2.5,1.5"]
+
+
+@pytest.mark.parametrize("gen", sorted(GENERATORS))
+def test_sample_rows_are_the_vectors(gen, tmp_path):
+    # the CSV rows come from the sample's array; they are the bytes the
+    # tuple field renders to
+    rc, text = _run_to_file(tmp_path, "s.csv", ["sample", "--generator", gen]
+                            + _SPECTRA + ["--count", "300", "--seed", "21"])
+    assert rc == PASS
+    vectors = GENERATORS[gen]((3, 4, 3), (2, 2.5, 1.5), 300,
+                              np.random.default_rng(21)).vectors
+    lines = text.splitlines()
+    assert lines[lines.index("t1,t2,t3") + 1:] == \
+        [",".join(repr(float(x)) for x in vec) for vec in vectors]
+
+
+def test_kappa_sample_rows_are_the_vectors(tmp_path):
+    rc, text = _run_to_file(tmp_path, "k.csv", ["kappa-sample"] + _SPECTRA
+                            + ["--count", "300", "--seed", "22"])
+    assert rc == PASS
+    vectors = sample_tropical_kappa((3, 4, 3), (2, 2.5, 1.5), 300,
+                                    np.random.default_rng(22)).vectors
+    prefix = "3.0,4.0,3.0,2.0,2.5,1.5"
+    lines = text.splitlines()
+    assert lines[lines.index(triple_csv_header(3)) + 1:] == \
+        [",".join([prefix] + [format_number(x) for x in vec])
+         for vec in vectors]
+
+
+def test_measure_compare_residuals_are_the_vectors(tmp_path):
+    rc, text = _run_to_file(tmp_path, "mc.json", ["measure-compare"]
+                            + _SPECTRA + ["--count", "500", "--seed", "23"])
+    assert rc in (PASS, FAIL)
+    got = {row["generator"]: row["residual"]
+           for row in json.loads(text)["total_identity"]}
+    for j, name in enumerate(sorted(GENERATORS)):
+        vectors = GENERATORS[name]((3, 4, 3), (2, 2.5, 1.5), 500,
+                                   np.random.default_rng([23, j])).vectors
+        assert got[name] == max(abs(v[-1] - (3.0 + 1.5)) for v in vectors)
 
 
 def test_sample_rejects_unknown_generator(capsys):

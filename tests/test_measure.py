@@ -90,6 +90,134 @@ def test_projection_set_layout():
     assert projection_set(3, seed=5) == ps
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_ks_refuses_non_finite_sample_values(bad):
+    # a NaN used to sort last and give a statistic of 1/3 here
+    with pytest.raises(ValueError, match="finite"):
+        ks_distance(_vec([0.0, bad, 2.0]), _vec([0.0, 1.0, 2.0]))
+
+
+def test_ks_refuses_samples_of_different_n():
+    # ks_distance used to compare these on coordinate 0
+    x = EmpiricalSample("inline", 2, (), (), 2, ((0.0, 1.0), (1.0, 2.0)))
+    y = EmpiricalSample("inline", 3, (), (), 2, ((0.0, 1.0, 2.0),) * 2)
+    with pytest.raises(ValueError, match="different n"):
+        ks_distance(x, y, projection=0)
+
+
+@pytest.mark.parametrize("projection", [-1, 2, True, False])
+def test_ks_refuses_a_coordinate_outside_the_sample(projection):
+    # -1 used to read the last slot, and a bool the slot of its int value
+    s = EmpiricalSample("inline", 2, (), (), 2, ((0.0, 1.0), (1.0, 2.0)))
+    with pytest.raises(ValueError, match="coordinate"):
+        ks_distance(s, s, projection=projection)
+    with pytest.raises(ValueError, match="coordinate"):
+        ks_distance(s, lambda t: np.clip(t, 0.0, 1.0), projection=projection)
+
+
+@pytest.mark.parametrize("direction", [(1.0,), (0.6, 0.8, 0.0),
+                                       ((0.6,), (0.8,)), (math.nan, 1.0)])
+def test_ks_refuses_a_direction_not_of_length_n(direction):
+    s = EmpiricalSample("inline", 2, (), (), 2, ((0.0, 1.0), (1.0, 2.0)))
+    with pytest.raises(ValueError, match="direction must be 2 finite"):
+        ks_distance(s, s, projection=direction)
+
+
+def test_sample_refuses_an_array_not_of_shape_count_by_n():
+    with pytest.raises(ValueError, match="needs shape"):
+        EmpiricalSample("inline", 2, (), (), 3, ((0.0, 1.0), (1.0, 2.0)))
+    with pytest.raises(ValueError, match="needs shape"):
+        EmpiricalSample("inline", 2, (), (), 2, ((0.0, 1.0), (1.0, 2.0)),
+                        np.zeros((2, 3)))
+
+
+R3, S3 = (3.0, 4.0, 3.0), (2.0, 2.5, 1.5)
+
+
+def _tuple_project(sample, projection):
+    """ks_distance's projection as it was before samples carried arrays:
+    the tuple field converted on every call."""
+    arr = np.asarray(sample.vectors, dtype=float)
+    if isinstance(projection, int):
+        return arr[:, projection]
+    return arr @ np.asarray(projection, dtype=float)
+
+
+def _tuple_ks(x, y, projection):
+    xa = np.sort(_tuple_project(x, projection))
+    nx = len(xa)
+    if callable(y):
+        f = np.asarray(y(xa), dtype=float)
+        grid = np.arange(1, nx + 1) / nx
+        return float(max(np.max(grid - f), np.max(f - (grid - 1.0 / nx))))
+    ya = np.sort(_tuple_project(y, projection))
+    pooled = np.concatenate([xa, ya])
+    fx = np.searchsorted(xa, pooled, side="right") / nx
+    fy = np.searchsorted(ya, pooled, side="right") / len(ya)
+    return float(np.max(np.abs(fx - fy)))
+
+
+def _mc_agree_round(count, seed):
+    """The three generators at the benchmark's n = 3 spectra, one rng each."""
+    return [gen(R3, S3, count, np.random.default_rng([seed, j]))
+            for j, gen in enumerate(GENS)]
+
+
+def _rebuilt(s):
+    return EmpiricalSample(s.generator, s.n, s.r, s.s, s.count, s.vectors)
+
+
+def test_sample_array_is_its_vectors_bit_for_bit():
+    built = _mc_agree_round(700, 14)
+    by_hand = [_rebuilt(s) for s in built]
+    for s in built + by_hand:
+        assert s.array.dtype == np.float64 and s.array.shape == (s.count, s.n)
+        assert not s.array.flags.writeable
+        want = np.asarray(s.vectors, dtype=float)
+        assert s.array.tobytes() == want.tobytes()
+        assert all(type(x) is float for v in s.vectors for x in v)
+    # the array takes no part in equality, and vectors stay tuples
+    assert by_hand == built and [s.vectors for s in by_hand] == \
+        [s.vectors for s in built]
+    with pytest.raises(ValueError):
+        built[0].array[0, 0] = 0.0
+    def cdf(t):
+        return np.clip((np.asarray(t) - 2.0) / 6.0, 0.0, 1.0)
+
+    for samples in (built, by_hand):
+        for proj in projection_set(3, 14):
+            for i in range(3):
+                for j in range(i + 1, 3):
+                    x, y = samples[i], samples[j]
+                    assert ks_distance(x, y, proj).statistic == \
+                        _tuple_ks(x, y, proj)
+                assert ks_distance(samples[i], cdf, proj).statistic == \
+                    _tuple_ks(samples[i], cdf, proj)
+
+
+def test_ks_converts_each_sample_at_most_once(monkeypatch):
+    # one benchmark round: three samples, then 15 two-sample KS calls over
+    # t1, t2 and projection_set's three directions
+    builds = []
+    build = measure._vectors_array
+    monkeypatch.setattr(measure, "_vectors_array",
+                        lambda vectors: builds.append(1) or build(vectors))
+    projections = [0, 1] + projection_set(3, 15)[3:]
+
+    def ks_round(samples):
+        for i in range(3):
+            for j in range(i + 1, 3):
+                for proj in projections:
+                    ks_distance(samples[i], samples[j], proj)
+
+    built = _mc_agree_round(300, 15)
+    ks_round(built)
+    assert len(builds) == 0  # generators hand their array in
+    by_hand = [_rebuilt(s) for s in built]
+    ks_round(by_hand)
+    assert len(builds) == 3  # one build each, when the sample was made
+
+
 # -- generators ---------------------------------------------------------------
 
 GENS = (sample_hermitian_sum, sample_multiplicative, sample_tropical_kappa)
