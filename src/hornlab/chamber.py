@@ -19,6 +19,10 @@ reproduce tropical_gz on random interior patterns.  That check shares the
 sweep with P, so it covers the selection and the inverse but not P; the
 tests check P against a depth-first enumeration of the path systems.
 
+Every exact routine here works on integers: coordinates, patterns and
+the chamber's inverse are put over their least common denominator by
+semiring.over_common_denominator, and only results are divided back.
+
 kappa_block evaluates kappa on blocks of float patterns with numpy: one
 product with the chamber's inverse, one with P, a certificate per sample
 that the exact route would accept the pattern, and the exact kappa for
@@ -41,7 +45,7 @@ from .hive import (GZ, TROPICAL_GZ, HornTriple, Tableau, _exact_in,
 from .network import build_gamma0, concatenate
 from .paths import _subnets_of, m_k, tropical_gz
 from .polytope import pattern_tableau
-from .semiring import BOTTOM, SUPPORTS, as_rational
+from .semiring import SUPPORTS, as_rational, over_common_denominator
 
 _ZERO = Fraction(0)
 
@@ -151,12 +155,6 @@ def _profiles(n, composite=False):
     return _support_profiles(g, support)
 
 
-def _integer_coords(coords):
-    """The coordinates over one common denominator: (numerators, denominator)."""
-    den = math.lcm(*(x.denominator for x in coords))
-    return [x.numerator * (den // x.denominator) for x in coords], den
-
-
 def _values(rows, ints):
     # rows are 0/1 (a vertex-disjoint system uses an edge at most once), so
     # a dot product is the sum of the selected coordinates
@@ -167,7 +165,7 @@ def _minors(profiles, slots, coords):
     """max(P_slot . w) for each slot, exactly: denominators are cleared
     once, the dot products are integer sums, and only the maxima are
     divided back."""
-    return _scaled_minors(profiles, slots, *_integer_coords(coords))
+    return _scaled_minors(profiles, slots, *over_common_denominator(coords))
 
 
 def _scaled_minors(profiles, slots, ints, den):
@@ -177,7 +175,7 @@ def _scaled_minors(profiles, slots, ints, den):
 
 def _dominant_rows(profiles, slots, coords):
     """Each slot's row of P with the largest value; None on any tie."""
-    ints, _ = _integer_coords(coords)
+    ints, _ = over_common_denominator(coords)
     out = []
     for s in slots:
         vals = _values(profiles[s], ints)
@@ -226,10 +224,11 @@ class ChamberMap:
     _inverse_den: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        den = math.lcm(*(x.denominator for row in self.inverse for x in row))
+        m = len(self.inverse)
+        ints, den = over_common_denominator(
+            [x for row in self.inverse for x in row])
         object.__setattr__(self, "_inverse_ints", tuple(
-            tuple(x.numerator * (den // x.denominator) for x in row)
-            for row in self.inverse))
+            tuple(ints[j:j + m]) for j in range(0, len(ints), m)))
         object.__setattr__(self, "_inverse_den", den)
 
     def _solve(self, vec, den):
@@ -237,12 +236,6 @@ class ChamberMap:
         slot values are vec / den."""
         coords = [sum(map(operator.mul, row, vec)) for row in self._inverse_ints]
         return coords, den * self._inverse_den
-
-    def weighting_of(self, xi):
-        """Solve for the reduced weighting whose pattern is xi (no checks)."""
-        vec, den = _integer_coords([as_rational(xi.value(k, i))
-                                    for (k, i) in self.slots])
-        return _weighting(self.n, *self._solve(vec, den))
 
     @cached_property
     def _float_route(self):
@@ -288,8 +281,8 @@ def find_delta0_chamber(n):
 
     Each slot's system is the unique argmax of P at a random weighting deep
     in the dominant chamber (a tie moves on to the next such weighting).
-    The selected rows are inverted exactly, and the resulting linear
-    inverse must reproduce tropical_gz on random strictly interior
+    The selected rows are inverted exactly, and lt_inverse through the
+    new map must reproduce tropical_gz on random strictly interior
     patterns; any failure raises rather than returning a broken map.
 
     tropical_gz runs the same layered sweep that P is read from, so this
@@ -330,41 +323,27 @@ def find_delta0_chamber(n):
 
     for _ in range(_VERIFY_POINTS):
         xi = random_interior_pattern(n, rng)
-        w = chamber.weighting_of(xi)
+        w = lt_inverse(xi, chamber)
         got = tropical_gz(g, w.embed(g))
         if got.rows != xi.rows:
             raise RuntimeError("chamber fails to invert on an interior pattern")
     return chamber
 
 
-def _ratio(v):
-    """A finite pattern entry as (numerator, denominator); a float converts
-    through its binary expansion, as in as_rational."""
-    if type(v) is not float:
-        v = as_rational(v)
-        if v is BOTTOM:
-            raise ValueError("pattern entries must be finite")
-    return v.as_integer_ratio()
-
-
-def _pattern_ints(xi):
-    """xi's entries as integer rows over one common denominator."""
-    ratios = [[_ratio(v) for v in row] for row in xi.rows]
-    den = math.lcm(*(q for row in ratios for _, q in row))
-    return tuple(tuple(p * (den // q) for p, q in row) for row in ratios), den
-
-
 def _invert(xi, chamber):
     """lt_inverse's weighting as (integer coordinates, denominator).
 
-    All arithmetic is on integers: xi is scaled to one common denominator,
-    which keeps the signs of its slacks, and the inverse has one too."""
+    All arithmetic is on integers: xi's entries are put over their least
+    common denominator, which keeps the signs of its slacks, and the
+    inverse is kept over one too."""
     if chamber is None:
         chamber = find_delta0_chamber(xi.n)
     if xi.n != chamber.n:
         raise ValueError("pattern size does not match the chamber")
-    rows, den = _pattern_ints(xi)
-    exact = Tableau(xi.n, rows, GZ if xi.role != TROPICAL_GZ else TROPICAL_GZ)
+    ints, den = over_common_denominator([v for row in xi.rows for v in row])
+    it = iter(ints)
+    exact = Tableau(xi.n, [[next(it) for _ in row] for row in xi.rows],
+                    GZ if xi.role != TROPICAL_GZ else TROPICAL_GZ)
     if not gz_check(exact, 0):
         raise ValueError("pattern is not in the interlacing cone")
     vec = [exact.value(k, i) for (k, i) in chamber.slots]
@@ -534,7 +513,7 @@ class GenericityReport:
 
 
 def _min_separation(profiles, coords):
-    ints, den = _integer_coords(coords)
+    ints, den = over_common_denominator(coords)
     sep = None
     for rows in profiles.values():
         vals = sorted(set(_values(rows, ints)))

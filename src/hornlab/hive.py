@@ -19,10 +19,12 @@ multipliers that prove it.  An exact rational LP decides larger n and builds
 hive witnesses.  Either way the answer at slack zero is a theorem, not a
 heuristic.
 
-Floats appear in membership only as a certified sign filter: a facet row
-whose float value clears a forward error bound is positive in exact
-arithmetic too, and every other row is evaluated in integers.  So every
-verdict is the exact one.
+Both routes take the boundary from _integer_pins, which checks the closing
+identity a_n + b_n = c_n and puts the pinned values over one common
+denominator.  Floats appear in membership only as a certified sign filter:
+a facet row whose float value clears a forward error bound is positive in
+exact arithmetic too, and every other row is evaluated in integers.  So
+every verdict is the exact one.
 """
 
 from __future__ import annotations
@@ -31,12 +33,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
-from math import gcd, lcm
+from math import gcd
 from operator import add, mul
 
 import numpy as np
 
-from .semiring import BOTTOM, as_rational
+from .semiring import BOTTOM, as_rational, over_common_denominator
 from .simplex import feasible_point
 
 HIVE = "hive"
@@ -170,7 +172,7 @@ def boundary(t):
 
 
 def _pinned_slots(n):
-    """The boundary slots, in the order of _pin_values: the corner (n, 0),
+    """The boundary slots, in the order of _integer_pins: the corner (n, 0),
     the rest of the long row, the right edge without its top, the left edge
     bottom up."""
     return (((n, 0),) + tuple((n, i) for i in range(1, n + 1))
@@ -178,12 +180,20 @@ def _pinned_slots(n):
             + tuple((n - i, 0) for i in range(1, n + 1)))
 
 
-def _pin_values(triple):
-    """Values of the pinned slots.  The corner is 0: a is measured along the
-    long row and c up the left edge, both from that corner."""
-    a_n = triple.a[-1]
-    return ((Fraction(0),) + triple.a
-            + tuple(x + a_n for x in triple.b[:-1]) + triple.c)
+def _integer_pins(triple, eps):
+    """The values of _pinned_slots(n) as integers over one common
+    denominator, (pins, den); None when the closing identity
+    a_n + b_n = c_n fails by more than |eps|.
+
+    The corner is 0: a is measured along the long row and c up the left
+    edge, both from that corner; the right edge is b shifted by a_n."""
+    n = triple.n
+    ints, den = over_common_denominator(triple.a + triple.b + triple.c)
+    a, b, c = ints[:n], ints[n:2 * n], ints[2 * n:]
+    # |a_n + b_n - c_n| <= |eps|, with both sides scaled by den * eps.denominator
+    if abs(a[-1] + b[-1] - c[-1]) * eps.denominator > abs(eps.numerator) * den:
+        return None
+    return [0, *a, *map(add, b[:-1], repeat(a[-1])), *c], den
 
 
 def _hive_inequalities(n):
@@ -268,11 +278,6 @@ def _facets(n):
     return tuple(table.values())
 
 
-def _closes(triple, eps):
-    """The closing identity a_n + b_n = c_n, to tolerance |eps|."""
-    return abs(triple.a[-1] + triple.b[-1] - triple.c[-1]) <= abs(eps)
-
-
 # The float filter evaluates d_j - bound_j for every facet row F_j (length
 # k) at once, as [F | -_FILTER_C k 2^-53 |F|] @ [p ; |p|] with each integer
 # pin rounded once to p.  So bound_j = _FILTER_C k 2^-53 (|F_j| . |p|), and
@@ -340,10 +345,12 @@ def kt_witness(triple, slack=0):
     """
     eps = as_rational(slack)
     n = triple.n
-    if not _closes(triple, eps):
+    pinned = _integer_pins(triple, eps)
+    if pinned is None:
         return None
 
-    pins = dict(zip(_pinned_slots(n), _pin_values(triple)))
+    ints, den = pinned
+    pins = {slot: Fraction(p, den) for slot, p in zip(_pinned_slots(n), ints)}
     free = sorted(
         (k, i) for k in range(n + 1) for i in range(k + 1) if (k, i) not in pins
     )
@@ -382,26 +389,19 @@ def kt_witness(triple, slack=0):
 def kt_member(triple, slack=0):
     """Whether a triple admits a hive with that boundary, up to slack.
 
-    For n <= 5, a, b and c are put over one common denominator as integers;
-    the closing identity a_n + b_n = c_n (to tolerance |slack|) and then the
-    exact facet table (_facets) decide on those integers at any slack.  At
-    slack >= 0 a float filter settles the rows that hold by a clear margin.
-    Only n > 5 goes to the exact LP of kt_witness, so every answer is exact.
+    For n <= 5 the closing identity a_n + b_n = c_n (to tolerance |slack|)
+    and then the exact facet table (_facets) decide on the boundary values
+    as integers over one common denominator (_integer_pins), at any slack.
+    At slack >= 0 a float filter settles the rows that hold by a clear
+    margin.  Only n > 5 goes to the exact LP of kt_witness, so every answer
+    is exact.
     """
     eps = as_rational(slack)
     n = triple.n
     if n > _FACET_MAX_N:
         return kt_witness(triple, eps) is not None
-    ratios = [v.as_integer_ratio() for v in triple.a + triple.b + triple.c]
-    den = lcm(*{d for _, d in ratios})
-    ints = [x * (den // d) for x, d in ratios]
-    a, b, c = ints[:n], ints[n:2 * n], ints[2 * n:]
-    # |a_n + b_n - c_n| <= |eps|, with both sides scaled by den * eps.denominator
-    if abs(a[-1] + b[-1] - c[-1]) * eps.denominator > abs(eps.numerator) * den:
-        return False
-    # the values of _pinned_slots(n), as _pin_values gives them
-    pins = [0, *a, *map(add, b[:-1], repeat(a[-1])), *c]
-    return _facet_verdict(n, pins, den, eps)
+    pinned = _integer_pins(triple, eps)
+    return pinned is not None and _facet_verdict(n, *pinned, eps)
 
 
 # -- serialization ----------------------------------------------------------

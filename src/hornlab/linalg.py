@@ -29,21 +29,6 @@ _EIGH_TOL = 1e-13
 _MAX_SWEEPS = 100
 
 
-def mat_mul_c(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    out = []
-    for i in range(n):
-        row = []
-        ai = a[i]
-        for j in range(m):
-            acc = 0j
-            for t in range(k):
-                acc += ai[t] * b[t][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
 def frobenius(a):
     return math.sqrt(sum(abs(x) ** 2 for row in a for x in row))
 

@@ -31,11 +31,11 @@ import numpy as np
 from .chamber import (WbarWeighting, find_delta0_chamber, gamma0_cached,
                       genericity_check, horn_triple_tropical, kappa_block)
 from .hive import HornTriple, kt_member
-from .linalg import (b_factor, haar_unitaries, mat_mul_c, sample_B_r,
-                     singular_l, spectrum_of)
+from .linalg import (b_factor, haar_unitaries, sample_B_r, singular_l,
+                     spectrum_of)
 from .paths import complex_lift, m_k
 from .polytope import gz_block
-from .semiring import TROPICAL, as_rational
+from .semiring import COMPLEX, TROPICAL, as_rational, mat_mul
 
 CHUNK = 8192
 BLOCK = 256
@@ -160,7 +160,7 @@ def sample_multiplicative(r, s, count, rng):
     def draw(crng, size):
         us, vs = gz_block(r, size, crng), gz_block(s, size, crng)
         phases = crng.uniform(0.0, 2.0 * math.pi, (size, 2, n * (n - 1) // 2))
-        return [singular_l(mat_mul_c(b_factor(u, pu), b_factor(v, pv)))
+        return [singular_l(mat_mul(COMPLEX, b_factor(u, pu), b_factor(v, pv)))
                 for u, v, (pu, pv) in zip(us.tolist(), vs.tolist(),
                                           phases.tolist())]
 
@@ -229,13 +229,17 @@ def ks_distance(x, y, projection=None):
 
     Both samples are read through their float64 arrays and must have the
     same n; a projection outside the samples' coordinates or of the wrong
-    length raises ValueError."""
+    length raises ValueError, and so does a CDF that does not give one
+    value in [0, 1] per sorted point."""
     if not callable(y) and y.n != x.n:
         raise ValueError("samples of different n (%d and %d)" % (x.n, y.n))
     xa = np.sort(_project(x, projection))
     nx = len(xa)
     if callable(y):
         f = np.asarray(y(xa), dtype=float)
+        # NaN fails both comparisons
+        if f.shape != (nx,) or not ((f >= 0.0) & (f <= 1.0)).all():
+            raise ValueError("the CDF must give %d values in [0, 1]" % nx)
         grid = np.arange(1, nx + 1) / nx
         stat = float(max(np.max(grid - f), np.max(f - (grid - 1.0 / nx))))
         return KSResult(stat, nx, None, projection)
@@ -386,7 +390,8 @@ def horn_forward_test(mode, n, count, slack, rng):
         if mode == "hermitian":
             c = _sum_spectra(r, s, haar_unitaries(n, 1, crng))[0].tolist()
         else:
-            c = singular_l(mat_mul_c(sample_B_r(r, crng), sample_B_r(s, crng)))
+            c = singular_l(mat_mul(COMPLEX, sample_B_r(r, crng),
+                                   sample_B_r(s, crng)))
         return HornTriple(r, s, c)
 
     def draw(crng, size):

@@ -4,11 +4,14 @@ All tropical computation in this package runs over exact rationals plus a
 distinguished bottom element, so tropical identities hold on the nose and can
 be compared with ==.  SUPPORTS, whose values are sets of edge subsets,
 turns the same path-system sums into the list of distinct supports.
+over_common_denominator is where exact vectors become integers, for the
+cone test and the chamber alike.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
 class Bottom:
@@ -48,6 +51,23 @@ def as_rational(x):
         # every finite IEEE double is a dyadic rational; this is lossless
         return Fraction(x)
     raise TypeError("cannot rationalize %r" % type(x).__name__)
+
+
+def over_common_denominator(values):
+    """A sequence of exact numbers (Fractions, ints or floats) as integers
+    over their least common denominator: (ints, den) with
+    ints[i] / den == values[i].  Each value is read through
+    as_integer_ratio, so a float converts via its binary expansion, as in
+    as_rational; BOTTOM and NaN raise ValueError, an infinite float
+    OverflowError."""
+    try:
+        ratios = [v.as_integer_ratio() for v in values]
+    except AttributeError:
+        if any(v is BOTTOM for v in values):
+            raise ValueError("entries must be finite") from None
+        raise
+    den = lcm(*{q for _, q in ratios})
+    return [p * (den // q) for p, q in ratios], den
 
 
 class Semiring:

@@ -2,7 +2,9 @@
 
 scale_triple multiplies a Horn triple by a factor.  facet_verdict is the
 pure-integer route through the Horn-cone facet table, with no float filter
-in front of it; integer_pins gives the values it reads the table at.
+in front of it; pin_values gives, in Fractions, the values of
+hive._pinned_slots that it reads the table at, and integer_pins puts them
+over one denominator.
 minimal_support_rows finds the table again by brute force over the supports
 of the multiplier vectors, with null_space and rank in Fractions, and
 horn_list_verdict decides membership from Horn's recursive list of
@@ -36,8 +38,7 @@ from itertools import combinations, product
 from operator import mul
 
 from hornlab.hive import (GZ, HornTriple, Tableau, _facets,
-                          _hive_inequalities, _pin_values, _pinned_slots,
-                          gz_check)
+                          _hive_inequalities, _pinned_slots, gz_check)
 from hornlab.linalg import _block, haar_unitaries, singular_l, spectrum_of
 from hornlab.semiring import as_rational
 
@@ -147,9 +148,17 @@ def scale_triple(t, factor):
     return HornTriple(*(tuple(f * x for x in v) for v in (t.a, t.b, t.c)))
 
 
+def pin_values(t):
+    """The values of hive._pinned_slots(t.n), in Fractions.  The corner is
+    0: a is measured along the long row and c up the left edge, both from
+    that corner; the right edge is b shifted by a_n, without its top."""
+    a_n = t.a[-1]
+    return (Fraction(0),) + t.a + tuple(x + a_n for x in t.b[:-1]) + t.c
+
+
 def integer_pins(t):
     """The pinned values of t over their common denominator: (den, pins)."""
-    values = _pin_values(t)
+    values = pin_values(t)
     den = math.lcm(*(v.denominator for v in values))
     return den, [v.numerator * (den // v.denominator) for v in values]
 

@@ -138,7 +138,7 @@ def test_chamber_round_trips_random_interior_patterns(n):
     rng = np.random.default_rng(17 + n)
     for _ in range(25):
         xi = random_interior_pattern(n, rng)
-        w = ch.weighting_of(xi)
+        w = lt_inverse(xi, ch)
         assert tropical_gz(g, w.embed(g)) == xi
 
 

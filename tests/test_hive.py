@@ -33,10 +33,11 @@ from hornlab import (
 )
 from hornlab import hive
 from hornlab.hive import (_facets, _family_slacks, _fourier_motzkin,
-                          _hive_inequalities, _pin_values, _pinned_slots)
+                          _hive_inequalities, _pinned_slots)
 from hornlab.linalg import haar_unitaries
 from oracles import (facet_verdict, free_slots, horn_list_verdict,
-                     integer_pins, minimal_support_rows, rank, scale_triple)
+                     integer_pins, minimal_support_rows, pin_values, rank,
+                     scale_triple)
 
 F = Fraction
 
@@ -181,6 +182,36 @@ def test_kt_witness_frozen_small_case():
     # ((0),(2,1),(0,1,0)): every rhombus slack is 0 or 1
     w = kt_witness(HornTriple((1, 0), (1, 0), (2, 0)))
     assert w.rows == ((F(0),), (F(2), F(1)), (F(0), F(1), F(0)))
+
+
+def _interior_hive_triple(n):
+    """The boundary of f(k, i) = -k^2 - i^2 - (k - i)^2, a hive whose every
+    rhombus has slack 2 (see hive_triples)."""
+    def f(k, i):
+        return -k * k - i * i - (k - i) ** 2
+
+    t = Tableau(n, tuple(tuple(F(f(k, i) - f(n, 0)) for i in range(k + 1))
+                         for k in range(n + 1)), HIVE)
+    assert min(_family_slacks(t, "ABC")) == 2
+    return boundary(t)
+
+
+@pytest.mark.parametrize("n", [2, 6], ids=["facet-table", "lp"])
+@pytest.mark.parametrize("slack", [F(0), F(1, 100), F(-1, 100)])
+def test_closing_identity_holds_to_exactly_the_slack(n, slack):
+    # c_n off a_n + b_n by |slack| passes the closing check, and one step
+    # further fails it, in kt_member and kt_witness alike
+    t = _interior_hive_triple(n)
+    step = F(1, 10 ** 12)
+    for miss, member in ((abs(slack), True), (-abs(slack), True),
+                         (abs(slack) + step, False),
+                         (-abs(slack) - step, False)):
+        moved = HornTriple(t.a, t.b, t.c[:-1] + (t.c[-1] + miss,))
+        w = kt_witness(moved, slack)
+        assert kt_member(moved, slack) is member
+        assert (w is not None) is member
+        # the slot (0, 0) carries c_n; b_n is read off it, so it moves too
+        assert w is None or (boundary(w).a, boundary(w).c) == (moved.a, moved.c)
 
 
 def test_kt_member_scale_invariance():
@@ -525,7 +556,7 @@ def test_a_triple_on_a_facet_sends_that_row(monkeypatch):
     t = HornTriple((2, 4, 5, 5), (1, 2, 2, 2), (3, 6, 7, 7))
     weyl = (0, 1, 0, 0, -1, 1, 0, 0, -1, 0, 0, 0)
     rows = [row for row, _, _ in _facets(4)]
-    pins = _pin_values(t)
+    pins = pin_values(t)
     tight = [j for j, row in enumerate(rows)
              if sum(x * p for x, p in zip(row, pins)) == 0]
     sent = _count_exact_rows(monkeypatch)

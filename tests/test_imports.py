@@ -1,7 +1,8 @@
 """Every name a hornlab module imports is used in that module, every
 module-level function, class or assigned name is read somewhere in the
 package or exported, and the package exports exactly what its __init__
-imports.
+imports.  One more check keeps the conversion of rationals to integers in
+semiring.over_common_denominator alone.
 
 No linter ships with the project, so these stdlib-ast checks keep unused
 imports, dead definitions and stale exports out.  The package __init__ is
@@ -99,3 +100,18 @@ def test_package_exports_exactly_what_it_imports():
     assert sorted(hornlab.__all__) == sorted(imported)
     missing = [name for name in hornlab.__all__ if not hasattr(hornlab, name)]
     assert missing == []
+
+
+def test_only_the_common_denominator_helper_reads_integer_ratios():
+    # rationals become integers in one place: semiring.over_common_denominator
+    tree = ast.parse((SRC / "semiring.py").read_text(encoding="utf-8"))
+    helper = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "over_common_denominator")
+    inside = range(helper.lineno, helper.end_lineno + 1)
+    found = [(p.name, line) for p in sorted(SRC.glob("*.py"))
+             for line, text in enumerate(
+                 p.read_text(encoding="utf-8").splitlines(), start=1)
+             if "as_integer_ratio" in text
+             and not (p.name == "semiring.py" and line in inside)]
+    assert found == []

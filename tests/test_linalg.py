@@ -7,19 +7,21 @@ import numpy as np
 import pytest
 
 from hornlab import (
+    COMPLEX,
     GZ,
     Tableau,
     eigh,
     gz_H,
     gz_check,
     l_map,
+    mat_mul,
     reconstruct_H,
     sample_B_r,
     singular_l,
     spectrum_of,
     upper_cholesky,
 )
-from hornlab.linalg import b_factor, haar_unitaries, mat_mul_c
+from hornlab.linalg import b_factor, haar_unitaries
 from hornlab.polytope import gz_block, pattern_tableau
 from oracles import dagger, gz_B, sample_H_r, sigma_values
 
@@ -134,7 +136,7 @@ def test_singular_l_log_det_additivity():
         b[2][2] += 6.0
         la = singular_l(a)[-1]
         lb = singular_l(b)[-1]
-        lab = singular_l(mat_mul_c(a, b))[-1]
+        lab = singular_l(mat_mul(COMPLEX, a, b))[-1]
         assert lab == pytest.approx(la + lb, abs=1e-9)
 
 
@@ -149,7 +151,7 @@ def test_gz_B_frozen_diagonal():
 
 def test_haar_unitary_is_unitary_and_seeded():
     u = haar_unitaries(4, 1, np.random.default_rng(11))[0].tolist()
-    uu = mat_mul_c(dagger(u), u)
+    uu = mat_mul(COMPLEX, dagger(u), u)
     for i in range(4):
         for j in range(4):
             assert abs(uu[i][j] - (1.0 if i == j else 0.0)) < 1e-12
@@ -208,7 +210,7 @@ def test_upper_cholesky_frozen_and_random():
             assert a[i][i].real > 0 and abs(a[i][i].imag) == 0.0
             for j in range(i):
                 assert a[i][j] == 0j
-        back = mat_mul_c(a, dagger(a))
+        back = mat_mul(COMPLEX, a, dagger(a))
         for i in range(n):
             for j in range(n):
                 assert abs(back[i][j] - p[i][j]) < 1e-10 * (1 + abs(p[i][j]))

@@ -123,6 +123,19 @@ def test_ks_refuses_a_direction_not_of_length_n(direction):
         ks_distance(s, s, projection=direction)
 
 
+@pytest.mark.parametrize("cdf", [
+    lambda t: np.full_like(t, np.nan),
+    lambda t: 0.5,
+    lambda t: np.full_like(t, 2.0),
+], ids=["nan", "scalar", "above-one"])
+def test_ks_refuses_a_cdf_without_one_value_in_0_1_per_point(cdf):
+    # these used to give the statistics nan, 0.5 and 2.0
+    s = sample_hermitian_sum((2.0, 0.0), (1.0, 0.0), 200,
+                             np.random.default_rng(3))
+    with pytest.raises(ValueError, match="CDF"):
+        ks_distance(s, cdf, projection=0)
+
+
 def test_sample_refuses_an_array_not_of_shape_count_by_n():
     with pytest.raises(ValueError, match="needs shape"):
         EmpiricalSample("inline", 2, (), (), 3, ((0.0, 1.0), (1.0, 2.0)))

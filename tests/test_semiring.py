@@ -1,5 +1,6 @@
 """Semiring axioms and exact matrix algebra over the max-plus structure."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from hornlab import (
     as_rational,
     mat_mul,
 )
+from hornlab.semiring import over_common_denominator
 
 # Tropical elements: BOTTOM plus a small exact rational range.  Keeping the
 # denominators tiny makes hypothesis shrinks readable.
@@ -122,3 +124,23 @@ def test_mat_mul_associative_over_tropical():
 def test_complex_ring():
     assert COMPLEX.add(1 + 2j, 3) == 4 + 2j
     assert COMPLEX.mul(1j, 1j) == -1
+
+
+@given(st.lists(st.one_of(st.fractions(), st.integers(),
+                          st.floats(allow_nan=False, allow_infinity=False)),
+                max_size=8))
+def test_over_common_denominator_is_exact_and_least(values):
+    ints, den = over_common_denominator(values)
+    assert len(ints) == len(values) and den >= 1
+    assert all(Fraction(p, den) == v for p, v in zip(ints, values))
+    # den is the least common denominator exactly when nothing divides out
+    assert math.gcd(den, *ints) == 1
+
+
+@pytest.mark.parametrize("bad, error", [
+    (BOTTOM, ValueError), (math.nan, ValueError),
+    (math.inf, OverflowError), (-math.inf, OverflowError),
+])
+def test_over_common_denominator_refuses_a_non_finite_value(bad, error):
+    with pytest.raises(error):
+        over_common_denominator([Fraction(1, 3), bad, 2])
