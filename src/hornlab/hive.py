@@ -19,19 +19,22 @@ multipliers that prove it.  An exact rational LP decides larger n and builds
 hive witnesses.  Either way the answer at slack zero is a theorem, not a
 heuristic.
 
-Both routes take the boundary from _integer_pins, which checks the closing
-identity a_n + b_n = c_n and puts the pinned values over one common
-denominator.  Floats appear in membership only as a certified sign filter:
-a facet row whose float value clears a forward error bound is positive in
-exact arithmetic too, and every other row is evaluated in integers.  So
-every verdict is the exact one.
+A HornTriple holds its boundary as integers over one common denominator,
+made once when it is built (semiring.over_common_denominator); its a, b
+and c are Fractions derived from them.  Both routes take the boundary from
+_integer_pins, which checks the closing identity a_n + b_n = c_n and lays
+those integers out over the pinned slots, converting nothing.  Floats
+appear in membership only as a certified sign filter: a facet row whose
+float value clears a forward error bound is positive in exact arithmetic
+too, and every other row is evaluated in integers.  So every verdict is
+the exact one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import repeat
 from math import gcd
 from operator import add, mul
@@ -136,25 +139,53 @@ def gz_margin(t):
     return min(slacks)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class HornTriple:
-    """Three weakly ordered partial-sum vectors (a, b, c) of equal length."""
+    """Three weakly ordered partial-sum vectors (a, b, c) of equal length n,
+    held as one integer vector over one denominator.
 
-    a: tuple
-    b: tuple
-    c: tuple
+    The constructor takes three sequences of Fractions, ints or floats and
+    puts all 3n values over their least common denominator, once
+    (semiring.over_common_denominator): ints is a, b and c concatenated,
+    as integers over den.  Floats convert exactly, via their binary
+    expansion.  BOTTOM and NaN raise ValueError, an infinite float
+    OverflowError, any other type TypeError, and empty vectors or unequal
+    lengths ValueError.  (n, ints, den) is canonical, so equality and
+    hashing read it; a, b and c are derived, as tuples of Fractions built on
+    first use.
+    """
 
-    def __post_init__(self):
-        a, b, c = (tuple(as_rational(x) for x in v) for v in (self.a, self.b, self.c))
-        if not (len(a) == len(b) == len(c)) or not a:
+    n: int
+    ints: tuple
+    den: int
+
+    def __init__(self, a, b, c):
+        a, b, c = tuple(a), tuple(b), tuple(c)
+        ints, den = over_common_denominator(a + b + c)
+        if not a or not len(a) == len(b) == len(c):
             raise ValueError("a, b, c must be nonempty and of equal length")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "n", len(a))
+        object.__setattr__(self, "ints", tuple(ints))
+        object.__setattr__(self, "den", den)
 
-    @property
-    def n(self):
-        return len(self.a)
+    def _part(self, k):
+        n = self.n
+        return tuple(Fraction(p, self.den) for p in self.ints[k * n:(k + 1) * n])
+
+    @cached_property
+    def a(self):
+        return self._part(0)
+
+    @cached_property
+    def b(self):
+        return self._part(1)
+
+    @cached_property
+    def c(self):
+        return self._part(2)
+
+    def __repr__(self):
+        return "HornTriple(a=%r, b=%r, c=%r)" % (self.a, self.b, self.c)
 
 
 def boundary(t):
@@ -181,14 +212,14 @@ def _pinned_slots(n):
 
 
 def _integer_pins(triple, eps):
-    """The values of _pinned_slots(n) as integers over one common
+    """The values of _pinned_slots(n) as integers over the triple's
     denominator, (pins, den); None when the closing identity
-    a_n + b_n = c_n fails by more than |eps|.
+    a_n + b_n = c_n fails by more than |eps|.  Nothing is converted here:
+    the triple holds its integers from construction.
 
     The corner is 0: a is measured along the long row and c up the left
     edge, both from that corner; the right edge is b shifted by a_n."""
-    n = triple.n
-    ints, den = over_common_denominator(triple.a + triple.b + triple.c)
+    n, ints, den = triple.n, triple.ints, triple.den
     a, b, c = ints[:n], ints[n:2 * n], ints[2 * n:]
     # |a_n + b_n - c_n| <= |eps|, with both sides scaled by den * eps.denominator
     if abs(a[-1] + b[-1] - c[-1]) * eps.denominator > abs(eps.numerator) * den:
@@ -334,10 +365,14 @@ def _facet_verdict(n, pins, den, eps):
 
 
 def kt_witness(triple, slack=0):
-    """A hive with the given boundary and all inequalities >= -slack, or None.
+    """A hive with the triple's boundary and all inequalities >= -slack, or
+    None.
 
     The closing identity a_n + b_n = c_n is checked first, to tolerance
-    |slack|; without it no hive can exist.  A negative slack tightens the
+    |slack| as in kt_member; without it no hive can exist.  A hive closes
+    exactly, so when the identity misses by up to |slack| the hive returned
+    has a, c and b_1..b_{n-1} as given and b_n = c_n - a_n: slot (0, 0)
+    carries c_n, and b_n is read off it.  A negative slack tightens the
     inequality families instead (every slack must reach |slack|), which is
     useful for falsification tests.  The search itself is an exact phase-1
     simplex over the rationals, so a None answer is a certificate of
@@ -390,8 +425,8 @@ def kt_member(triple, slack=0):
     """Whether a triple admits a hive with that boundary, up to slack.
 
     For n <= 5 the closing identity a_n + b_n = c_n (to tolerance |slack|)
-    and then the exact facet table (_facets) decide on the boundary values
-    as integers over one common denominator (_integer_pins), at any slack.
+    and then the exact facet table (_facets) decide on the triple's
+    integers over its common denominator (_integer_pins), at any slack.
     At slack >= 0 a float filter settles the rows that hold by a clear
     margin.  Only n > 5 goes to the exact LP of kt_witness, so every answer
     is exact.

@@ -4,8 +4,8 @@ All tropical computation in this package runs over exact rationals plus a
 distinguished bottom element, so tropical identities hold on the nose and can
 be compared with ==.  SUPPORTS, whose values are sets of edge subsets,
 turns the same path-system sums into the list of distinct supports.
-over_common_denominator is where exact vectors become integers, for the
-cone test and the chamber alike.
+over_common_denominator is where exact vectors become integers, for
+HornTriple and the chamber alike.
 """
 
 from __future__ import annotations
@@ -53,19 +53,27 @@ def as_rational(x):
     raise TypeError("cannot rationalize %r" % type(x).__name__)
 
 
+# The exact types, and the same set for a fast check of exact types only;
+# a subclass (numpy's float64) takes the isinstance path.
+_EXACT = (Fraction, int, float)
+_EXACT_TYPES = frozenset((Fraction, int, bool, float))
+
+
 def over_common_denominator(values):
     """A sequence of exact numbers (Fractions, ints or floats) as integers
     over their least common denominator: (ints, den) with
-    ints[i] / den == values[i].  Each value is read through
-    as_integer_ratio, so a float converts via its binary expansion, as in
-    as_rational; BOTTOM and NaN raise ValueError, an infinite float
-    OverflowError."""
-    try:
-        ratios = [v.as_integer_ratio() for v in values]
-    except AttributeError:
-        if any(v is BOTTOM for v in values):
-            raise ValueError("entries must be finite") from None
-        raise
+    ints[i] / den == values[i] and gcd(den, *ints) == 1.  Each value is
+    read through as_integer_ratio, so a float converts via its binary
+    expansion, as in as_rational.  BOTTOM and NaN raise ValueError, an
+    infinite float OverflowError, and a type that as_rational refuses
+    TypeError."""
+    if not _EXACT_TYPES.issuperset(map(type, values)):
+        for v in values:
+            if v is BOTTOM:
+                raise ValueError("entries must be finite")
+            if not isinstance(v, _EXACT):
+                raise TypeError("cannot rationalize %r" % type(v).__name__)
+    ratios = [v.as_integer_ratio() for v in values]
     den = lcm(*{q for _, q in ratios})
     return [p * (den // q) for p, q in ratios], den
 

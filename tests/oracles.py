@@ -1,5 +1,7 @@
 """Reference routines that only the tests use.
 
+FractionTriple is HornTriple's former representation, three tuples of
+Fractions, against which the integer one is tested.
 scale_triple multiplies a Horn triple by a factor.  facet_verdict is the
 pure-integer route through the Horn-cone facet table, with no float filter
 in front of it; pin_values gives, in Fractions, the values of
@@ -146,6 +148,25 @@ def scale_triple(t, factor):
     """Every entry of the triple t times factor."""
     f = as_rational(factor)
     return HornTriple(*(tuple(f * x for x in v) for v in (t.a, t.b, t.c)))
+
+
+@dataclass(frozen=True)
+class FractionTriple:
+    """HornTriple as it was before it held integers: a, b and c as tuples
+    of Fractions, each entry through as_rational, compared, hashed and
+    shown as those tuples.  Like as_rational it lets BOTTOM through."""
+
+    a: tuple
+    b: tuple
+    c: tuple
+
+    def __post_init__(self):
+        a, b, c = (tuple(as_rational(x) for x in v) for v in (self.a, self.b, self.c))
+        if not (len(a) == len(b) == len(c)) or not a:
+            raise ValueError("a, b, c must be nonempty and of equal length")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
 
 
 def pin_values(t):

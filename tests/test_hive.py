@@ -2,8 +2,10 @@
 facet table (behind its float filter), by the exact LP and by Horn's list."""
 
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate
+from math import gcd
 
 import numpy as np
 import pytest
@@ -35,9 +37,9 @@ from hornlab import hive
 from hornlab.hive import (_facets, _family_slacks, _fourier_motzkin,
                           _hive_inequalities, _pinned_slots)
 from hornlab.linalg import haar_unitaries
-from oracles import (facet_verdict, free_slots, horn_list_verdict,
-                     integer_pins, minimal_support_rows, pin_values, rank,
-                     scale_triple)
+from oracles import (FractionTriple, facet_verdict, free_slots,
+                     horn_list_verdict, integer_pins, minimal_support_rows,
+                     pin_values, rank, scale_triple)
 
 F = Fraction
 
@@ -115,6 +117,101 @@ def test_horn_triple_rationalizes_and_validates():
     assert t.n == 2
     with pytest.raises(ValueError):
         HornTriple((1, 0), (1, 0), (2, 0, 0))  # mismatched lengths
+
+
+# Entries of every kind HornTriple takes: floats at ordinary, 2^-60 and
+# 10^300 scales, ints, bools and Fractions.
+ENTRIES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-2 ** 62, 2 ** 62).map(lambda k: k * 2.0 ** -60),
+    st.floats(-1.8, 1.8).map(lambda x: x * 1e300),
+    st.integers(-10 ** 30, 10 ** 30),
+    st.booleans(),
+    st.fractions(-10 ** 20, 10 ** 20, max_denominator=10 ** 12),
+)
+
+
+def _twin(v):
+    """The same value as another kind of entry, where one holds it."""
+    if isinstance(v, bool):
+        return int(v)
+    if isinstance(v, float):
+        return int(v) if v.is_integer() else F(v)
+    if isinstance(v, int):
+        return float(v) if abs(v) <= 2 ** 53 else F(v)
+    return float(v) if F(float(v)) == v else v
+
+
+@st.composite
+def raw_triples(draw):
+    """Three equal-length vectors of mixed entries, as plain lists."""
+    n = draw(st.integers(1, 5))
+    return [draw(st.lists(ENTRIES, min_size=n, max_size=n)) for _ in range(3)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_triples(), st.data())
+def test_horn_triple_matches_the_fraction_representation(raw, data):
+    t, old = HornTriple(*raw), FractionTriple(*raw)
+    assert (t.a, t.b, t.c) == (old.a, old.b, old.c)
+    assert all(type(x) is F for v in (t.a, t.b, t.c) for x in v)
+    assert repr(t) == repr(old).replace("FractionTriple", "HornTriple")
+    assert triple_to_csv(t) == triple_to_csv(old)
+    assert HornTriple(**dict(zip("abc", raw))) == t
+    # the integers are the canonical form of those Fractions
+    assert gcd(t.den, *t.ints) == 1
+    assert [F(p, t.den) for p in t.ints] == list(old.a + old.b + old.c)
+    # equality and hashing agree with the Fraction tuples, also between
+    # kinds of entry: another triple of the same values, or a moved one
+    other = [[data.draw(st.sampled_from((v, _twin(v)))) for v in vec]
+             for vec in raw]
+    if data.draw(st.booleans()):
+        vec = other[data.draw(st.integers(0, 2))]
+        vec[data.draw(st.integers(0, len(vec) - 1))] = data.draw(ENTRIES)
+    u, old_u = HornTriple(*other), FractionTriple(*other)
+    assert (u == t) is (old_u == old)
+    if u == t:
+        assert hash(u) == hash(t)
+    assert HornTriple(old.a, old.b, old.c) == t
+    assert hash(HornTriple(old.a, old.b, old.c)) == hash(t)
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_triples(), st.integers(0, 14), st.sampled_from([
+    (float("nan"), ValueError), (float("inf"), OverflowError),
+    (float("-inf"), OverflowError), ("1", TypeError), (None, TypeError),
+    (Decimal("0.5"), TypeError), (np.float32(0.5), TypeError),
+    (BOTTOM, ValueError)]))
+def test_horn_triple_refuses_what_the_fraction_representation_refused(
+        raw, where, bad_error):
+    bad, error = bad_error
+    vec = raw[where % 3]
+    vec[where // 3 % len(vec)] = bad
+    with pytest.raises(error):
+        HornTriple(*raw)
+    if bad is BOTTOM:
+        # the Fraction form let BOTTOM through, and only kt_member refused it
+        FractionTriple(*raw)
+    else:
+        with pytest.raises(error):
+            FractionTriple(*raw)
+
+
+@pytest.mark.parametrize("raw", [
+    ((), (), ()), ((1, 0), (1, 0), (2, 0, 0)), ((1,), (1, 0), (2, 0)),
+])
+def test_horn_triple_refuses_empty_or_unequal_vectors(raw):
+    for route in (HornTriple, FractionTriple):
+        with pytest.raises(ValueError, match="nonempty and of equal length"):
+            route(*raw)
+
+
+def test_horn_triple_is_immutable():
+    t = HornTriple((1, 0), (1, 0), (2, 0))
+    for name in ("a", "n", "ints", "den", "d"):
+        with pytest.raises(AttributeError):
+            setattr(t, name, (F(3), F(0)))
+    assert t == HornTriple((1, 0), (1, 0), (2, 0))
 
 
 def test_boundary_reads_the_three_edges():
@@ -212,6 +309,42 @@ def test_closing_identity_holds_to_exactly_the_slack(n, slack):
         assert (w is not None) is member
         # the slot (0, 0) carries c_n; b_n is read off it, so it moves too
         assert w is None or (boundary(w).a, boundary(w).c) == (moved.a, moved.c)
+
+
+@pytest.mark.parametrize("n", [2, 6], ids=["facet-table", "lp"])
+@pytest.mark.parametrize("slack", [F(1, 100), F(-1, 100)])
+def test_witness_at_a_slack_closes_exactly(n, slack):
+    # a hive closes exactly: the witness keeps a, c and b_1..b_{n-1} and
+    # takes b_n = c_n - a_n, not the given b_n
+    t = _interior_hive_triple(n)
+    for miss in (abs(slack), -abs(slack)):
+        moved = HornTriple(t.a, t.b, t.c[:-1] + (t.c[-1] + miss,))
+        w = boundary(kt_witness(moved, slack))
+        assert (w.a, w.c, w.b[:-1]) == (moved.a, moved.c, moved.b[:-1])
+        assert w.b[-1] == moved.c[-1] - moved.a[-1] == moved.b[-1] + miss
+
+
+def test_membership_converts_nothing_after_construction(monkeypatch):
+    # the triple holds its integers: deciding it converts no value again
+    cases = [HornTriple((5,), (7,), (12,)), HornTriple((5,), (7,), (11,))]
+    for n in range(2, 6):
+        t = _interior_hive_triple(n)
+        a, b, c = _float_triple(n, n, closed=True)
+        cases += [t, HornTriple(t.a, t.b, (t.c[0] + 100,) + t.c[1:]),
+                  HornTriple(a, b, c), HornTriple(a, b, [c[0] + 0.25] + c[1:])]
+    slacks = (F(0), F(1, 10 ** 8), F(-1, 10))
+    want = [kt_member(t, slack) for t in cases for slack in slacks]
+    pair = [t for t in cases if t.n == 2][:2]
+    hives = [kt_witness(t) for t in pair]
+
+    def refuse(values):
+        raise AssertionError("a triple was converted after construction")
+
+    monkeypatch.setattr(hive, "over_common_denominator", refuse)
+    assert [kt_member(t, slack) for t in cases for slack in slacks] == want
+    assert True in want and False in want
+    assert [kt_witness(t) for t in pair] == hives
+    assert hives[0] is not None and hives[1] is None
 
 
 def test_kt_member_scale_invariance():

@@ -1,8 +1,10 @@
 """Semiring axioms and exact matrix algebra over the max-plus structure."""
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -144,3 +146,17 @@ def test_over_common_denominator_is_exact_and_least(values):
 def test_over_common_denominator_refuses_a_non_finite_value(bad, error):
     with pytest.raises(error):
         over_common_denominator([Fraction(1, 3), bad, 2])
+
+
+@pytest.mark.parametrize("bad", ["1", None, Decimal("0.5"), np.float32(0.5),
+                                 np.int64(3)])
+def test_over_common_denominator_refuses_other_types(bad):
+    # as_rational's refusal: a value that is not a Fraction, int or float
+    with pytest.raises(TypeError):
+        as_rational(bad)
+    with pytest.raises(TypeError):
+        over_common_denominator([Fraction(1, 3), bad, 2])
+
+
+def test_over_common_denominator_takes_float_and_int_subclasses():
+    assert over_common_denominator([np.float64(0.75), True, 1.5]) == ([3, 4, 6], 4)
