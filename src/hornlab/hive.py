@@ -19,15 +19,20 @@ multipliers that prove it.  An exact rational LP decides larger n and builds
 hive witnesses.  Either way the answer at slack zero is a theorem, not a
 heuristic.
 
-A HornTriple holds its boundary as integers over one common denominator,
-made once when it is built (semiring.over_common_denominator); its a, b
-and c are Fractions derived from them.  Both routes take the boundary from
-_integer_pins, which checks the closing identity a_n + b_n = c_n and lays
-those integers out over the pinned slots, converting nothing.  Floats
-appear in membership only as a certified sign filter: a facet row whose
-float value clears a forward error bound is positive in exact arithmetic
-too, and every other row is evaluated in integers.  So every verdict is
-the exact one.
+A HornTriple holds its boundary as one integer vector ints, a, b and c
+concatenated, over one common denominator, made once when it is built
+(semiring.over_common_denominator); its a, b and c are Fractions derived
+from them.  Both routes first check the closing identity a_n + b_n = c_n on
+those integers (_closes).  The facet table is found over the pinned slots,
+whose values _pin_map reads off ints: the corner 0, the long row a, the
+right edge b_1..b_{n-1} shifted by a_n, the left edge c.  Membership
+composes each facet row with that map once per n (_triple_facets) and
+reads the triple's integers as they are; only the LP lays the pins out
+(_integer_pins).  Floats appear in membership only as a certified sign
+filter: one float product gives every row's value less a forward error
+bound, folded into one column as max|ints| times the row's absolute sum.
+A row whose float value clears it is positive in exact arithmetic too, and
+every other row is evaluated in integers.  So every verdict is the exact one.
 """
 
 from __future__ import annotations
@@ -35,9 +40,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import repeat
 from math import gcd
-from operator import add, mul
+from operator import mul
 
 import numpy as np
 
@@ -203,7 +207,7 @@ def boundary(t):
 
 
 def _pinned_slots(n):
-    """The boundary slots, in the order of _integer_pins: the corner (n, 0),
+    """The boundary slots, in the order of _pin_map: the corner (n, 0),
     the rest of the long row, the right edge without its top, the left edge
     bottom up."""
     return (((n, 0),) + tuple((n, i) for i in range(1, n + 1))
@@ -211,20 +215,31 @@ def _pinned_slots(n):
             + tuple((n - i, 0) for i in range(1, n + 1)))
 
 
-def _integer_pins(triple, eps):
-    """The values of _pinned_slots(n) as integers over the triple's
-    denominator, (pins, den); None when the closing identity
-    a_n + b_n = c_n fails by more than |eps|.  Nothing is converted here:
-    the triple holds its integers from construction.
+def _pin_map(n):
+    """For each slot of _pinned_slots(n), the entries of HornTriple.ints whose
+    sum it holds.  The corner holds 0: a is measured along the long row and
+    c up the left edge, both from that corner; the right edge holds
+    b_1..b_{n-1} shifted by a_n, and b_n is no slot's."""
+    return (((),) + tuple((i,) for i in range(n))
+            + tuple((n + j, n - 1) for j in range(n - 1))
+            + tuple((2 * n + i,) for i in range(n)))
 
-    The corner is 0: a is measured along the long row and c up the left
-    edge, both from that corner; the right edge is b shifted by a_n."""
-    n, ints, den = triple.n, triple.ints, triple.den
-    a, b, c = ints[:n], ints[n:2 * n], ints[2 * n:]
+
+def _closes(triple, eps):
+    """Whether the closing identity a_n + b_n = c_n holds to |eps|, read on
+    the triple's integers."""
+    n, ints = triple.n, triple.ints
     # |a_n + b_n - c_n| <= |eps|, with both sides scaled by den * eps.denominator
-    if abs(a[-1] + b[-1] - c[-1]) * eps.denominator > abs(eps.numerator) * den:
-        return None
-    return [0, *a, *map(add, b[:-1], repeat(a[-1])), *c], den
+    return (abs(ints[n - 1] + ints[2 * n - 1] - ints[-1]) * eps.denominator
+            <= abs(eps.numerator) * triple.den)
+
+
+def _integer_pins(triple):
+    """The values of _pinned_slots(n) as integers over the triple's
+    denominator, laid out by _pin_map; nothing is converted here, the
+    triple holds its integers from construction."""
+    ints = triple.ints
+    return [sum(ints[t] for t in ts) for ts in _pin_map(triple.n)]
 
 
 def _hive_inequalities(n):
@@ -309,59 +324,56 @@ def _facets(n):
     return tuple(table.values())
 
 
-# The float filter evaluates d_j - bound_j for every facet row F_j (length
-# k) at once, as [F | -_FILTER_C k 2^-53 |F|] @ [p ; |p|] with each integer
-# pin rounded once to p.  So bound_j = _FILTER_C k 2^-53 (|F_j| . |p|), and
-# the float result is off d_j - bound_j by at most about
-# (2k + 1) 2^-53 (|F_j| . |p|), in any summation order and with or without
-# fused multiply-adds; a row whose float result is positive is positive in
-# exact arithmetic.  Pins are integers, so nothing is subnormal; while max|p|
-# times the largest row sum of |F| stays below _FILTER_MAX no partial sum
-# can overflow, and larger pins skip the filter.
+# The float filter evaluates d_j - bound_j for every composed facet row R_j
+# at once, as one product [R | -_FILTER_C L 2^-53 w] @ [x ; m] of L = 3n + 1
+# terms, where x is ints with each entry rounded once to float and m is
+# max|ints| rounded.  Since |R_j| . |ints| <= w_j m, the one folded column
+# bounds every rounding: the float result is off d_j - bound_j by at most
+# about (L + 1) 2^-53 w_j m, in any summation order and with or without
+# fused multiply-adds, and bound_j = _FILTER_C L 2^-53 w_j m is larger, so a
+# row whose float result is positive is positive in exact arithmetic.  The
+# entries are integers, so nothing is subnormal; while m times the largest
+# w_j stays below _FILTER_MAX no partial sum can overflow, and larger
+# triples skip the filter.
 _FILTER_C = 8
 _FILTER_MAX = 2 ** 1000
 
 
 @lru_cache(maxsize=None)
-def _facet_matrix(n):
-    """_facets(n) for the float filter: the matrix [F | -_FILTER_C k 2^-53 |F|]
-    in float64, and the largest row sum of |F| as an int (1 for an empty
-    table)."""
-    k = len(_pinned_slots(n))
-    f = np.array([row for row, _, _ in _facets(n)], dtype=float).reshape(-1, k)
-    absolute = np.abs(f)
-    g = np.hstack([f, -_FILTER_C * k * 2.0 ** -53 * absolute])
+def _triple_facets(n):
+    """_facets(n) read on HornTriple.ints: (table, g, width).
+
+    table holds (row, total) per facet, with row composed with _pin_map(n)
+    so that row . ints equals the facet row . pins (its b_n entry is 0).  g
+    is the float filter's matrix [R | -_FILTER_C (3n + 1) 2^-53 w] over the
+    rows R, with w_j the sum of |R_j|; width is the largest w_j as an int (1
+    for an empty table)."""
+    pin_map = _pin_map(n)
+    table = []
+    for facet, _, total in _facets(n):
+        row = [0] * (3 * n)
+        for f, ts in zip(facet, pin_map):
+            for t in ts:
+                row[t] += f
+        table.append((tuple(row), total))
+    rows = np.array([row for row, _ in table], dtype=float).reshape(-1, 3 * n)
+    w = np.abs(rows).sum(axis=1)
+    g = np.hstack([rows, -_FILTER_C * (3 * n + 1) * 2.0 ** -53 * w[:, None]])
     g.setflags(write=False)  # shared by every caller through the cache
-    return g, int(absolute.sum(axis=1).max(initial=1))
+    return tuple(table), g, int(w.max(initial=1))
 
 
-def _uncertain_rows(n, pins):
-    """Indices of the facet rows whose float value at the integer pins does
-    not clear its error bound; every other row is positive at pins."""
-    g, width = _facet_matrix(n)
-    if max(max(pins), -min(pins)) * width >= _FILTER_MAX:
+def _open_rows(n, ints):
+    """Indices of the composed facet rows whose float value at ints does not
+    clear its error bound; every other row is positive at ints."""
+    _, g, width = _triple_facets(n)
+    m = max(max(ints), -min(ints))
+    if m * width >= _FILTER_MAX:
         return range(len(g))
-    p = list(map(float, pins))
-    x = g.dot(p + list(map(abs, p))).tolist()
+    x = g.dot([*map(float, ints), float(m)]).tolist()
     if min(x, default=1.0) > 0.0:
         return ()
     return [j for j, v in enumerate(x) if v <= 0.0]
-
-
-def _facet_verdict(n, pins, den, eps):
-    """Membership at slack eps from the facet table, given the pins as
-    integers over the common denominator den: whether every row holds at
-    that slack.  At eps >= 0 only the rows the float filter leaves open are
-    evaluated, in integers; at eps < 0 every row is."""
-    table = _facets(n)
-    rows = _uncertain_rows(n, pins) if eps.numerator >= 0 else range(len(table))
-    # row . pins >= -eps * total, with both sides scaled by den * eps.denominator
-    scale = eps.numerator * den
-    for j in rows:
-        row, _, total = table[j]
-        if sum(map(mul, row, pins)) * eps.denominator < -scale * total:
-            return False
-    return True
 
 
 def kt_witness(triple, slack=0):
@@ -380,12 +392,11 @@ def kt_witness(triple, slack=0):
     """
     eps = as_rational(slack)
     n = triple.n
-    pinned = _integer_pins(triple, eps)
-    if pinned is None:
+    if not _closes(triple, eps):
         return None
 
-    ints, den = pinned
-    pins = {slot: Fraction(p, den) for slot, p in zip(_pinned_slots(n), ints)}
+    pins = {slot: Fraction(p, triple.den)
+            for slot, p in zip(_pinned_slots(n), _integer_pins(triple))}
     free = sorted(
         (k, i) for k in range(n + 1) for i in range(k + 1) if (k, i) not in pins
     )
@@ -425,18 +436,28 @@ def kt_member(triple, slack=0):
     """Whether a triple admits a hive with that boundary, up to slack.
 
     For n <= 5 the closing identity a_n + b_n = c_n (to tolerance |slack|)
-    and then the exact facet table (_facets) decide on the triple's
-    integers over its common denominator (_integer_pins), at any slack.
-    At slack >= 0 a float filter settles the rows that hold by a clear
-    margin.  Only n > 5 goes to the exact LP of kt_witness, so every answer
-    is exact.
+    and then the exact facet table decide, read on the triple's integers
+    over its common denominator (_triple_facets), at any slack.  At
+    slack >= 0 a float filter settles the rows that hold by a clear margin
+    (_open_rows); the rest are evaluated in integers.  Only n > 5 goes to
+    the exact LP of kt_witness, so every answer is exact.
     """
     eps = as_rational(slack)
     n = triple.n
     if n > _FACET_MAX_N:
         return kt_witness(triple, eps) is not None
-    pinned = _integer_pins(triple, eps)
-    return pinned is not None and _facet_verdict(n, *pinned, eps)
+    if not _closes(triple, eps):
+        return False
+    table, _, _ = _triple_facets(n)
+    ints = triple.ints
+    rows = _open_rows(n, ints) if eps.numerator >= 0 else range(len(table))
+    # row . ints >= -eps * total, with both sides scaled by den * eps.denominator
+    scale = eps.numerator * triple.den
+    for j in rows:
+        row, total = table[j]
+        if sum(map(mul, row, ints)) * eps.denominator < -scale * total:
+            return False
+    return True
 
 
 # -- serialization ----------------------------------------------------------

@@ -6,6 +6,7 @@ from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd
+from operator import mul
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from hornlab import (
 )
 from hornlab import hive
 from hornlab.hive import (_facets, _family_slacks, _fourier_motzkin,
-                          _hive_inequalities, _pinned_slots)
+                          _hive_inequalities, _pinned_slots, _triple_facets)
 from hornlab.linalg import haar_unitaries
 from oracles import (FractionTriple, facet_verdict, free_slots,
                      horn_list_verdict, integer_pins, minimal_support_rows,
@@ -324,16 +325,24 @@ def test_witness_at_a_slack_closes_exactly(n, slack):
         assert w.b[-1] == moved.c[-1] - moved.a[-1] == moved.b[-1] + miss
 
 
-def test_membership_converts_nothing_after_construction(monkeypatch):
-    # the triple holds its integers: deciding it converts no value again
+def _membership_cases():
+    """Exact and float members and non-members at n = 1..5."""
     cases = [HornTriple((5,), (7,), (12,)), HornTriple((5,), (7,), (11,))]
     for n in range(2, 6):
         t = _interior_hive_triple(n)
         a, b, c = _float_triple(n, n, closed=True)
         cases += [t, HornTriple(t.a, t.b, (t.c[0] + 100,) + t.c[1:]),
                   HornTriple(a, b, c), HornTriple(a, b, [c[0] + 0.25] + c[1:])]
-    slacks = (F(0), F(1, 10 ** 8), F(-1, 10))
-    want = [kt_member(t, slack) for t in cases for slack in slacks]
+    return cases
+
+
+MEMBERSHIP_SLACKS = (F(0), F(1, 10 ** 8), F(-1, 10))
+
+
+def test_membership_converts_nothing_after_construction(monkeypatch):
+    # the triple holds its integers: deciding it converts no value again
+    cases = _membership_cases()
+    want = [kt_member(t, slack) for t in cases for slack in MEMBERSHIP_SLACKS]
     pair = [t for t in cases if t.n == 2][:2]
     hives = [kt_witness(t) for t in pair]
 
@@ -341,10 +350,26 @@ def test_membership_converts_nothing_after_construction(monkeypatch):
         raise AssertionError("a triple was converted after construction")
 
     monkeypatch.setattr(hive, "over_common_denominator", refuse)
-    assert [kt_member(t, slack) for t in cases for slack in slacks] == want
+    assert [kt_member(t, slack) for t in cases for slack in MEMBERSHIP_SLACKS] == want
     assert True in want and False in want
     assert [kt_witness(t) for t in pair] == hives
     assert hives[0] is not None and hives[1] is None
+
+
+def test_membership_builds_no_pins(monkeypatch):
+    # kt_member reads the facet table on the triple's own integers; only
+    # kt_witness lays the pins out, for its LP
+    cases = _membership_cases()
+    want = [facet_verdict(t, slack) for t in cases for slack in MEMBERSHIP_SLACKS]
+
+    def refuse(triple):
+        raise AssertionError("kt_member built a pin list")
+
+    monkeypatch.setattr(hive, "_integer_pins", refuse)
+    assert [kt_member(t, slack) for t in cases for slack in MEMBERSHIP_SLACKS] == want
+    assert True in want and False in want
+    with pytest.raises(AssertionError, match="pin list"):
+        kt_witness(cases[0])
 
 
 def test_kt_member_scale_invariance():
@@ -656,23 +681,23 @@ def test_float_filter_matches_the_integer_route(t, slack):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert _table_verdict(t, slack) == facet_verdict(t, slack)
-        _, pins = integer_pins(t)
-        open_rows = set(hive._uncertain_rows(t.n, pins))
+        open_rows = set(hive._open_rows(t.n, t.ints))
     # every row the filter settles is positive in exact arithmetic
-    assert all(sum(x * p for x, p in zip(row, pins)) > 0
-               for j, (row, _, _) in enumerate(_facets(t.n)) if j not in open_rows)
+    table, _, _ = _triple_facets(t.n)
+    assert all(sum(map(mul, row, t.ints)) > 0
+               for j, (row, _) in enumerate(table) if j not in open_rows)
 
 
 def _count_exact_rows(monkeypatch):
     sent = []
-    pick = hive._uncertain_rows
+    pick = hive._open_rows
 
-    def counted(n, pins):
-        rows = pick(n, pins)
+    def counted(n, ints):
+        rows = pick(n, ints)
         sent.append(list(rows))
         return rows
 
-    monkeypatch.setattr(hive, "_uncertain_rows", counted)
+    monkeypatch.setattr(hive, "_open_rows", counted)
     return sent
 
 
@@ -685,7 +710,8 @@ def test_generic_float_member_needs_no_exact_row(monkeypatch):
 
 
 def test_a_triple_on_a_facet_sends_that_row(monkeypatch):
-    # c_1 = a_1 + b_1: Weyl's row a_1 + (b_1 + a_4) - a_4 - c_1 >= 0 is tight
+    # c_1 = a_1 + b_1: Weyl's row a_1 + (b_1 + a_4) - a_4 - c_1 >= 0 is tight;
+    # on the triple's own integers it reads a_1 + b_1 - c_1 >= 0
     t = HornTriple((2, 4, 5, 5), (1, 2, 2, 2), (3, 6, 7, 7))
     weyl = (0, 1, 0, 0, -1, 1, 0, 0, -1, 0, 0, 0)
     rows = [row for row, _, _ in _facets(4)]
@@ -695,6 +721,32 @@ def test_a_triple_on_a_facet_sends_that_row(monkeypatch):
     sent = _count_exact_rows(monkeypatch)
     assert kt_member(t)
     assert sent == [tight] and rows.index(weyl) in tight
+    assert _triple_facets(4)[0][rows.index(weyl)][0] \
+        == (1, 0, 0, 0, 1, 0, 0, 0, -1, 0, 0, 0)
+
+
+@st.composite
+def unclosed_triples(draw):
+    """A hive triple with c_n moved off a_n + b_n by one of SLACKS."""
+    t = draw(hive_triples())
+    miss = draw(st.sampled_from(SLACKS))
+    return HornTriple(t.a, t.b, t.c[:-1] + (t.c[-1] + miss,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(float_triples(), hive_triples(), pushed_triples(),
+                 unclosed_triples()))
+def test_composed_rows_match_the_pin_route(t):
+    # each facet row read on the triple's integers gives the value the pin
+    # row gives on the pins laid out independently, and never reads b_n
+    den, pins = integer_pins(t)
+    table, _, _ = _triple_facets(t.n)
+    assert len(table) == len(_facets(t.n)) == FACET_COUNTS[t.n]
+    for (row, total), (facet, _, facet_total) in zip(table, _facets(t.n)):
+        assert len(row) == len(t.ints) and row[2 * t.n - 1] == 0
+        assert total == facet_total
+        assert F(sum(map(mul, row, t.ints)), t.den) \
+            == F(sum(map(mul, facet, pins)), den)
 
 
 # -- serialization -----------------------------------------------------------
