@@ -1,7 +1,7 @@
 """Tropical, Hermitian and multiplicative Horn problems at desk scale.
 
-Exact path-counting on small planar networks, Horn-cone membership from
-exact facets (rational linear programming beyond them), dense eigensolvers
+Exact path-counting on small planar networks, Horn-cone membership and
+witness hives from one exact elimination, dense eigensolvers
 for the classical sides, and Monte Carlo machinery to compare the three
 product measures.
 """
@@ -18,7 +18,6 @@ from .hive import (GZ, HIVE, TROPICAL_GZ, HornTriple, Tableau, boundary,
                    format_number, gz_check, gz_margin, hive_check, kt_member,
                    kt_witness, parse_number, tableau_from_json, tableau_to_json,
                    triple_csv_header, triple_from_csv, triple_to_csv)
-from .simplex import feasible_point
 from .chamber import (ChamberMap, GenericityReport, WbarWeighting,
                       find_delta0_chamber, genericity_check,
                       horn_triple_tropical, kappa, lt_inverse,
@@ -45,7 +44,7 @@ __all__ = [
     "GZ", "HIVE", "TROPICAL_GZ", "HornTriple", "Tableau", "boundary",
     "format_number", "gz_check", "gz_margin", "hive_check", "kt_member",
     "kt_witness", "parse_number", "tableau_from_json", "tableau_to_json",
-    "triple_csv_header", "triple_from_csv", "triple_to_csv", "feasible_point",
+    "triple_csv_header", "triple_from_csv", "triple_to_csv",
     "ChamberMap", "GenericityReport", "WbarWeighting", "find_delta0_chamber",
     "genericity_check", "horn_triple_tropical", "kappa", "lt_inverse",
     "random_interior_pattern", "wbar_from_json", "wbar_to_json",

@@ -12,27 +12,29 @@ cut out the interlacing (Gelfand-Zeitlin) cone; all three cut out hives.
 
 A boundary triple (a, b, c) pins the long row, the right edge and the left
 edge; it lies in the Horn cone when some hive has that boundary (Knutson-Tao
-saturation).  For n <= 5 membership at every slack is read off an exact
-table of the Horn cone's facets, found by Fourier-Motzkin elimination of the
-interior slots from the hive inequalities; each facet carries the
-multipliers that prove it.  An exact rational LP decides larger n and builds
-hive witnesses.  Either way the answer at slack zero is a theorem, not a
-heuristic.
+saturation).  One Fourier-Motzkin elimination of the interior slots from
+the hive inequalities answers both questions, for n <= MAX_N (desk scale).
+Its final rows are an exact table of the Horn cone's facets, each carrying
+the multipliers that prove it, and membership at every slack is read off
+that table.  Its stages, the rows that bounded each interior slot as it was
+eliminated, give a witness hive by back-substitution.  So the answer at
+slack zero is a theorem, not a heuristic.
 
 A HornTriple holds its boundary as one integer vector ints, a, b and c
 concatenated, over one common denominator, made once when it is built
 (semiring.over_common_denominator); its a, b and c are Fractions derived
-from them.  Both routes first check the closing identity a_n + b_n = c_n on
+from them.  Membership first checks the closing identity a_n + b_n = c_n on
 those integers (_closes).  The facet table is found over the pinned slots,
 whose values _pin_map reads off ints: the corner 0, the long row a, the
 right edge b_1..b_{n-1} shifted by a_n, the left edge c.  Membership
 composes each facet row with that map once per n (_triple_facets) and
-reads the triple's integers as they are; only the LP lays the pins out
-(_integer_pins).  Floats appear in membership only as a certified sign
-filter: one float product gives every row's value less a forward error
-bound, folded into one column as max|ints| times the row's absolute sum.
-A row whose float value clears it is positive in exact arithmetic too, and
-every other row is evaluated in integers.  So every verdict is the exact one.
+reads the triple's integers as they are; only the back-substitution lays
+the pins out (_integer_pins).  Floats appear in membership only as a
+certified sign filter: one float product gives every row's value less a
+forward error bound, folded into one column as max|ints| times the row's
+absolute sum.  A row whose float value clears it is positive in exact
+arithmetic too, and every other row is evaluated in integers.  So every
+verdict is the exact one.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from operator import mul
 import numpy as np
 
 from .semiring import BOTTOM, as_rational, over_common_denominator
-from .simplex import feasible_point
 
 HIVE = "hive"
 GZ = "gz"
@@ -253,25 +254,42 @@ def _hive_inequalities(n):
     return rows
 
 
-# n = 6 gives 28673 rows in about 3 minutes and 340 MB (2-core x86 host)
-_FACET_MAX_N = 5
+# Desk scale: the elimination at n = 6 gives 28673 rows in about 3 minutes
+# and 340 MB (2-core x86 host)
+MAX_N = 5
 
 
+def check_size(n):
+    """Refuse a size outside the desk scale 1..MAX_N."""
+    if not 1 <= n <= MAX_N:
+        raise ValueError("n must be between 1 and %d" % MAX_N)
+
+
+@lru_cache(maxsize=None)
 def _fourier_motzkin(n):
-    """Every row Fourier-Motzkin keeps for the Horn cone of size n, as
-    (row, multipliers).
+    """Fourier-Motzkin elimination of the free slots of a size-n hive:
+    (rows, stages).
 
-    row is an integer vector over _pinned_slots(n); multipliers are
-    nonnegative integers, one per entry of _hive_inequalities(n), whose
-    combination of the hive inequalities cancels every free slot and leaves
-    row.  By Knutson-Tao saturation the Horn cone is the projection of the
-    hive cone onto the boundary, found here by eliminating the free slots
-    in integers.  Chernikov's rule (after k eliminations a row combining
-    more than k + 1 inequalities is redundant) and dropping every row whose
-    set of inequalities contains that of a row already kept leave only
+    rows holds every row kept at the end, as (row, multipliers): row is an
+    integer vector over _pinned_slots(n); multipliers are nonnegative
+    integers, one per entry of _hive_inequalities(n), whose combination of
+    the hive inequalities cancels every free slot and leaves row.  By
+    Knutson-Tao saturation the Horn cone is the projection of the hive cone
+    onto the boundary, found here by eliminating the free slots in
+    integers.  Chernikov's rule (after k eliminations a row combining more
+    than k + 1 inequalities is redundant) and dropping every row whose set
+    of inequalities contains that of a row already kept leave only
     multiplier vectors of minimal support, and elimination reaches every
     one: these are the extreme rays of the cone of all such combinations,
     so by Farkas they decide the projection at any slack.
+
+    stages holds, per free slot in the order of elimination, (slot, rows):
+    each row of that stage with a nonzero coefficient on the slot, as
+    (coefficient, terms, total).  terms lists the row's other nonzero
+    entries as (column, coefficient) over the columns _pinned_slots(n) and
+    then the free slots in stage order; only later stages' slots appear.
+    total is the sum of the row's multipliers, so at slack eps the row
+    holds with -eps * total on every hive.
     """
     ineqs = _hive_inequalities(n)
     pinned = _pinned_slots(n)
@@ -286,11 +304,16 @@ def _fourier_motzkin(n):
         lam[j] = 1
         rows.append((vec, lam, frozenset((j,))))
 
+    stages = []
     for step, slot in enumerate(free, start=1):
         x = col[slot]
         kept = [r for r in rows if r[0][x] == 0]
         pos = [r for r in rows if r[0][x] > 0]
         neg = [r for r in rows if r[0][x] < 0]
+        stages.append((slot, tuple(
+            (vec[x], tuple((j, e) for j, e in enumerate(vec) if e and j != x),
+             sum(lam))
+            for vec, lam, _ in pos + neg)))
         for vp, lp, op in pos:
             for vq, lq, oq in neg:
                 origin = op | oq
@@ -306,20 +329,22 @@ def _fourier_motzkin(n):
         for r in kept:
             if not any(o <= r[2] for _, _, o in rows):
                 rows.append(r)
-    return [(tuple(vec[:len(pinned)]), tuple(lam)) for vec, lam, _ in rows]
+    return (tuple((tuple(vec[:len(pinned)]), tuple(lam)) for vec, lam, _ in rows),
+            tuple(stages))
 
 
 @lru_cache(maxsize=None)
 def _facets(n):
     """The Horn cone of size n as rows (row, multipliers, total), one per
-    distinct row of _fourier_motzkin(n); total is the multipliers' sum.
+    distinct final row of _fourier_motzkin(n); total is the multipliers'
+    sum.
 
     A boundary has a hive at slack eps (of either sign) exactly when
     row . pins >= -eps * total for every row.  Up to n = 5 no distinct row
     comes with two totals, so keeping the first serves both signs of eps.
     """
     table = {}
-    for row, lam in _fourier_motzkin(n):
+    for row, lam in _fourier_motzkin(n)[0]:
         table.setdefault(row, (row, lam, sum(lam)))
     return tuple(table.values())
 
@@ -365,7 +390,8 @@ def _triple_facets(n):
 
 def _open_rows(n, ints):
     """Indices of the composed facet rows whose float value at ints does not
-    clear its error bound; every other row is positive at ints."""
+    clear its error bound, lowest value first, so that a violated row comes
+    before the tight ones; every other row is positive at ints."""
     _, g, width = _triple_facets(n)
     m = max(max(ints), -min(ints))
     if m * width >= _FILTER_MAX:
@@ -373,79 +399,63 @@ def _open_rows(n, ints):
     x = g.dot([*map(float, ints), float(m)]).tolist()
     if min(x, default=1.0) > 0.0:
         return ()
-    return [j for j, v in enumerate(x) if v <= 0.0]
+    rows = [j for j, v in enumerate(x) if v <= 0.0]
+    rows.sort(key=x.__getitem__)
+    return rows
 
 
 def kt_witness(triple, slack=0):
     """A hive with the triple's boundary and all inequalities >= -slack, or
     None.
 
-    The closing identity a_n + b_n = c_n is checked first, to tolerance
-    |slack| as in kt_member; without it no hive can exist.  A hive closes
-    exactly, so when the identity misses by up to |slack| the hive returned
-    has a, c and b_1..b_{n-1} as given and b_n = c_n - a_n: slot (0, 0)
-    carries c_n, and b_n is read off it.  A negative slack tightens the
-    inequality families instead (every slack must reach |slack|), which is
-    useful for falsification tests.  The search itself is an exact phase-1
-    simplex over the rationals, so a None answer is a certificate of
-    infeasibility at that slack.
+    kt_member decides first, so a None answer is exact at that slack.  A
+    hive closes exactly, so when the closing identity a_n + b_n = c_n misses
+    by up to |slack| the hive returned has a, c and b_1..b_{n-1} as given
+    and b_n = c_n - a_n: slot (0, 0) carries c_n, and b_n is read off it.  A
+    negative slack tightens the inequality families instead (every slack
+    must reach |slack|), which is useful for falsification tests.
+
+    The free slots are fixed by back-substitution through the stages of
+    _fourier_motzkin(n), last eliminated first: each takes the midpoint of
+    the interval its stage rows leave it, given the pins and the slots
+    already fixed; up to MAX_N every stage bounds its slot on both sides.
+    Each stage row holds with -slack times its multiplier total, as the
+    facet rows do, so no interval is empty, and the values are exact
+    Fractions.  n must lie in 1..MAX_N.
     """
     eps = as_rational(slack)
-    n = triple.n
-    if not _closes(triple, eps):
+    if not kt_member(triple, eps):
         return None
-
-    pins = {slot: Fraction(p, triple.den)
-            for slot, p in zip(_pinned_slots(n), _integer_pins(triple))}
-    free = sorted(
-        (k, i) for k in range(n + 1) for i in range(k + 1) if (k, i) not in pins
-    )
-    index = {slot: j for j, slot in enumerate(free)}
-
-    rows_a = []
-    rows_b = []
-    for ineq in _hive_inequalities(n):
-        const = Fraction(0)
-        coeffs = [Fraction(0)] * len(free)
-        for slot, cf in ineq.items():
-            if slot in pins:
-                const += cf * pins[slot]
-            else:
-                coeffs[index[slot]] += cf
-        lo = -eps - const
-        if any(coeffs):
-            rows_a.append(coeffs)
-            rows_b.append(lo)
-        elif lo > 0:
-            return None
-
-    if rows_a:
-        x = feasible_point(rows_a, rows_b)
-        if x is None:
-            return None
-    else:
-        x = [Fraction(0)] * len(free)
-    values = dict(pins)
-    for slot, j in index.items():
-        values[slot] = x[j]
-    rows = tuple(tuple(values[(k, i)] for i in range(k + 1)) for k in range(n + 1))
-    return Tableau(n, rows, HIVE)
+    stages = _fourier_motzkin(triple.n)[1]
+    slots = _pinned_slots(triple.n) + tuple(slot for slot, _ in stages)
+    values = [Fraction(p, triple.den) for p in _integer_pins(triple)]
+    first = len(values)
+    values += [Fraction(0)] * len(stages)
+    for x in reversed(range(first, len(values))):
+        lo, hi = [], []
+        for coef, terms, total in stages[x - first][1]:
+            # coef * value + terms >= -eps * total
+            bound = (-eps * total - sum(c * values[j] for j, c in terms)) / coef
+            (lo if coef > 0 else hi).append(bound)
+        values[x] = (max(lo) + min(hi)) / 2
+    at = dict(zip(slots, values))
+    rows = tuple(tuple(at[(k, i)] for i in range(k + 1)) for k in range(triple.n + 1))
+    return Tableau(triple.n, rows, HIVE)
 
 
 def kt_member(triple, slack=0):
     """Whether a triple admits a hive with that boundary, up to slack.
 
-    For n <= 5 the closing identity a_n + b_n = c_n (to tolerance |slack|)
-    and then the exact facet table decide, read on the triple's integers
-    over its common denominator (_triple_facets), at any slack.  At
-    slack >= 0 a float filter settles the rows that hold by a clear margin
-    (_open_rows); the rest are evaluated in integers.  Only n > 5 goes to
-    the exact LP of kt_witness, so every answer is exact.
+    The closing identity a_n + b_n = c_n (to tolerance |slack|) and then
+    the exact facet table decide, read on the triple's integers over its
+    common denominator (_triple_facets), at any slack.  At slack >= 0 a
+    float filter settles the rows that hold by a clear margin (_open_rows);
+    the rest are evaluated in integers, so every answer is exact.  n must
+    lie in 1..MAX_N.
     """
     eps = as_rational(slack)
     n = triple.n
-    if n > _FACET_MAX_N:
-        return kt_witness(triple, eps) is not None
+    check_size(n)
     if not _closes(triple, eps):
         return False
     table, _, _ = _triple_facets(n)

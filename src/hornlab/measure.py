@@ -30,7 +30,7 @@ import numpy as np
 
 from .chamber import (WbarWeighting, find_delta0_chamber, gamma0_cached,
                       genericity_check, horn_triple_tropical, kappa_block)
-from .hive import HornTriple, kt_member
+from .hive import HornTriple, check_size, kt_member
 from .linalg import (b_factor, haar_unitaries, sample_B_r, singular_l,
                      spectrum_of)
 from .paths import complex_lift, m_k
@@ -39,7 +39,6 @@ from .semiring import COMPLEX, TROPICAL, as_rational, mat_mul
 
 CHUNK = 8192
 BLOCK = 256
-MAX_N = 5  # desk scale: the exact cone test grows steeply beyond it
 
 
 @dataclass(frozen=True)
@@ -172,11 +171,10 @@ def sample_tropical_kappa(r, s, count, rng):
     patterns u below r and v below s.  Each block of pairs is drawn by
     polytope.gz_block (the u block, then the v block) and mapped by
     chamber.kappa_block, which certifies every float result or computes it
-    exactly.  n must lie in 1..MAX_N."""
+    exactly.  n must lie in 1..hive.MAX_N."""
     r, s = _float_pair(r, s)
     n = len(r)
-    if not 1 <= n <= MAX_N:
-        raise ValueError("n must be between 1 and %d" % MAX_N)
+    check_size(n)
     chamber = find_delta0_chamber(n)
 
     def draw(crng, size):
@@ -373,12 +371,11 @@ def horn_forward_test(mode, n, count, slack, rng):
     degenerate pairs still belong and are kept), hermitian and
     multiplicative draw random spectra; multiplicative builds each factor
     with sample_B_r.  Each instance is drawn whole before the next, so the
-    block size does not change the output.  n must lie in 1..MAX_N.
+    block size does not change the output.  n must lie in 1..hive.MAX_N.
     """
     if mode not in ("tropical", "hermitian", "multiplicative"):
         raise ValueError("unknown mode %r" % (mode,))
-    if not 1 <= n <= MAX_N:
-        raise ValueError("n must be between 1 and %d" % MAX_N)
+    check_size(n)
     eps = as_rational(slack)
 
     def triple(crng):
@@ -409,10 +406,11 @@ def exceptional_mass_estimate(r, s, count, slack, rng):
     The forward theorem says this is exactly zero at any positive slack;
     a negative slack tightens the inequalities (the closing identity is
     tested at |slack|) and must yield a positive fraction, which makes the
-    estimator falsifiable.
+    estimator falsifiable.  n must lie in 1..hive.MAX_N.
     """
     r, s = _float_pair(r, s)
     n = len(r)
+    check_size(n)
     eps = as_rational(slack)
 
     def draw(crng, size):

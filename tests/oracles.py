@@ -10,7 +10,10 @@ over one denominator.
 minimal_support_rows finds the table again by brute force over the supports
 of the multiplier vectors, with null_space and rank in Fractions, and
 horn_list_verdict decides membership from Horn's recursive list of
-inequalities instead of from hives.  complex_det, sigma_values and gz_B are
+inequalities instead of from hives.  feasible_point is an exact phase-1
+simplex over the rationals, and lp_witness builds hives with it, the
+independent route to kt_witness's back-substitution and to kt_member's
+facet table (lp_verdict).  complex_det, sigma_values and gz_B are
 the direct minor and singular-value routes of the linear algebra tests, and
 dagger, hermitian_with_spectrum and sample_H_r build their test matrices.
 enumerate_paths lists single paths and enumerate_kpaths lists
@@ -39,7 +42,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from operator import mul
 
-from hornlab.hive import (GZ, HornTriple, Tableau, _facets,
+from hornlab.hive import (GZ, HIVE, HornTriple, Tableau, _facets,
                           _hive_inequalities, _pinned_slots, gz_check)
 from hornlab.linalg import _block, haar_unitaries, singular_l, spectrum_of
 from hornlab.semiring import as_rational
@@ -296,6 +299,148 @@ def horn_list_verdict(t):
                <= sum(alpha[x - 1] for x in i) + sum(beta[x - 1] for x in j)
                for r in range(1, t.n) for i, j, k in horn_index_triples(t.n, r))
 
+
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
+
+
+def feasible_point(a, b):
+    """Solve A x >= b exactly; returns a list of Fractions or None.
+
+    Free variables are split as x = u - v with u, v >= 0, each row gets a
+    surplus variable, and rows whose right side stays positive after sign
+    normalization get an artificial variable.  Phase 1 minimizes the sum of
+    artificials; feasibility is equivalent to that minimum being zero.
+    """
+    m = len(a)
+    nvar = len(a[0]) if m else 0
+    if nvar == 0:
+        return [] if all(Fraction(x) <= 0 for x in b) else None
+    if m == 0:
+        return [ZERO] * nvar
+
+    # columns: u (nvar) | v (nvar) | surplus (m) | artificials (as needed)
+    ncols = 2 * nvar + m
+    rows = []
+    art_of_row = {}
+    for i in range(m):
+        coeffs = [Fraction(x) for x in a[i]]
+        rhs = Fraction(b[i])
+        if rhs < 0:
+            # negate so the surplus column can serve as the basic variable
+            row = [-c for c in coeffs] + [c for c in coeffs] + [ZERO] * m
+            row[2 * nvar + i] = ONE
+            rows.append((row, -rhs, 2 * nvar + i))
+        else:
+            row = [c for c in coeffs] + [-c for c in coeffs] + [ZERO] * m
+            row[2 * nvar + i] = -ONE
+            art_of_row[i] = ncols + len(art_of_row)
+            rows.append((row, rhs, art_of_row[i]))
+
+    nart = len(art_of_row)
+    width = ncols + nart
+    tab = []
+    basis = []
+    for row, rhs, bcol in rows:
+        full = row + [ZERO] * nart
+        if bcol >= ncols:
+            full[bcol] = ONE
+        tab.append(full + [rhs])
+        basis.append(bcol)
+
+    # phase-1 objective: minimize the sum of artificial variables.  With the
+    # artificials basic, the reduced-cost row is minus the sum of their rows
+    # on non-artificial columns.
+    cost = [ZERO] * (width + 1)
+    for i, bcol in enumerate(basis):
+        if bcol >= ncols:
+            for j in range(width + 1):
+                cost[j] -= tab[i][j]
+    for i in range(ncols, width):
+        cost[i] += ONE
+
+    while True:
+        enter = -1
+        for j in range(width):
+            if cost[j] < 0:
+                enter = j
+                break
+        if enter < 0:
+            break
+        leave = -1
+        best = None
+        for i in range(m):
+            coef = tab[i][enter]
+            if coef > 0:
+                ratio = tab[i][width] / coef
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave < 0:
+            raise RuntimeError("phase-1 objective unbounded; malformed input")
+        piv = tab[leave][enter]
+        tab[leave] = [x / piv for x in tab[leave]]
+        for i in range(m):
+            if i != leave and tab[i][enter] != 0:
+                f = tab[i][enter]
+                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
+        if cost[enter] != 0:
+            f = cost[enter]
+            cost = [x - f * y for x, y in zip(cost, tab[leave])]
+        basis[leave] = enter
+
+    if -cost[width] != 0:
+        return None
+
+    values = [ZERO] * width
+    for i, bcol in enumerate(basis):
+        values[bcol] = tab[i][width]
+    return [values[j] - values[nvar + j] for j in range(nvar)]
+
+
+def lp_witness(t, slack):
+    """A hive with t's boundary and every inequality >= -slack, found by
+    the exact phase-1 simplex feasible_point over the free slots, or None
+    when there is none; the closing identity is checked first, to |slack|.
+    The pins are pin_values(t), so like kt_witness the hive keeps a, c and
+    b_1..b_{n-1} and closes exactly."""
+    eps = as_rational(slack)
+    n = t.n
+    if abs(t.a[-1] + t.b[-1] - t.c[-1]) > abs(eps):
+        return None
+    pins = dict(zip(_pinned_slots(n), pin_values(t)))
+    free = sorted((k, i) for k in range(n + 1) for i in range(k + 1)
+                  if (k, i) not in pins)
+    index = {slot: j for j, slot in enumerate(free)}
+    rows_a = []
+    rows_b = []
+    for ineq in _hive_inequalities(n):
+        const = Fraction(0)
+        coeffs = [Fraction(0)] * len(free)
+        for slot, cf in ineq.items():
+            if slot in pins:
+                const += cf * pins[slot]
+            else:
+                coeffs[index[slot]] += cf
+        lo = -eps - const
+        if any(coeffs):
+            rows_a.append(coeffs)
+            rows_b.append(lo)
+        elif lo > 0:
+            return None
+    x = feasible_point(rows_a, rows_b) if rows_a else []
+    if x is None:
+        return None
+    values = dict(pins)
+    values.update(zip(free, x))
+    return Tableau(n, tuple(tuple(values[(k, i)] for i in range(k + 1))
+                            for k in range(n + 1)), HIVE)
+
+
+def lp_verdict(t, slack):
+    """Membership at slack from lp_witness."""
+    return lp_witness(t, slack) is not None
 
 def complex_det(a):
     """Determinant of a small complex matrix by Gaussian elimination with

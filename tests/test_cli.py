@@ -119,6 +119,25 @@ def test_kt_member_csv_without_rows(text, tmp_path, capsys):
     assert captured.err == "error: no rows in %s\n" % csv
 
 
+N6 = "2,3,3,3,3,3,1,2,2,2,2,2,3,5,5,5,5,5"
+
+
+@pytest.mark.parametrize("source", ["triple", "csv"])
+def test_kt_member_refuses_n_above_the_desk_scale(source, tmp_path, capsys):
+    # 18 values make n = 6: a precondition, with nothing on stdout
+    if source == "triple":
+        argv = ["kt-member", "--triple", N6]
+    else:
+        csv = tmp_path / "t.csv"
+        csv.write_text(",".join("%s%d" % (v, i) for v in "abc" for i in range(1, 7))
+                       + "\n" + N6 + "\n")
+        argv = ["kt-member", "--csv", str(csv)]
+    assert main(argv) == PRECONDITION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: n must be between 1 and 5\n"
+
+
 def test_kt_member_input_validation(capsys):
     # exactly one of --csv / --triple
     assert main(["kt-member"]) == PRECONDITION

@@ -1,5 +1,6 @@
 """Triangular tableaux, rhombus inequalities, cone membership by the exact
-facet table (behind its float filter), by the exact LP and by Horn's list."""
+facet table (behind its float filter) and witness hives by back-substitution,
+against the oracle LP and Horn's list."""
 
 import warnings
 from decimal import Decimal
@@ -35,12 +36,13 @@ from hornlab import (
     triple_to_csv,
 )
 from hornlab import hive
-from hornlab.hive import (_facets, _family_slacks, _fourier_motzkin,
+from hornlab.hive import (MAX_N, _facets, _family_slacks, _fourier_motzkin,
                           _hive_inequalities, _pinned_slots, _triple_facets)
 from hornlab.linalg import haar_unitaries
+import oracles
 from oracles import (FractionTriple, facet_verdict, free_slots,
-                     horn_list_verdict, integer_pins, minimal_support_rows,
-                     pin_values, rank, scale_triple)
+                     horn_list_verdict, integer_pins, lp_verdict,
+                     minimal_support_rows, pin_values, rank, scale_triple)
 
 F = Fraction
 
@@ -294,9 +296,15 @@ def _interior_hive_triple(n):
     return boundary(t)
 
 
-@pytest.mark.parametrize("n", [2, 6], ids=["facet-table", "lp"])
+# each case also asks an independent route: the pure-integer facet table at
+# n = 2, the oracle LP at n = 5
+ORACLES = pytest.mark.parametrize("n, oracle", [(2, facet_verdict), (5, lp_verdict)],
+                                  ids=["facet-table", "lp"])
+
+
+@ORACLES
 @pytest.mark.parametrize("slack", [F(0), F(1, 100), F(-1, 100)])
-def test_closing_identity_holds_to_exactly_the_slack(n, slack):
+def test_closing_identity_holds_to_exactly_the_slack(n, oracle, slack):
     # c_n off a_n + b_n by |slack| passes the closing check, and one step
     # further fails it, in kt_member and kt_witness alike
     t = _interior_hive_triple(n)
@@ -308,18 +316,20 @@ def test_closing_identity_holds_to_exactly_the_slack(n, slack):
         w = kt_witness(moved, slack)
         assert kt_member(moved, slack) is member
         assert (w is not None) is member
+        assert oracle(moved, slack) is member
         # the slot (0, 0) carries c_n; b_n is read off it, so it moves too
         assert w is None or (boundary(w).a, boundary(w).c) == (moved.a, moved.c)
 
 
-@pytest.mark.parametrize("n", [2, 6], ids=["facet-table", "lp"])
+@ORACLES
 @pytest.mark.parametrize("slack", [F(1, 100), F(-1, 100)])
-def test_witness_at_a_slack_closes_exactly(n, slack):
+def test_witness_at_a_slack_closes_exactly(n, oracle, slack):
     # a hive closes exactly: the witness keeps a, c and b_1..b_{n-1} and
     # takes b_n = c_n - a_n, not the given b_n
     t = _interior_hive_triple(n)
     for miss in (abs(slack), -abs(slack)):
         moved = HornTriple(t.a, t.b, t.c[:-1] + (t.c[-1] + miss,))
+        assert oracle(moved, slack)
         w = boundary(kt_witness(moved, slack))
         assert (w.a, w.c, w.b[:-1]) == (moved.a, moved.c, moved.b[:-1])
         assert w.b[-1] == moved.c[-1] - moved.a[-1] == moved.b[-1] + miss
@@ -358,7 +368,7 @@ def test_membership_converts_nothing_after_construction(monkeypatch):
 
 def test_membership_builds_no_pins(monkeypatch):
     # kt_member reads the facet table on the triple's own integers; only
-    # kt_witness lays the pins out, for its LP
+    # kt_witness lays the pins out, for its back-substitution
     cases = _membership_cases()
     want = [facet_verdict(t, slack) for t in cases for slack in MEMBERSHIP_SLACKS]
 
@@ -441,7 +451,7 @@ def test_brute_force_finds_the_facet_table(n):
 def test_no_facet_row_has_two_totals(n):
     # so the one total the table keeps per row serves both signs of slack
     totals = {}
-    for row, lam in _fourier_motzkin(n):
+    for row, lam in _fourier_motzkin(n)[0]:
         totals.setdefault(row, set()).add(sum(lam))
     assert all(len(t) == 1 for t in totals.values())
     assert len(totals) == FACET_COUNTS[n]
@@ -539,9 +549,10 @@ def _no_lp(a, b):
 
 
 def _table_verdict(t, slack):
-    """kt_member's answer with the LP made to fail: the table alone decides."""
+    """kt_member's answer with the oracle LP made to fail: the table alone
+    decides."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hive, "feasible_point", _no_lp)
+        mp.setattr(oracles, "feasible_point", _no_lp)
         return kt_member(t, slack)
 
 
@@ -554,7 +565,44 @@ BAND = HornTriple((1, 1, 0), (1, 1, 0), (2 + F(1, 10 ** 9), 2, 0))
 # a facet broken by less than slack times its multiplier total
 @example(BAND, F(1, 10 ** 8))
 def test_facet_table_agrees_with_the_lp(t, slack):
-    assert _table_verdict(t, slack) == (kt_witness(t, slack) is not None)
+    assert _table_verdict(t, slack) == lp_verdict(t, slack)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(small_triples(), hive_triples(), pushed_triples()),
+       st.sampled_from(SLACKS))
+@example(BAND, F(1, 10 ** 8))
+# members whose witness hinges on single stage rows: at n = 5 and slack -1/2
+# a stage row must hold with -slack times its multiplier total, not -slack;
+# at slack 0 a row of the last stage (n = 5) and one of the first (n = 4)
+# bind alone
+@example(HornTriple((5, 7, 8, 6, 2), (5, 7, 3, -2, -9), (4, 5, 2, -2, -7)), F(-1, 2))
+@example(HornTriple((6, 10, 11, 8, 5), (2, 2, -1, -5, -10), (4, 5, 3, -1, -5)), F(0))
+@example(HornTriple((2, 0, -9, -18), (10, 20, 22, 20), (6, 11, 7, 2)), F(0))
+def test_back_substitution_builds_a_witness_where_the_lp_does(t, slack):
+    w = kt_witness(t, slack)
+    assert (w is not None) == lp_verdict(t, slack)
+    if w is not None:
+        assert all(x >= -slack for x in _family_slacks(w, "ABC"))
+        got = boundary(w)
+        assert (got.a, got.c, got.b[:-1]) == (t.a, t.c, t.b[:-1])
+        assert got.b[-1] == t.c[-1] - t.a[-1]
+
+
+@pytest.mark.parametrize("n", range(1, MAX_N + 1))
+def test_every_stage_bounds_its_slot_on_both_sides(n):
+    # the back-substitution takes the midpoint of each slot's interval, so
+    # each stage needs a row on either side; a row reads the pins and the
+    # slots of later stages only
+    stages = _fourier_motzkin(n)[1]
+    assert [slot for slot, _ in stages] == free_slots(n)
+    first = len(_pinned_slots(n))
+    for s, (_, rows) in enumerate(stages):
+        signs = {coef > 0 for coef, _, _ in rows}
+        assert signs == {True, False}
+        for coef, terms, total in rows:
+            assert coef != 0 and total > 0
+            assert all(c and (j < first or j > first + s) for j, c in terms)
 
 
 @settings(max_examples=40, deadline=None)
@@ -565,13 +613,13 @@ def test_hive_boundaries_are_members(t, slack):
 
 def _count_lp_calls(monkeypatch):
     calls = []
-    solve = hive.feasible_point
+    solve = oracles.feasible_point
 
     def counted(a, b):
         calls.append(len(a))
         return solve(a, b)
 
-    monkeypatch.setattr(hive, "feasible_point", counted)
+    monkeypatch.setattr(oracles, "feasible_point", counted)
     return calls
 
 
@@ -588,18 +636,20 @@ def _count_lp_calls(monkeypatch):
 def test_facet_table_decides_without_the_lp(t, slack, member, monkeypatch):
     calls = _count_lp_calls(monkeypatch)
     assert kt_member(t, slack) == member
+    assert (kt_witness(t, slack) is not None) == member
     assert calls == []
+    assert lp_verdict(t, slack) == member and calls
 
 
-@pytest.mark.parametrize("t, slack, member", [
-    # n = 6 has no table
-    (HornTriple((2, 3, 3, 3, 3, 3), (1, 2, 2, 2, 2, 2), (3, 5, 5, 5, 5, 5)), 0, True),
-    (HornTriple((2, 3, 3, 3, 3, 3), (1, 2, 2, 2, 2, 2), (4, 5, 5, 5, 5, 5)), 0, False),
+@pytest.mark.parametrize("t", [
+    # n = 6 is past the desk scale: no table, and no other route
+    HornTriple((2, 3, 3, 3, 3, 3), (1, 2, 2, 2, 2, 2), (3, 5, 5, 5, 5, 5)),
+    HornTriple((2, 3, 3, 3, 3, 3), (1, 2, 2, 2, 2, 2), (4, 5, 5, 5, 5, 5)),
 ])
-def test_lp_answers_what_the_table_does_not(t, slack, member, monkeypatch):
-    calls = _count_lp_calls(monkeypatch)
-    assert kt_member(t, slack) == member
-    assert calls
+def test_membership_refuses_n_above_the_desk_scale(t):
+    for route in (kt_member, kt_witness):
+        with pytest.raises(ValueError, match=r"^n must be between 1 and 5$"):
+            route(t)
 
 
 # -- the float filter in front of the facet table ------------------------------
@@ -720,9 +770,33 @@ def test_a_triple_on_a_facet_sends_that_row(monkeypatch):
              if sum(x * p for x, p in zip(row, pins)) == 0]
     sent = _count_exact_rows(monkeypatch)
     assert kt_member(t)
-    assert sent == [tight] and rows.index(weyl) in tight
+    assert [sorted(r) for r in sent] == [tight] and rows.index(weyl) in tight
     assert _triple_facets(4)[0][rows.index(weyl)][0] \
         == (1, 0, 0, 0, 1, 0, 0, 0, -1, 0, 0, 0)
+
+
+def test_open_rows_come_lowest_first(monkeypatch):
+    # a_1 moved up by one from the triple above breaks one facet row, which
+    # comes after seven tight rows in table order; read lowest value first,
+    # it is the only row kt_member evaluates
+    t = HornTriple((3, 4, 5, 5), (1, 2, 2, 2), (3, 6, 7, 7))
+    table, _, _ = _triple_facets(4)
+    values = [sum(map(mul, row, t.ints)) for row, _ in table]
+    violated = [j for j, v in enumerate(values) if v < 0]
+    tight = [j for j, v in enumerate(values) if v == 0]
+    assert len(violated) == 1 and len([j for j in tight if j < violated[0]]) == 7
+    rows = list(hive._open_rows(4, t.ints))
+    assert sorted(rows) == sorted(violated + tight)
+    assert [values[j] for j in rows] == sorted(values[j] for j in rows)
+    products = []
+
+    def counted(x, y):
+        products.append(x * y)
+        return x * y
+
+    monkeypatch.setattr(hive, "mul", counted)
+    assert not kt_member(t)
+    assert len(products) == len(table[0][0])
 
 
 @st.composite

@@ -2,7 +2,8 @@
 module-level function, class or assigned name is read somewhere in the
 package or exported, and the package exports exactly what its __init__
 imports.  One more check keeps the conversion of rationals to integers in
-semiring.over_common_denominator alone.
+semiring.over_common_denominator alone, and another keeps the Horn cone on
+one exact route: no LP solver in the package.
 
 No linter ships with the project, so these stdlib-ast checks keep unused
 imports, dead definitions and stale exports out.  The package __init__ is
@@ -10,6 +11,7 @@ exempt from the first: its imports are re-exports.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -114,4 +116,15 @@ def test_only_the_common_denominator_helper_reads_integer_ratios():
                  p.read_text(encoding="utf-8").splitlines(), start=1)
              if "as_integer_ratio" in text
              and not (p.name == "semiring.py" and line in inside)]
+    assert found == []
+
+
+def test_no_module_defines_or_imports_the_lp():
+    # the Horn cone has one exact route in the package, hive's elimination;
+    # the LP feasible_point lives in tests/oracles.py as the independent one
+    assert importlib.util.find_spec("hornlab.simplex") is None
+    found = [(p.name, line) for p in sorted(SRC.glob("*.py"))
+             for line, text in enumerate(
+                 p.read_text(encoding="utf-8").splitlines(), start=1)
+             if "feasible_point" in text]
     assert found == []

@@ -6,7 +6,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-import hornlab.hive as hive
 import hornlab.measure as measure
 from hornlab import (
     EmpiricalSample,
@@ -15,7 +14,6 @@ from hornlab import (
     exceptional_mass_estimate,
     horn_forward_test,
     kt_member,
-    kt_witness,
     ks_distance,
     l_map,
     limit_sweep,
@@ -26,7 +24,8 @@ from hornlab import (
     spectrum_of,
 )
 from hornlab.linalg import haar_unitaries
-from oracles import hermitian_with_spectrum
+import oracles
+from oracles import hermitian_with_spectrum, lp_verdict
 
 F = Fraction
 
@@ -436,6 +435,14 @@ def test_tropical_kappa_rejects_n_outside_desk_scale(n):
         sample_tropical_kappa((1.0,) * n, (1.0,) * n, 1, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("n", [6, 7])
+def test_exceptional_mass_rejects_n_outside_desk_scale(n):
+    # kt_member has no route past n = 5; refused before any draw
+    with pytest.raises(ValueError, match="n must be between 1 and 5"):
+        exceptional_mass_estimate((1.0,) * n, (1.0,) * n, 4, F(1, 10 ** 8),
+                                  np.random.default_rng(0))
+
+
 def test_exceptional_mass_rejects_mismatched_lengths():
     with pytest.raises(ValueError):
         exceptional_mass_estimate((1.0, 0.0), (1.0, 0.0, 0.0), 4, F(1, 10 ** 8),
@@ -457,20 +464,19 @@ def test_exceptional_mass_positive_when_overtightened():
 
 
 def test_exceptional_mass_at_negative_slack_needs_no_lp(monkeypatch):
-    # at n = 4 and slack -1/10 the facet table alone gives the mass the LP
-    # gives, with some triples on each side
+    # at n = 4 and slack -1/10 the facet table alone gives the mass the
+    # oracle LP gives, with some triples on each side
     def run():
         return exceptional_mass_estimate((3, 4, 3, 0), (2, 3, 3, 2), 200,
                                          F(-1, 10), np.random.default_rng(5))
 
     with monkeypatch.context() as mp:
-        mp.setattr(measure, "kt_member",
-                   lambda t, eps: kt_witness(t, eps) is not None)
+        mp.setattr(measure, "kt_member", lp_verdict)
         want = run()
 
     def no_lp(a, b):
         raise AssertionError("kt_member reached the LP")
 
-    monkeypatch.setattr(hive, "feasible_point", no_lp)
+    monkeypatch.setattr(oracles, "feasible_point", no_lp)
     assert run() == want
     assert 0.0 < want < 1.0

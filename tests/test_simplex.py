@@ -1,4 +1,4 @@
-"""Exact feasibility solver: A x >= b over the rationals."""
+"""The oracles' exact feasibility solver: A x >= b over the rationals."""
 
 from fractions import Fraction
 
@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hornlab import feasible_point
+from oracles import feasible_point
 
 F = Fraction
 
