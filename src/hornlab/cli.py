@@ -7,8 +7,11 @@ order is fixed, and there are no timestamps.
 
 A randomized command's settings are resolved once, before it runs: the
 flag wins, then the --config file, then (for the seed only) the
-HORNLAB_SEED environment variable, then the built-in default.  A count must
-be at least 1.
+HORNLAB_SEED environment variable, then the built-in default.  A value
+reads the same from each source: as text, by its setting's one reader, in
+the number grammar of hive.parse_number ('p/q', integer or decimal
+literals).  n, count and seed take whole numbers ('3', '3.0', '6/2') and
+refuse any other value with exit 3.  A count must be at least 1.
 
 Exit codes: 0 success / check passed, 1 check failed, 2 usage error
 (unknown flag, missing required setting, a path that cannot be opened),
@@ -25,7 +28,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -46,64 +48,41 @@ PRECONDITION = 3
 INTERNAL = 4
 
 
-@dataclass
-class ExperimentConfig:
-    """Defaults for the randomized commands, loadable from JSON.
-
-    Command line flags win over config values, which win over built-in
-    defaults.  Round-trips losslessly through its JSON form.
-    """
-
-    seed: object = None
-    count: object = None
-    r: object = None
-    s: object = None
-    slack: object = None
-    threshold: object = None
-    taus: object = None
-    generator: object = None
-    mode: object = None
-    n: object = None
-
-    def to_json(self):
-        return {f.name: getattr(self, f.name) for f in fields(self)
-                if getattr(self, f.name) is not None}
-
-    @classmethod
-    def from_json(cls, d):
-        if not isinstance(d, dict):
-            raise ValueError("config must be a JSON object")
-        known = {f.name for f in fields(cls)}
-        bad = set(d) - known
-        if bad:
-            raise ValueError("unknown config keys: %s" % ", ".join(sorted(bad)))
-        for k, v in d.items():
-            if isinstance(v, (bool, list, dict)):
-                raise ValueError("config key %r must be text or a number" % k)
-        return cls(**d)
-
-
 class _MissingSetting(Exception):
     pass
 
 
 def _parse_vector(text):
-    return tuple(parse_number(p) for p in str(text).split(","))
+    return tuple(parse_number(p) for p in text.split(","))
+
+
+def _integer(name):
+    """The reader of an integer setting: a number whose value is whole."""
+    def read(text):
+        try:
+            x = parse_number(text)
+            if x.denominator == 1:
+                return int(x)
+        except ValueError:
+            pass
+        raise ValueError("%s must be an integer, got %r" % (name, text))
+    return read
 
 
 # The shared flags of the randomized commands, each declared once: its
-# argparse keywords, and for a setting, how its value is read.  A config
-# value is held to the flag's choices too.
+# argparse keywords, and for a setting, the one reader of its value as
+# text, whether it comes from a flag, the config, HORNLAB_SEED or the
+# built-in default.  A config value is held to the flag's choices too.
 _FLAGS = {
     "generator": ({"choices": tuple(sorted(GENERATORS))}, str),
     "mode": ({"choices": ("tropical", "hermitian", "multiplicative")}, str),
-    "n": ({"type": int}, int),
+    "n": ({}, _integer("n")),
     "r": ({}, _parse_vector),
     "s": ({}, _parse_vector),
-    "count": ({"type": int}, int),
-    "slack": ({}, lambda v: parse_number(str(v))),
-    "seed": ({"type": int}, int),
-    "threshold": ({"type": float}, float),
+    "count": ({}, _integer("count")),
+    "slack": ({}, parse_number),
+    "seed": ({}, _integer("seed")),
+    "threshold": ({}, lambda v: float(parse_number(v))),
     "taus": ({"help": "comma list of scales"},
              lambda v: [float(x) for x in _parse_vector(v)]),
     "config": ({}, None),
@@ -130,17 +109,30 @@ _SETTINGS = {
 }
 
 
+def _read_config(path):
+    """The --config file: a JSON object over the settings' names whose
+    values are text or numbers; a null value leaves its setting unset."""
+    with open(path, "r", encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError("config must be a JSON object")
+    bad = set(cfg).difference(*_SETTINGS.values())
+    if bad:
+        raise ValueError("unknown config keys: %s" % ", ".join(sorted(bad)))
+    for k, v in cfg.items():
+        if isinstance(v, (bool, list, dict)):
+            raise ValueError("config key %r must be text or a number" % k)
+    return cfg
+
+
 def _resolve_settings(args):
     """Set args.<name> for every setting of the command: the flag, then the
     config, then HORNLAB_SEED (seed only), then the built-in default."""
-    cfg = ExperimentConfig()
-    if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = ExperimentConfig.from_json(json.load(fh))
+    cfg = _read_config(args.config) if getattr(args, "config", None) else {}
     for name, default in _SETTINGS.get(args.command, {}).items():
         v = getattr(args, name)
         if v is None:
-            v = getattr(cfg, name)
+            v = cfg.get(name)
         if v is None and name == "seed":
             v = os.environ.get("HORNLAB_SEED")
         if v is None:
@@ -151,7 +143,7 @@ def _resolve_settings(args):
         kwargs, read = _FLAGS[name]
         if v not in kwargs.get("choices", (v,)):
             raise ValueError("unknown %s %r" % (name, v))
-        setattr(args, name, None if v is None else read(v))
+        setattr(args, name, None if v is None else read(str(v)))
 
 
 def _emit(text, out):
@@ -299,9 +291,10 @@ def cmd_measure_compare(args):
     names = sorted(GENERATORS)
     # the final slot is the same affine invariant of (r, s) in every model,
     # so its law is an atom: a KS statistic between float-jitter atoms only
-    # measures jitter. It is scored by its worst residual instead.
+    # measures jitter. It is scored by its worst residual instead. At n = 1
+    # every direction is +-t1, that atom, so nothing is KS-scored.
     projections = [p for p in projection_set(n, seed)
-                   if not (isinstance(p, int) and p == n - 1)]
+                   if not (isinstance(p, int) and p == n - 1)] if n > 1 else []
     total = float(r[-1]) + float(s[-1])
     pairs = []
     worst = 0.0
@@ -384,15 +377,10 @@ def build_parser():
                     "at desk scale.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    shared = {}
-    for name, (kwargs, _) in _FLAGS.items():
-        shared[name] = argparse.ArgumentParser(add_help=False)
-        shared[name].add_argument("--" + name, **kwargs)
-
     def add(name, fn, help_, *flags):
-        flags = tuple(_SETTINGS.get(name, ())) + flags
-        p = sub.add_parser(name, help=help_,
-                           parents=[shared[f] for f in flags])
+        p = sub.add_parser(name, help=help_)
+        for f in tuple(_SETTINGS.get(name, ())) + flags:
+            p.add_argument("--" + f, **_FLAGS[f][0])
         p.set_defaults(func=fn)
         return p
 

@@ -559,7 +559,7 @@ def triple_to_csv(t):
 
 
 def triple_from_csv(line, n):
-    parts = [p for p in line.strip().split(",") if p != ""]
+    parts = line.strip().split(",")
     if len(parts) != 3 * n:
         raise ValueError("expected %d fields, got %d" % (3 * n, len(parts)))
     vals = [parse_number(p) for p in parts]

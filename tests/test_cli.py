@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from hornlab import (GENERATORS, format_number, sample_tropical_kappa,
                      triple_csv_header)
-from hornlab.cli import PASS, FAIL, USAGE, PRECONDITION, ExperimentConfig, main
+from hornlab.cli import _FLAGS, PASS, FAIL, USAGE, PRECONDITION, main
 
 W2 = {"n": 2, "diagonals": ["2"], "sink_horizontals": ["1", "1"]}
 # generic size-two instance with separation and margin both >= 1/2
@@ -270,12 +270,72 @@ def test_config_unknown_key_is_precondition(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
-def test_experiment_config_round_trip():
-    c = ExperimentConfig(seed=5, count=7, r="2,0", mode="tropical")
-    assert ExperimentConfig.from_json(c.to_json()) == c
-    assert "s" not in c.to_json()
-    with pytest.raises(ValueError):
-        ExperimentConfig.from_json({"volume": 11})
+_SAMPLE = ["sample", "--generator", "tropical-kappa", "--r", "2,0", "--s", "1,0"]
+_FORWARD = ["horn-forward", "--mode", "tropical"]
+
+
+def test_config_null_leaves_the_setting_unset(tmp_path, capsys):
+    cfg = _dump(tmp_path, "cfg.json", {"count": None, "seed": None})
+    rc, text = _run_to_file(tmp_path, "n.csv", _SAMPLE + ["--config", cfg])
+    assert rc == PASS and "# count=1000" in text and "# seed=0" in text
+    cfg = _dump(tmp_path, "cfg2.json", {"generator": None, "r": "2,0",
+                                        "s": "1,0"})
+    assert main(["sample", "--config", cfg]) == USAGE
+    assert "--generator is required" in capsys.readouterr().err
+
+
+# n, count and seed refuse a value that is not an integer, from a flag and
+# from the config alike, instead of truncating it
+@pytest.mark.parametrize("argv, doc, name", [
+    (_SAMPLE, {"count": 2.9}, "count"),
+    (_SAMPLE, {"seed": 1.5}, "seed"),
+    (_FORWARD, {"n": 2.7}, "n"),
+    (_SAMPLE, {"count": "5/2"}, "count"),
+    (_SAMPLE + ["--count", "2.9"], None, "count"),
+    (_SAMPLE + ["--count", "abc"], None, "count"),
+    (_SAMPLE + ["--seed", "x"], None, "seed"),
+    (_FORWARD + ["--n", "x"], None, "n"),
+])
+def test_integer_settings_refuse_non_integers(argv, doc, name, tmp_path,
+                                              capsys):
+    if doc is not None:
+        argv = argv + ["--config", _dump(tmp_path, "cfg.json", doc)]
+    assert main(argv) == PRECONDITION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: %s must be an integer, got "
+                                   % name)
+
+
+def test_integer_settings_take_whole_numbers_in_any_form(tmp_path,
+                                                         monkeypatch):
+    # '3.0' and '6/2' are the integer 3 as a flag, in the config and in
+    # HORNLAB_SEED, as the JSON number 3.0 already was
+    rc, want = _run_to_file(tmp_path, "a.csv",
+                            _SAMPLE + ["--count", "3", "--seed", "3"])
+    assert rc == PASS
+    cfg = _dump(tmp_path, "cfg.json", {"count": "6/2", "seed": 3.0})
+    assert _run_to_file(tmp_path, "b.csv",
+                        _SAMPLE + ["--count", "3.0", "--seed", "6/2"]) \
+        == (PASS, want)
+    assert _run_to_file(tmp_path, "c.csv", _SAMPLE + ["--config", cfg]) \
+        == (PASS, want)
+    monkeypatch.setenv("HORNLAB_SEED", "3.0")
+    assert _run_to_file(tmp_path, "d.csv", _SAMPLE + ["--count", "3"]) \
+        == (PASS, want)
+
+
+def test_threshold_reads_the_number_grammar(tmp_path):
+    argv = ["measure-compare", "--r", "2,0", "--s", "1,0", "--count", "300",
+            "--seed", "5", "--threshold"]
+    half = _run_to_file(tmp_path, "a.json", argv + ["1/2"])
+    assert half == _run_to_file(tmp_path, "b.json", argv + ["0.5"])
+    assert half[0] == PASS and json.loads(half[1])["threshold"] == 0.5
+
+
+def test_no_setting_flag_has_an_argparse_type():
+    # the reader in _FLAGS is the only parser of a setting's text
+    assert all("type" not in kwargs for kwargs, _ in _FLAGS.values())
 
 
 def test_seed_env_fallback(tmp_path, monkeypatch):
@@ -306,6 +366,18 @@ def test_measure_compare_json(tmp_path):
     argv[-1] = "1e-9"
     rc, text = _run_to_file(tmp_path, "mc2.json", argv)
     assert rc == FAIL and json.loads(text)["pass"] is False
+
+
+def test_measure_compare_at_n1_rests_on_the_total_identity(tmp_path):
+    # every draw at n = 1 is the atom r + s, and every random direction is
+    # +-t1, so nothing is KS-scored: the check is the residual alone
+    rc, text = _run_to_file(tmp_path, "mc1.json",
+                            ["measure-compare", "--r", "2", "--s", "1",
+                             "--count", "2000", "--seed", "3"])
+    rep = json.loads(text)
+    assert rc == PASS and rep["pass"] is True and rep["pairs"] == []
+    assert rep["max_statistic"] == max(
+        row["residual"] for row in rep["total_identity"]) < 1e-9
 
 
 def test_limit_sweep_csv(tmp_path):
@@ -433,6 +505,13 @@ MALFORMED = [
     (["measure-compare", "--r", "2,0", "--s", "1,0", "--count", "2",
       "--threshold=" + threshold], None, PRECONDITION)
     for threshold in ("nan", "0", "-1")
+] + [
+    (["sample", "--config"], {"r": [2, 0]}, PRECONDITION),
+    (["sample", "--config"], {"seed": True}, PRECONDITION),
+] + [
+    # an empty field is a field: neither row is shifted into a 6-field triple
+    (["kt-member", "--csv"], "a1,a2,b1,b2,c1,c2\n%s\n" % row, PRECONDITION)
+    for row in ("1,,0,1,0,2,0", "1,0,1,0,2,0,")
 ]
 
 
@@ -440,6 +519,9 @@ MALFORMED = [
 def test_malformed_input_exit_code(argv, doc, code, tmp_path, capsys):
     if doc == "a directory":
         argv = argv + [str(tmp_path)]
+    elif isinstance(doc, str):  # a CSV file
+        (tmp_path / "doc.csv").write_text(doc, encoding="utf-8")
+        argv = argv + [str(tmp_path / "doc.csv")]
     elif doc is not None:
         argv = argv + [_dump(tmp_path, "doc.json", doc)]
     assert main(argv) == code
@@ -614,6 +696,25 @@ def test_fuzz_sample_settings_keep_the_exit_code_contract(cmd, count, r, s):
     code, out, err = _run(argv)
     _assert_contract(code, out, err)
     assert code != FAIL
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([["kappa-sample"],
+                        ["sample", "--generator", "hermitian-sum"],
+                        ["sample", "--generator", "tropical-kappa"]]),
+       _COUNT_TEXT, _VECTOR_TEXT, _VECTOR_TEXT)
+def test_fuzz_sample_settings_read_the_same_from_flags_and_config(
+        tmp_path_factory, cmd, count, r, s):
+    cfg = tmp_path_factory.mktemp("cfg") / "cfg.json"
+    cfg.write_text(json.dumps({"count": count, "r": r, "s": s}),
+                   encoding="utf-8")
+    by_flag = _run(cmd + ["--count=" + count, "--r=" + r, "--s=" + s,
+                          "--seed", "1"])
+    by_config = _run(cmd + ["--config", str(cfg), "--seed", "1"])
+    if "--" in (count, r, s):  # argparse reserves '--' in a flag's value
+        assert (by_flag[0], by_config[0]) == (USAGE, PRECONDITION)
+    else:
+        assert by_flag == by_config
 
 
 def test_module_entry_point(tmp_path):

@@ -847,6 +847,10 @@ def test_triple_csv_round_trip():
     t = HornTriple((F(3, 2), 0), (1, F(-1, 3)), (F(5, 2), F(-1, 3)))
     line = triple_to_csv(t)
     assert triple_from_csv(line, 2) == t
+    # an empty field counts, so no value shifts into another's column
+    for bad in ("1,,0,1,0,2,0", "1,0,1,0,2,0,"):
+        with pytest.raises(ValueError, match="expected 6 fields, got 7"):
+            triple_from_csv(bad, 2)
 
 
 def test_tableau_json_round_trip():
