@@ -19,14 +19,15 @@ reproduce tropical_gz on random interior patterns.  That check shares the
 sweep with P, so it covers the selection and the inverse but not P; the
 tests check P against a depth-first enumeration of the path systems.
 
-Every exact routine here works on integers: coordinates, patterns and
-the chamber's inverse are put over their least common denominator by
-semiring.over_common_denominator, and only results are divided back.
+Every exact routine here works on integers: coordinates and patterns are
+put over their least common denominator by
+semiring.over_common_denominator, the chamber's inverse is an integer
+matrix, and only results are divided back.
 
-kappa_block evaluates kappa on blocks of float patterns with numpy: one
-product with the chamber's inverse, one with P, a certificate per sample
-that the exact route would accept the pattern, and the exact kappa for
-every sample without one.
+kappa_block evaluates kappa on blocks of float patterns with numpy: the
+exact route's checks and P's composite top rows, composed with the inverse
+into integer rows, go through hive's float filter, and every pair without
+a certificate goes through the exact kappa.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ from itertools import compress
 import numpy as np
 
 from .hive import (GZ, TROPICAL_GZ, HornTriple, Tableau, _exact_in,
-                   _family_slacks, _json_fields, gz_check, gz_margin)
+                   _family_slacks, _filter_matrix, _json_fields, gz_check,
+                   gz_margin)
 from .network import build_gamma0, concatenate
 from .paths import _subnets_of, m_k, tropical_gz
 from .polytope import pattern_tableau
@@ -213,29 +215,29 @@ def _invert_exact(mat):
 
 @dataclass(frozen=True)
 class ChamberMap:
-    """A verified linear inverse of the tropical pattern map."""
+    """A verified linear inverse of the tropical pattern map, an integer
+    matrix."""
 
     n: int
     slots: tuple
     matrix: tuple
     inverse: tuple
-    # the inverse as integer rows over one common denominator
+    # the inverse as rows of Python ints
     _inverse_ints: tuple = field(init=False, repr=False, compare=False)
-    _inverse_den: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = len(self.inverse)
         ints, den = over_common_denominator(
             [x for row in self.inverse for x in row])
+        if den != 1:
+            raise ValueError("chamber inverse must be an integer matrix")
         object.__setattr__(self, "_inverse_ints", tuple(
             tuple(ints[j:j + m]) for j in range(0, len(ints), m)))
-        object.__setattr__(self, "_inverse_den", den)
 
-    def _solve(self, vec, den):
-        """Coordinates, as (integers, denominator), of the weighting whose
-        slot values are vec / den."""
-        coords = [sum(map(operator.mul, row, vec)) for row in self._inverse_ints]
-        return coords, den * self._inverse_den
+    def _solve(self, vec):
+        """Integer coordinates of the weighting whose slot values are the
+        integers vec."""
+        return [sum(map(operator.mul, row, vec)) for row in self._inverse_ints]
 
     @cached_property
     def _float_route(self):
@@ -248,8 +250,9 @@ def _weighting(n, coords, den):
                          tuple(Fraction(c, den) for c in coords[d:]))
 
 
-def random_interior_pattern(n, rng, denom=1 << 16):
+def random_interior_pattern(n, rng):
     """A strictly interlacing pattern with exact dyadic entries."""
+    denom = 1 << 16
     lam = sorted((int(v) for v in rng.integers(0, denom, size=n)), reverse=True)
     lam = [Fraction(v - 2 * j, denom) for j, v in enumerate(lam)]  # force strict
     rows = {n: lam}
@@ -335,7 +338,7 @@ def _invert(xi, chamber):
 
     All arithmetic is on integers: xi's entries are put over their least
     common denominator, which keeps the signs of its slacks, and the
-    inverse is kept over one too."""
+    inverse is an integer matrix."""
     if chamber is None:
         chamber = find_delta0_chamber(xi.n)
     if xi.n != chamber.n:
@@ -347,13 +350,12 @@ def _invert(xi, chamber):
     if not gz_check(exact, 0):
         raise ValueError("pattern is not in the interlacing cone")
     vec = [exact.value(k, i) for (k, i) in chamber.slots]
-    coords, cden = chamber._solve(vec, den)
+    coords = chamber._solve(vec)
     profiles = _profiles(chamber.n)
-    # minor / cden == value / den, cleared of denominators
-    if any(max(_values(profiles[s], coords)) != v * chamber._inverse_den
+    if any(max(_values(profiles[s], coords)) != v
            for s, v in zip(chamber.slots, vec)):
         raise RuntimeError("pattern lies outside the chamber's validity cone")
-    return coords, cden
+    return coords, den
 
 
 def lt_inverse(xi, chamber=None):
@@ -385,103 +387,65 @@ def kappa(u, v, chamber=None):
                           + [c * (den // du) for c in cu], den)
 
 
-# kappa_block's error bound.  Let u = 2^-53, m the number of slots (and of
-# coordinates), U a pattern's slot values, A the chamber's integer inverse
-# and T = |U| . colsum(|A|), so that T >= sum |U| and every 0/1 row of P
-# adds at most T (per factor) of |U| |A|^T.  In any summation order, with
-# or without fused multiply-adds, the coordinates U A^T are off by at most
-# m u T, a row of P times them by 2m u T more, a rival margin
-# (value * den - row product, where |value * den| <= T) by 2u T more, a
-# four-term interlacing slack by 3u T, and a composite value, divided by
-# den and set against the rounded exact value, by 2u (T_u + T_v) / den more.
-# So a pair's bound 2 (3m + 3) (u (T_u + T_v) + 2^-1022), twice the
-# first-order total, covers every check of either pattern and, divided by
-# den, the output; the 2^-1022 covers subnormal partial sums, and while
-# T_u + T_v stays below _KAPPA_MAX no partial sum can overflow.  One bound
-# serves the whole pair, so a pattern whose own margins sit inside the
-# other factor's rounding error goes to the exact route.
-_U = 2.0 ** -53
-_TINY = 2.0 ** -1022
-_KAPPA_MAX = 2.0 ** 1000
-
-
 @dataclass(frozen=True)
 class _FloatRoute:
-    """A chamber's data as float64 matrices for kappa_block: the inverse
-    (transposed), the column sums of its absolute value, the interlacing
-    slacks (families A and B) as columns, the rows of P that each slot's
-    own row must beat (rival rows) with their slots, the composite top
-    rows of P with the start of each slot's run, the inverse's denominator
-    and the error bound's constant."""
+    """A chamber's rows for kappa_block, as hive float filters over a pair's
+    slot values [v | u] (transposed): check, the checks of both patterns,
+    each positive only where the exact route accepts (strict interlacing,
+    every rival row of P below its slot); top, P's composite top rows
+    composed with the inverse, each top slot's run beginning at starts;
+    limit, the smaller of the two filters' limits."""
 
-    inverse: np.ndarray
-    weight: np.ndarray
-    interlace: np.ndarray
-    rivals: np.ndarray
-    rival_slot: np.ndarray
-    composite: np.ndarray
+    check: np.ndarray
+    top: np.ndarray
     starts: np.ndarray
-    den: float
-    c: int
+    limit: float
 
     @classmethod
     def of(cls, chamber):
         n, m = chamber.n, len(chamber.slots)
-        inverse = np.array(chamber._inverse_ints, dtype=float)
-        profiles = _profiles(n)
-        rivals = [(j, row) for j, (s, own) in enumerate(zip(chamber.slots,
-                                                            chamber.matrix))
-                  for row in profiles[s] if row != own]
-        composite = _profiles(n, True)
-        top = [composite[s] for s in _top_slots(n)]
-        return cls(
-            inverse=inverse.T,
-            weight=np.abs(inverse).sum(axis=0),
-            interlace=np.array([_family_slacks(pattern_tableau(e), "AB")
-                                for e in np.eye(m)]),
-            rivals=np.array([row for _, row in rivals],
-                            dtype=float).reshape(-1, m).T,
-            rival_slot=np.array([j for j, _ in rivals], dtype=int),
-            composite=np.array([row for rows in top for row in rows],
-                               dtype=float).T,
-            starts=np.cumsum([0] + [len(rows) for rows in top[:-1]]),
-            den=float(chamber._inverse_den),
-            c=2 * (3 * m + 3))
+        columns = list(zip(*chamber._inverse_ints))
 
+        def compose(row):  # row . (A U) as a row over the slot values U
+            return [sum(map(operator.mul, row, col)) for col in columns]
 
-def _certify(block, coords, bound, route):
-    """Which pattern rows of block the exact route certainly accepts:
-    strictly interlacing, and every rival row of P below its slot's value,
-    each by more than the row's bound."""
-    bound = bound[:, None]
-    return ((block @ route.interlace > bound).all(axis=1)
-            & (block[:, route.rival_slot] * route.den - coords @ route.rivals
-               > bound).all(axis=1))
+        eye = np.eye(m, dtype=int).tolist()
+        checks = [[int(x) for x in row] for row in zip(*(
+            _family_slacks(pattern_tableau(e), "AB") for e in eye))]
+        checks += [[e - r for e, r in zip(eye[j], compose(row))]
+                   for j, s in enumerate(chamber.slots)
+                   for row in _profiles(n)[s] if row != chamber.matrix[j]]
+        zero = [0] * m
+        check, check_limit = _filter_matrix(
+            [r + zero for r in checks] + [zero + r for r in checks], 2 * m)
+        top = [_profiles(n, True)[s] for s in _top_slots(n)]
+        top_rows, top_limit = _filter_matrix(
+            [compose(r[:m]) + compose(r[m:]) for runs in top for r in runs], 2 * m)
+        return cls(check.T, top_rows.T, np.cumsum([0] + [len(r) for r in top[:-1]]),
+                   min(check_limit, top_limit))
 
 
 def kappa_block(us, vs, chamber):
     """kappa of each pair of rows of two gz_block arrays, as floats.
 
     Returns (values, bounds): values[j] is within bounds[j] of
-    float(kappa(u_j, v_j)) entry by entry.  A pair is evaluated in float64
-    (one product with the chamber's inverse per factor, then each top slot
-    as a maximum over the composite rows of P) when its scale is below
-    _KAPPA_MAX and both patterns clear the pair's error bound in _certify;
-    every other pair, including one with a non-finite entry, goes through
-    kappa itself, raises what it raises, and has bound 0.
+    float(kappa(u_j, v_j)) entry by entry.  A pair's scale is the larger
+    max|entry| of its two patterns.  When it is below the route's limit and
+    the filter certifies every check of both patterns at that scale, the
+    pair is evaluated in float64, each top slot as a maximum over its run,
+    and its bound is the top rows' largest folded bound at that scale.
+    Every other pair, a non-finite one or one whose smaller factor's margins
+    sit inside that bound included, goes through kappa itself, raises what
+    it raises, and has bound 0.
     """
     route = chamber._float_route
+    pairs = np.hstack([vs, us])
+    scale = np.abs(pairs).max(axis=1)
     with np.errstate(all="ignore"):
-        # coordinates times the inverse's denominator, and the scales T
-        cu, tu = us @ route.inverse, np.abs(us) @ route.weight
-        cv, tv = vs @ route.inverse, np.abs(vs) @ route.weight
-        bounds = route.c * (_U * (tu + tv) + _TINY)
-        ok = ((tu + tv < _KAPPA_MAX)  # false for inf and nan
-              & _certify(us, cu, bounds, route)
-              & _certify(vs, cv, bounds, route))
-        values = np.maximum.reduceat(np.hstack([cv, cu]) @ route.composite,
-                                     route.starts, axis=1) / route.den
-    bounds = np.where(ok, bounds / route.den, 0.0)
+        ok = ((scale < route.limit)  # false for inf and nan
+              & (np.hstack([pairs, scale[:, None]]) @ route.check > 0).all(axis=1))
+        values = np.maximum.reduceat(pairs @ route.top[:-1], route.starts, axis=1)
+    bounds = np.where(ok, scale * -route.top[-1].min(), 0.0)
     for j in np.flatnonzero(~ok):
         values[j] = [float(x) for x in kappa(pattern_tableau(us[j]),
                                              pattern_tableau(vs[j]), chamber)]

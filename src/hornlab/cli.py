@@ -10,8 +10,9 @@ flag wins, then the --config file, then (for the seed only) the
 HORNLAB_SEED environment variable, then the built-in default.  A value
 reads the same from each source: as text, by its setting's one reader, in
 the number grammar of hive.parse_number ('p/q', integer or decimal
-literals).  n, count and seed take whole numbers ('3', '3.0', '6/2') and
-refuse any other value with exit 3.  A count must be at least 1.
+literals).  n, count and seed, like gamma0's --n and limit-sweep's
+--phase-seed, take whole numbers ('3', '3.0', '6/2') and refuse any other
+value with exit 3.  A count must be at least 1.
 
 Exit codes: 0 success / check passed, 1 check failed, 2 usage error
 (unknown flag, missing required setting, a path that cannot be opened),
@@ -169,7 +170,7 @@ def _json_text(obj):
 
 
 def cmd_gamma0(args):
-    g = build_gamma0(args.n)
+    g = build_gamma0(_integer("n")(args.n))
     if args.format == "dot":
         _emit(network_to_dot(g), args.out)
     else:
@@ -336,7 +337,7 @@ def cmd_limit_sweep(args):
         raise ValueError("no scales given; pass --taus or set taus in the config")
     phases = None
     if args.phase_seed is not None:
-        rng = np.random.default_rng(int(args.phase_seed))
+        rng = np.random.default_rng(_integer("phase-seed")(args.phase_seed))
         g = gamma0_cached(w.n)
         angles = rng.uniform(0.0, 2 * np.pi, size=len(g.edges))
         phases = {e: complex(np.cos(a), np.sin(a))
@@ -385,7 +386,7 @@ def build_parser():
         return p
 
     p = add("gamma0", cmd_gamma0, "emit the reference network")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", required=True)
     p.add_argument("--format", choices=("json", "dot"), default="json")
     p.add_argument("--out")
 
@@ -419,7 +420,7 @@ def build_parser():
     p = add("limit-sweep", cmd_limit_sweep, "scaling-limit error curve",
             "config", "out")
     p.add_argument("--weights", required=True)
-    p.add_argument("--phase-seed", type=int, dest="phase_seed")
+    p.add_argument("--phase-seed", dest="phase_seed")
     add("horn-forward", cmd_horn_forward,
         "random instances must land in the cone", "config")
     add("exceptional-mass", cmd_exceptional_mass,

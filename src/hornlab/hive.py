@@ -34,7 +34,10 @@ certified sign filter: one float product gives every row's value less a
 forward error bound, folded into one column as max|ints| times the row's
 absolute sum.  A row whose float value clears it is positive in exact
 arithmetic too, and every other row is evaluated in integers.  So every
-verdict is the exact one.
+verdict is the exact one.  The filter is built by _filter_matrix, for any
+integer rows and float or integer inputs; chamber.kappa_block certifies
+through it too, and the comment above it is the package's one float error
+analysis.
 """
 
 from __future__ import annotations
@@ -349,30 +352,51 @@ def _facets(n):
     return tuple(table.values())
 
 
-# The float filter evaluates d_j - bound_j for every composed facet row R_j
-# at once, as one product [R | -_FILTER_C L 2^-53 w] @ [x ; m] of L = 3n + 1
-# terms, where x is ints with each entry rounded once to float and m is
-# max|ints| rounded.  Since |R_j| . |ints| <= w_j m, the one folded column
-# bounds every rounding: the float result is off d_j - bound_j by at most
-# about (L + 1) 2^-53 w_j m, in any summation order and with or without
-# fused multiply-adds, and bound_j = _FILTER_C L 2^-53 w_j m is larger, so a
-# row whose float result is positive is positive in exact arithmetic.  The
-# entries are integers, so nothing is subnormal; while m times the largest
-# w_j stays below _FILTER_MAX no partial sum can overflow, and larger
-# triples skip the filter.
+# The float filter, the package's one float error analysis.  For integer
+# rows R_j over `width` values, with w_j = sum |R_j| and L = width + 1
+# terms, _filter_matrix builds g = [R | -F w], F = _FILTER_C L 2^-53.  A
+# caller evaluates g @ [x ; m] for every row at once, x its input in
+# float64 (floats as they are, integers each rounded once) and m = max|x|,
+# and reads a positive result as d_j = R_j . x > 0 exactly.  Every term
+# R_ji x_i, partial sum and input is an integer multiple of 2^-1074, so a
+# result below 2^-1022 (subnormal) is exact and any other rounding is
+# within 2^-53 of its result.  In any summation order, with or without
+# fused multiply-adds, the R terms then sum to within about L 2^-53 w_j m
+# of d_j (2^-53 w_j m more for rounded integers), exactly unless a partial
+# sum reaches 2^-1022, so unless w_j m >= 2^-1023.  The folded term F w_j m
+# is rounded once, within 2^-53 relative and 2^-1075 absolute (it may be
+# subnormal), so when w_j m >= 2^-1023 it exceeds all that error by at
+# least 6 L 2^-53 w_j m - 2^-1075 > 0; otherwise the result is d_j less a
+# nonnegative term, exactly.  Either way a positive result means d_j > 0,
+# and F w_j m, rounded once, also bounds R_j . x evaluated without the
+# folded column against its exact value rounded to float.  The one guard,
+# m below _FILTER_MAX over the largest w_j (the filter's limit), keeps
+# every partial sum under 2^1001, so nothing overflows; it is false for
+# inf and nan, and larger inputs skip the filter.
 _FILTER_C = 8
 _FILTER_MAX = 2 ** 1000
 
 
+def _filter_matrix(rows, width):
+    """The float filter over integer rows R of width entries: (g, limit).
+
+    g is [R | -_FILTER_C (width + 1) 2^-53 w] in float64, read-only, with
+    w_j the sum of |R_j|; limit is _FILTER_MAX over the largest w_j (1 for
+    no rows), the max-abs input below which the filter applies."""
+    rows = np.array(rows, dtype=float).reshape(-1, width)
+    w = np.abs(rows).sum(axis=1)
+    g = np.hstack([rows, -_FILTER_C * (width + 1) * 2.0 ** -53 * w[:, None]])
+    g.setflags(write=False)  # shared by every caller through the caches
+    return g, _FILTER_MAX / float(w.max(initial=1))
+
+
 @lru_cache(maxsize=None)
 def _triple_facets(n):
-    """_facets(n) read on HornTriple.ints: (table, g, width).
+    """_facets(n) read on HornTriple.ints: (table, g, limit).
 
     table holds (row, total) per facet, with row composed with _pin_map(n)
     so that row . ints equals the facet row . pins (its b_n entry is 0).  g
-    is the float filter's matrix [R | -_FILTER_C (3n + 1) 2^-53 w] over the
-    rows R, with w_j the sum of |R_j|; width is the largest w_j as an int (1
-    for an empty table)."""
+    and limit are the float filter over those rows (_filter_matrix)."""
     pin_map = _pin_map(n)
     table = []
     for facet, _, total in _facets(n):
@@ -381,20 +405,16 @@ def _triple_facets(n):
             for t in ts:
                 row[t] += f
         table.append((tuple(row), total))
-    rows = np.array([row for row, _ in table], dtype=float).reshape(-1, 3 * n)
-    w = np.abs(rows).sum(axis=1)
-    g = np.hstack([rows, -_FILTER_C * (3 * n + 1) * 2.0 ** -53 * w[:, None]])
-    g.setflags(write=False)  # shared by every caller through the cache
-    return tuple(table), g, int(w.max(initial=1))
+    return (tuple(table),) + _filter_matrix([row for row, _ in table], 3 * n)
 
 
 def _open_rows(n, ints):
     """Indices of the composed facet rows whose float value at ints does not
     clear its error bound, lowest value first, so that a violated row comes
     before the tight ones; every other row is positive at ints."""
-    _, g, width = _triple_facets(n)
+    _, g, limit = _triple_facets(n)
     m = max(max(ints), -min(ints))
-    if m * width >= _FILTER_MAX:
+    if m >= limit:
         return range(len(g))
     x = g.dot([*map(float, ints), float(m)]).tolist()
     if min(x, default=1.0) > 0.0:

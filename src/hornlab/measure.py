@@ -350,8 +350,8 @@ class ForwardReport:
     pass_rate: float
 
 
-def _random_wbar(n, crng, denom=1 << 20):
-    nd = n * (n - 1) // 2
+def _random_wbar(n, crng):
+    nd, denom = n * (n - 1) // 2, 1 << 20
     vals = crng.integers(0, denom, size=nd + n)
     return WbarWeighting(n,
                          tuple(Fraction(int(v), denom) for v in vals[:nd]),

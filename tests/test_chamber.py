@@ -1,5 +1,6 @@
 """Linearization of the pattern map on the dominant chamber."""
 
+import warnings
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -33,6 +34,7 @@ from hornlab import (
     wbar_to_json,
 )
 import hornlab.chamber as chamber
+import hornlab.hive as hive
 from hornlab.chamber import concat_cached, gamma0_cached, kappa_block
 from hornlab.polytope import gz_block, pattern_tableau
 from hornlab.paths import _subnets_of
@@ -187,6 +189,20 @@ def test_lt_inverse_rejects_a_wrong_solve():
         lt_inverse(xi, doubled)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_chamber_inverse_is_a_unit_integer_matrix(n):
+    inverse = find_delta0_chamber(n).inverse
+    assert {x for row in inverse for x in row} <= {-1, 0, 1}
+
+
+def test_chamber_map_refuses_a_fractional_inverse():
+    ch = find_delta0_chamber(2)
+    half = tuple(tuple(x / 2 for x in row) for row in ch.inverse)
+    assert any(x.denominator == 2 for row in half for x in row)
+    with pytest.raises(ValueError, match="integer matrix"):
+        ChamberMap(2, ch.slots, ch.matrix, half)
+
+
 def test_lt_inverse_accepts_floats_exactly():
     # float entries are rationalized before solving, so the round trip
     # reproduces the exact dyadic pattern
@@ -326,13 +342,46 @@ def test_kappa_block_is_within_its_bound_of_kappa(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_kappa_block_without_certificate_is_kappa_bit_for_bit(n, monkeypatch):
-    monkeypatch.setattr(chamber, "_certify",
-                        lambda block, *rest: np.zeros(len(block), dtype=bool))
+    # the shared filter certifies no pair when its limit is 0, nor, from
+    # n = 2 on (a rank-1 pattern has no check), when its constant is so
+    # large that no check clears its bound; a route built under either
+    # sends every pair to kappa
     ch = find_delta0_chamber(n)
     us, vs = _blocks(n)
-    values, bounds = kappa_block(us, vs, ch)
-    assert (bounds == 0).all()
-    assert values.tolist() == _exact_kappa(us, vs, ch).tolist()
+    exact = _exact_kappa(us, vs, ch).tolist()
+    knobs = [("_FILTER_MAX", 0)] + [("_FILTER_C", 2 ** 60)] * (n > 1)
+    for name, value in knobs:
+        with monkeypatch.context() as patch:
+            patch.setattr(hive, name, value)
+            fresh = ChamberMap(n, ch.slots, ch.matrix, ch.inverse)
+            values, bounds = kappa_block(us, vs, fresh)
+        assert (bounds == 0).all()
+        assert values.tolist() == exact
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("scale", [2.0 ** -1000, 1e300, 2.0 ** 1020],
+                         ids=["tiny", "huge", "edge"])
+def test_kappa_block_holds_its_bound_across_the_float_range(n, scale):
+    # near 2^-1000 the folded bounds are subnormal; near 1e300 the pairs
+    # sit on either side of the filter's limit (below it at n = 2, above
+    # at n = 3); at 2^1020 the products overflow, and the scale guard
+    # sends every pair to kappa
+    ch = find_delta0_chamber(n)
+    r, s = BLOCK_TOPS[n]
+    rng = np.random.default_rng(600 + n)
+    us = gz_block([x * scale for x in r], 48, rng)
+    vs = gz_block([x * scale for x in s], 48, rng)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        values, bounds = kappa_block(us, vs, ch)
+    exact = _exact_kappa(us, vs, ch)
+    assert np.isfinite(values).all()
+    assert (np.abs(values - exact) <= bounds[:, None]).all()
+    if scale < 1:
+        assert (bounds > 0).all() and (bounds < 2.0 ** -1022).all()
+    if scale > 2.0 ** 1000:
+        assert (bounds == 0).all()
 
 
 def test_kappa_block_sends_boundary_patterns_to_kappa():

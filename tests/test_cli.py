@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from hornlab import (GENERATORS, format_number, sample_tropical_kappa,
                      triple_csv_header)
-from hornlab.cli import _FLAGS, PASS, FAIL, USAGE, PRECONDITION, main
+from hornlab.cli import (_FLAGS, PASS, FAIL, USAGE, PRECONDITION,
+                         build_parser, main)
 
 W2 = {"n": 2, "diagonals": ["2"], "sink_horizontals": ["1", "1"]}
 # generic size-two instance with separation and margin both >= 1/2
@@ -334,8 +335,33 @@ def test_threshold_reads_the_number_grammar(tmp_path):
 
 
 def test_no_setting_flag_has_an_argparse_type():
-    # the reader in _FLAGS is the only parser of a setting's text
+    # the reader in _FLAGS is the only parser of a setting's text, and no
+    # other flag of any command is typed by argparse either
     assert all("type" not in kwargs for kwargs, _ in _FLAGS.values())
+    commands = next(a for a in build_parser()._actions
+                    if a.dest == "command").choices
+    typed = [(name, a.dest) for name, p in commands.items()
+             for a in p._actions if a.type is not None]
+    assert typed == []
+
+
+def test_gamma0_n_and_phase_seed_read_as_integers(tmp_path, capsys):
+    # gamma0's --n and limit-sweep's --phase-seed read whole numbers in any
+    # form, and refuse anything else with exit 3, as n and seed do
+    sweep = ["limit-sweep", "--weights", _dump(tmp_path, "w.json", SWEEP),
+             "--taus", "5,8", "--phase-seed"]
+    for argv, name in ((["gamma0", "--n"], "n"), (sweep, "phase-seed")):
+        outputs = []
+        for text in ("3", "3.0", "6/2"):
+            assert main(argv + [text]) == PASS
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] and outputs == [outputs[0]] * 3
+        for text in ("x", "3.5", "7/2"):
+            assert main(argv + [text]) == PRECONDITION
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: %s must be an integer, got %r\n" \
+                % (name, text)
 
 
 def test_seed_env_fallback(tmp_path, monkeypatch):

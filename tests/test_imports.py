@@ -2,8 +2,9 @@
 module-level function, class or assigned name is read somewhere in the
 package or exported, and the package exports exactly what its __init__
 imports.  One more check keeps the conversion of rationals to integers in
-semiring.over_common_denominator alone, and another keeps the Horn cone on
-one exact route: no LP solver in the package.
+semiring.over_common_denominator alone, another keeps the Horn cone on
+one exact route (no LP solver in the package), and a third keeps the one
+float error analysis in hive's filter.
 
 No linter ships with the project, so these stdlib-ast checks keep unused
 imports, dead definitions and stale exports out.  The package __init__ is
@@ -116,6 +117,18 @@ def test_only_the_common_denominator_helper_reads_integer_ratios():
                  p.read_text(encoding="utf-8").splitlines(), start=1)
              if "as_integer_ratio" in text
              and not (p.name == "semiring.py" and line in inside)]
+    assert found == []
+
+
+def test_only_the_float_filter_holds_error_bound_constants():
+    # unit roundoff, the subnormal threshold and the overflow guard are
+    # constants of hive's filter alone; every float result in the package
+    # is certified through it
+    found = [(p.name, line) for p in sorted(SRC.glob("*.py"))
+             if p.name != "hive.py"
+             for line, text in enumerate(
+                 p.read_text(encoding="utf-8").splitlines(), start=1)
+             if any(c in text for c in ("** -53", "** -1022", "** 1000"))]
     assert found == []
 
 
