@@ -10,7 +10,12 @@ of 1e-13 next to one of 1e+13 still comes out to full relative precision).
 Haar unitaries come as numpy blocks from one QR call; the Monte Carlo
 generators build whole blocks of matrices from them in numpy, and take
 Hermitian-sum spectra from one LAPACK eigvalsh call per block (see
-measure._sum_spectra).
+measure._sum_spectra).  The multiplicative generator takes a block of
+triangular factors from b_factor_block, which borders with LAPACK eigh
+and factors with LAPACK Cholesky, and their products' singular values from
+singular_l_block, the same one-sided Jacobi vectorised over the block; each
+flags the rows that the scalar b_factor and singular_l, kept as oracle and
+fallback, must take.
 
 The matrix size never exceeds a handful here, so the quadratic little loops
 are both fast enough and easy to audit.
@@ -192,6 +197,65 @@ def singular_l(a):
     return tuple(out)
 
 
+def _sq_norms(cols):
+    """Squared norms along the last axis, summed as singular_l sums them."""
+    return (np.abs(cols) ** 2).sum(axis=-1)
+
+
+def singular_l_block(a):
+    """singular_l of each matrix of a complex block of shape (size, n, n),
+    as (values, bad).
+
+    The same one-sided Jacobi, vectorised over the block: each sweep visits
+    the column pairs in singular_l's order and rotates a pair of a matrix
+    only when it fails singular_l's relative test, and only the matrices
+    that rotated in a sweep take the next one.  So each matrix gets
+    singular_l's arithmetic and its relative accuracy.  bad flags every row
+    that singular_l might refuse, whose values are then unspecified: a
+    non-finite entry or result, a zero singular value, or no convergence
+    within the sweep limit."""
+    n = a.shape[1]
+    cols = np.array(a.transpose(0, 2, 1), dtype=complex)  # cols[:, j] is column j
+    with np.errstate(all="ignore"):
+        bad = ~np.isfinite(cols).all(axis=(1, 2))
+        active = np.flatnonzero(~bad)
+        for _ in range(_MAX_SWEEPS):
+            if not active.size:
+                break
+            w = cols[active]
+            rotated = np.zeros(active.size, dtype=bool)
+            for p in range(n):
+                for q in range(p + 1, n):
+                    cp, cq = w[:, p].copy(), w[:, q]
+                    app, aqq = _sq_norms(cp), _sq_norms(cq)
+                    apq = (cp.conj() * cq).sum(axis=1)
+                    ab = np.abs(apq)
+                    # a zero column never rotates, and its zero singular
+                    # value is flagged below
+                    rot = ~(ab <= 1e-15 * np.sqrt(app * aqq))
+                    if not rot.any():
+                        continue
+                    # the identity rotation (c, s, e) = (1, 0, 1) leaves a
+                    # pair that passes the test exactly as it is
+                    theta = np.where(rot, 0.5 * np.arctan2(2.0 * ab, app - aqq),
+                                     0.0)
+                    c, s = np.cos(theta)[:, None], np.sin(theta)[:, None]
+                    e = np.where(rot, apq.conj() / np.where(rot, ab, 1.0),
+                                 1.0)[:, None]
+                    es, ec = e * s, e * c
+                    w[:, p] = c * cp + es * cq
+                    w[:, q] = -s * cp + ec * cq
+                    rotated |= rot
+            cols[active] = w
+            finite = np.isfinite(w).all(axis=(1, 2))
+            bad[active[~finite]] = True
+            active = active[rotated & finite]
+        bad[active] = True  # still rotating after the last sweep
+        sig = -np.sort(-np.sqrt(_sq_norms(cols)), axis=1)
+        bad |= ~(sig[:, -1] > 0.0) | ~np.isfinite(sig).all(axis=1)
+        return np.cumsum(np.log(sig), axis=1), bad
+
+
 def haar_unitaries(n, count, rng):
     """count Haar-distributed unitaries, an array of shape (count, n, n),
     via QR of complex Ginibre matrices with the R diagonal phase fixed so
@@ -309,6 +373,67 @@ def b_factor(values, phases):
     angles = [phases[k * (k - 1) // 2:k * (k + 1) // 2]
               for k in range(1, n)]
     return upper_cholesky(_reconstruct_from_spectra(spectra, angles))
+
+
+def _eigh_block(k):
+    """Eigenvalues (descending) and eigenvectors of a block of Hermitian
+    matrices from one LAPACK call, each eigenvector normalised as eigh
+    normalises it: its largest-magnitude entry, the first on ties, real
+    and positive."""
+    mu, vecs = np.linalg.eigh(k)
+    mu, vecs = mu[:, ::-1], vecs[:, :, ::-1]
+    piv = np.abs(vecs).argmax(axis=1)[:, None, :]
+    ph = np.take_along_axis(vecs, piv, axis=1)
+    return mu, vecs * (ph.conj() / np.abs(ph))
+
+
+def b_factor_block(values, phases):
+    """b_factor of each row of a gz_block array values with the same row of
+    phases (shape (size, n(n-1)/2)), as (factors, bad).
+
+    Each level borders the whole block through one LAPACK eigh call, and
+    the factors come from one reversed LAPACK Cholesky call; with eigh's
+    eigenvector normalisation each row is b_factor's to rounding.  bad
+    flags every row b_factor might refuse, whose factor is then
+    unspecified: a non-finite pattern entry, spectrum, border weight or
+    matrix entry, or a border weight |b_j|^2 <= 0.  A Cholesky call that
+    finds a matrix not positive definite flags the whole block."""
+    values = np.asarray(values, dtype=float)
+    size = values.shape[0]
+    n = (math.isqrt(8 * values.shape[1] + 1) - 1) // 2
+    eye = np.broadcast_to(np.eye(n, dtype=complex), (size, n, n))
+    with np.errstate(all="ignore"):
+        spectra = [np.exp(2.0 * np.diff(values[:, k * (k - 1) // 2:
+                                               k * (k + 1) // 2],
+                                        axis=1, prepend=0.0))
+                   for k in range(1, n + 1)]
+        bad = ~np.isfinite(values).all(axis=1)
+        for lam in spectra:
+            bad |= ~np.isfinite(lam).all(axis=1)
+        # a flagged row carries an identity matrix, so LAPACK sees only
+        # finite Hermitian input
+        k = np.where(bad[:, None, None], 1.0, spectra[0][:, :, None] + 0j)
+        for lvl in range(1, n):
+            lam = spectra[lvl]
+            theta = phases[:, lvl * (lvl - 1) // 2:lvl * (lvl + 1) // 2]
+            mu, vecs = _eigh_block(k)
+            num = -np.prod(mu[:, :, None] - lam[:, None, :], axis=2)
+            gaps = mu[:, :, None] - mu[:, None, :]
+            gaps[:, range(lvl), range(lvl)] = 1.0
+            w2 = num / np.prod(gaps, axis=2)
+            bad |= ~((w2 > 0.0) & np.isfinite(w2)).all(axis=1)
+            b = (vecs * (np.sqrt(w2) * np.exp(1j * theta))[:, None, :]).sum(axis=2)
+            new = np.empty((size, lvl + 1, lvl + 1), dtype=complex)
+            new[:, 0, 0] = lam.sum(axis=1) - mu.sum(axis=1)
+            new[:, 1:, 0] = b
+            new[:, 0, 1:] = b.conj()
+            new[:, 1:, 1:] = k
+            bad |= ~np.isfinite(new).all(axis=(1, 2))
+            k = np.where(bad[:, None, None], eye[:, :lvl + 1, :lvl + 1], new)
+    try:
+        return np.linalg.cholesky(k[:, ::-1, ::-1])[:, ::-1, ::-1], bad
+    except np.linalg.LinAlgError:
+        return eye.copy(), np.ones(size, dtype=bool)
 
 
 def sample_B_r(r, rng):

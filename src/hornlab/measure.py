@@ -16,8 +16,12 @@ the same values for callers that want Python floats.
 
 The spectra of D_r + U D_s U* need only absolute accuracy, so a whole
 Haar block goes through one LAPACK eigvalsh call.  The multiplicative
-generator keeps the one-sided Jacobi linalg.singular_l per sample: its
-small singular values need accuracy relative to themselves.
+generator's small singular values need accuracy relative to themselves:
+a block of factors comes from linalg.b_factor_block, their products from
+one numpy product, and the singular values from linalg.singular_l_block,
+singular_l's one-sided Jacobi vectorised over the block.  Every row the
+block flags goes through the scalar b_factor and singular_l, as
+chamber.kappa_block sends pairs to kappa.
 """
 
 from __future__ import annotations
@@ -31,8 +35,8 @@ import numpy as np
 from .chamber import (WbarWeighting, find_delta0_chamber, gamma0_cached,
                       genericity_check, horn_triple_tropical, kappa_block)
 from .hive import HornTriple, check_size, kt_member
-from .linalg import (b_factor, haar_unitaries, sample_B_r, singular_l,
-                     spectrum_of)
+from .linalg import (b_factor, b_factor_block, haar_unitaries, sample_B_r,
+                     singular_l, singular_l_block, spectrum_of)
 from .paths import complex_lift, m_k
 from .polytope import gz_block
 from .semiring import COMPLEX, TROPICAL, as_rational, mat_mul
@@ -152,16 +156,23 @@ def sample_multiplicative(r, s, count, rng):
     """Cumulative log singular values of products a c of independent
     factors a below r and c below s: each factor is linalg.b_factor of an
     exact uniform pattern and uniform phases.  A block draws the r
-    patterns, then the s patterns, then the phases."""
+    patterns, then the s patterns, then the phases, and is mapped by the
+    block routes of linalg; a row they flag takes the scalar route and
+    raises what it raises."""
     r, s = _float_pair(r, s)
     n = len(r)
 
     def draw(crng, size):
         us, vs = gz_block(r, size, crng), gz_block(s, size, crng)
         phases = crng.uniform(0.0, 2.0 * math.pi, (size, 2, n * (n - 1) // 2))
-        return [singular_l(mat_mul(COMPLEX, b_factor(u, pu), b_factor(v, pv)))
-                for u, v, (pu, pv) in zip(us.tolist(), vs.tolist(),
-                                          phases.tolist())]
+        a, bad_a = b_factor_block(us, phases[:, 0])
+        c, bad_c = b_factor_block(vs, phases[:, 1])
+        values, bad = singular_l_block(a @ c)
+        for j in np.flatnonzero(bad | bad_a | bad_c):
+            values[j] = singular_l(mat_mul(
+                COMPLEX, b_factor(us[j].tolist(), phases[j, 0].tolist()),
+                b_factor(vs[j].tolist(), phases[j, 1].tolist())))
+        return values
 
     return _sample("multiplicative", r, s, _run_blocks(draw, count, rng))
 

@@ -21,7 +21,8 @@ from hornlab import (
     spectrum_of,
     upper_cholesky,
 )
-from hornlab.linalg import b_factor, haar_unitaries
+from hornlab.linalg import (b_factor, b_factor_block, haar_unitaries,
+                            singular_l_block)
 from hornlab.polytope import gz_block, pattern_tableau
 from oracles import dagger, gz_B, sample_H_r, sigma_values
 
@@ -293,6 +294,90 @@ def test_b_factor_refuses_non_finite_entries():
     # the overflow a too-large top row leaves in a gz_block pattern
     with pytest.raises(OverflowError, match="non-finite pattern entry"):
         b_factor([math.inf, 1e308, 0.0], [0.0])
+
+
+# the spectra of acceptance test 07 (and of the benchmark), and the n = 4
+# and n = 5 pairs of the Monte Carlo tests
+BLOCK_SPECTRA = ((1.5,), (2.0, 0.0), (3.0, 4.0, 3.0), (2.0, 2.5, 1.5),
+                 (3.0, 4.0, 3.0, 0.0), (2.0, 3.0, 3.0, 2.0),
+                 (4.0, 7.0, 9.0, 10.0, 10.0), (1.5, 2.5, 3.0, 3.0, 2.0))
+
+
+@pytest.mark.parametrize("r", BLOCK_SPECTRA)
+def test_b_factor_block_rows_are_b_factor_to_rounding(r):
+    # eigh's eigenvector normalisation makes the block's bordering the
+    # scalar one; without it a row's factor differs by O(1)
+    n = len(r)
+    rng = np.random.default_rng(41)
+    values = gz_block(r, 40, rng)
+    phases = rng.uniform(0.0, 2 * math.pi, (40, n * (n - 1) // 2))
+    factors, bad = b_factor_block(values, phases)
+    assert factors.shape == (40, n, n) and not bad.any()
+    for got, u, p in zip(factors, values.tolist(), phases.tolist()):
+        want = np.array(b_factor(u, p))
+        assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
+
+def test_b_factor_block_flags_what_b_factor_refuses():
+    # a non-finite entry, a spectrum past exp's range and a pattern that
+    # does not interlace strictly; the good row beside them is unchanged
+    values = np.array([[1.0, 2.0, 0.0], [math.inf, 1e308, 0.0],
+                       [400.0, 800.0, 0.0], [2.0, 2.0, 0.0]])
+    phases = np.full((4, 1), 0.5)
+    factors, bad = b_factor_block(values, phases)
+    assert bad.tolist() == [False, True, True, True]
+    want = np.array(b_factor([1.0, 2.0, 0.0], [0.5]))
+    assert np.abs(factors[0] - want).max() <= 1e-12 * np.abs(want).max()
+    for u in values[1:].tolist():
+        with pytest.raises((OverflowError, ValueError)):
+            b_factor(u, [0.5])
+
+
+def test_b_factor_block_flags_the_whole_block_on_a_cholesky_failure(
+        monkeypatch):
+    def refuse(a):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    values = gz_block((3.0, 4.0, 3.0), 5, np.random.default_rng(43))
+    _, bad = b_factor_block(values, np.zeros((5, 3)))
+    assert bad.all()
+
+
+def _graded(n, rng, spread):
+    """A complex matrix with columns scaled from 1 down to 10^-spread."""
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return g * np.logspace(0.0, -spread, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_singular_l_block_is_singular_l_per_matrix(n):
+    # the same sweeps, tests and rotations: values agree to rounding also
+    # where the small singular values sit 26 orders below the large ones
+    rng = np.random.default_rng(45 + n)
+    a = np.array([_graded(n, rng, spread) for spread in (0.0, 6.0, 26.0)
+                  for _ in range(10)])
+    values, bad = singular_l_block(a)
+    assert not bad.any()
+    for got, m in zip(values, a.tolist()):
+        assert got == pytest.approx(singular_l(m), rel=0, abs=1e-12)
+
+
+def test_singular_l_block_flags_what_singular_l_refuses():
+    rng = np.random.default_rng(47)
+    good = _graded(3, rng, 2.0)
+    zero_col = good.copy()
+    zero_col[:, 1] = 0.0
+    non_finite = good.copy()
+    non_finite[2, 2] = math.nan
+    values, bad = singular_l_block(np.array([good, zero_col, non_finite,
+                                             good * math.inf]))
+    assert bad.tolist() == [False, True, True, True]
+    assert values[0] == pytest.approx(singular_l(good.tolist()), abs=1e-12)
+    with pytest.raises(ValueError, match="singular"):
+        singular_l(zero_col.tolist())
+    # a 1 x 1 block has no column pair: a zero singular value is flagged
+    assert singular_l_block(np.zeros((1, 1, 1)))[1].tolist() == [True]
 
 
 # -- symmetric functions of singular values -----------------------------------

@@ -23,7 +23,9 @@ from hornlab import (
     sample_tropical_kappa,
     spectrum_of,
 )
-from hornlab.linalg import haar_unitaries
+from hornlab.linalg import b_factor, haar_unitaries, singular_l
+from hornlab.polytope import gz_block
+from hornlab.semiring import COMPLEX, mat_mul
 import oracles
 from oracles import hermitian_with_spectrum, lp_verdict
 
@@ -288,6 +290,54 @@ def test_sum_spectra_match_the_list_route():
             for i, lam in enumerate(spectrum_of(r)):
                 k[i][i] += lam
             assert got == pytest.approx(l_map(k), rel=0, abs=1e-13 * scale)
+
+
+def _scalar_multiplicative(r, s, count, rng):
+    """sample_multiplicative's stream read by hand (one chunk): per block
+    the r patterns, the s patterns, then the phases, each product through
+    the scalar b_factor and singular_l."""
+    n = len(r)
+    crng = rng.spawn(1)[0]
+    out = []
+    for start in range(0, count, measure.BLOCK):
+        size = min(measure.BLOCK, count - start)
+        us, vs = gz_block(r, size, crng), gz_block(s, size, crng)
+        phases = crng.uniform(0.0, 2 * math.pi, (size, 2, n * (n - 1) // 2))
+        out += [singular_l(mat_mul(COMPLEX, b_factor(u, pu), b_factor(v, pv)))
+                for u, v, (pu, pv) in zip(us.tolist(), vs.tolist(),
+                                          phases.tolist())]
+    return out
+
+
+# the spectra of acceptance test 07 and the benchmark at n = 3, and the
+# n = 4 and n = 5 pairs of the other Monte Carlo tests
+BLOCK_PAIRS = [((1.5,), (0.5,)), (R2, S2), (R3, S3),
+               ((3.0, 4.0, 3.0, 0.0), (2.0, 3.0, 3.0, 2.0)),
+               ((4.0, 7.0, 9.0, 10.0, 10.0), (1.5, 2.5, 3.0, 3.0, 2.0))]
+
+
+@pytest.mark.parametrize("r, s", BLOCK_PAIRS, ids=["n1", "n2", "n3", "n4",
+                                                   "n5"])
+def test_multiplicative_block_route_is_the_scalar_route(r, s):
+    # the block factors, product and Jacobi sweeps give each sample the
+    # scalar route's value on the same stream, to rounding; 300 draws
+    # cross a block boundary
+    got = sample_multiplicative(r, s, 300, np.random.default_rng([700, len(r)]))
+    want = _scalar_multiplicative(r, s, 300,
+                                  np.random.default_rng([700, len(r)]))
+    assert np.abs(got.array - np.array(want)).max() <= 1e-9
+
+
+@pytest.mark.parametrize("r, s", BLOCK_PAIRS[1:3], ids=["n2", "n3"])
+def test_multiplicative_without_block_values_is_scalar_bit_for_bit(
+        r, s, monkeypatch):
+    # a block that flags every row sends each one through the scalar route
+    block = measure.singular_l_block
+    monkeypatch.setattr(measure, "singular_l_block",
+                        lambda a: (block(a)[0], np.ones(len(a), dtype=bool)))
+    got = sample_multiplicative(r, s, 300, np.random.default_rng(701))
+    assert list(got.vectors) == _scalar_multiplicative(
+        r, s, 300, np.random.default_rng(701))
 
 
 @pytest.mark.parametrize("gen", GENS)
