@@ -23,7 +23,7 @@ from .chamber import (ChamberMap, GenericityReport, WbarWeighting,
                       horn_triple_tropical, kappa, lt_inverse,
                       random_interior_pattern, wbar_from_json, wbar_to_json)
 from .linalg import (eigh, gz_H, l_map, reconstruct_H, sample_B_r,
-                     singular_l, spectrum_of, upper_cholesky)
+                     singular_l, spectrum_of)
 from .polytope import gz_pattern
 from .measure import (CHUNK, GENERATORS, EmpiricalSample, ForwardReport,
                       KSResult, SweepResult, exceptional_mass_estimate,
@@ -49,7 +49,7 @@ __all__ = [
     "genericity_check", "horn_triple_tropical", "kappa", "lt_inverse",
     "random_interior_pattern", "wbar_from_json", "wbar_to_json",
     "eigh", "gz_H", "l_map", "reconstruct_H", "sample_B_r", "singular_l",
-    "spectrum_of", "upper_cholesky",
+    "spectrum_of",
     "gz_pattern",
     "CHUNK", "GENERATORS", "EmpiricalSample", "ForwardReport", "KSResult",
     "SweepResult", "exceptional_mass_estimate", "horn_forward_test",

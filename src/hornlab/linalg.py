@@ -1,21 +1,20 @@
 """Dense Hermitian and triangular linear algebra at desk scale.
 
-The solvers work on small nested lists of Python complex.  eigh is a
-two-sided Jacobi iteration, used where eigenvectors or an independent
-route are wanted: gz_H, the bordering behind reconstruct_H and b_factor,
-and the tests' oracle.  Singular values come from a one-sided Jacobi on
-columns (chosen for its relative accuracy on badly scaled matrices: the
-sweeps compare column Grams, not absolute magnitudes, so a singular value
-of 1e-13 next to one of 1e+13 still comes out to full relative precision).
-Haar unitaries come as numpy blocks from one QR call; the Monte Carlo
-generators build whole blocks of matrices from them in numpy, and take
-Hermitian-sum spectra from one LAPACK eigvalsh call per block (see
-measure._sum_spectra).  The multiplicative generator takes a block of
-triangular factors from b_factor_block, which borders with LAPACK eigh
-and factors with LAPACK Cholesky, and their products' singular values from
-singular_l_block, the same one-sided Jacobi vectorised over the block; each
-flags the rows that the scalar b_factor and singular_l, kept as oracle and
-fallback, must take.
+eigh is a two-sided Jacobi iteration on small nested lists of Python
+complex, used where eigenvectors or an independent route are wanted: gz_H
+and the tests' oracle.  Haar unitaries come as numpy blocks from one QR
+call; the Monte Carlo generators build whole blocks of matrices from them
+in numpy, and take Hermitian-sum spectra from one LAPACK eigvalsh call per
+block (see measure._sum_spectra).
+
+The multiplicative model has one route, on numpy blocks; a single matrix
+is a block of one.  _bordered extends a block of Hermitian matrices level
+by level through one LAPACK eigh call per level (reconstruct_H),
+b_factor_block takes the reversed LAPACK Cholesky factors of the bordered
+exponentiated spectra (sample_B_r), and singular_l_block takes cumulative
+log singular values by a one-sided Jacobi on columns vectorised over the
+block (singular_l), chosen for its relative accuracy on badly scaled
+matrices.  Each raises on the first matrix it cannot map.
 
 The matrix size never exceeds a handful here, so the quadratic little loops
 are both fast enough and easy to audit.
@@ -23,7 +22,6 @@ are both fast enough and easy to audit.
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
@@ -32,6 +30,7 @@ from .hive import GZ, Tableau
 
 _EIGH_TOL = 1e-13
 _MAX_SWEEPS = 100
+_NORM_RANGE = "column norms out of the float range"
 
 
 def frobenius(a):
@@ -153,72 +152,37 @@ def gz_H(k):
 
 
 def singular_l(a):
-    """Cumulative logs of the singular values of an invertible matrix.
-
-    Equivalently half the cumulative log-eigenvalues of a a*.  One-sided
-    Jacobi: columns are rotated until pairwise orthogonal, with a relative
-    convergence test, then the norms are the singular values.
-    """
-    n = len(a)
-    cols = [[complex(a[i][j]) for i in range(n)] for j in range(n)]
-    for _ in range(_MAX_SWEEPS):
-        rotated = False
-        for p in range(n):
-            for q in range(p + 1, n):
-                cp, cq = cols[p], cols[q]
-                app = sum(abs(x) ** 2 for x in cp)
-                aqq = sum(abs(x) ** 2 for x in cq)
-                if app == 0.0 or aqq == 0.0:
-                    raise ValueError("matrix is singular")
-                apq = sum(x.conjugate() * y for x, y in zip(cp, cq))
-                if abs(apq) <= 1e-15 * math.sqrt(app * aqq):
-                    continue
-                c, s, e = _rotation(app, aqq, apq)
-                es = e * s
-                ec = e * c
-                for i in range(n):
-                    xp, xq = cp[i], cq[i]
-                    cp[i] = c * xp + es * xq
-                    cq[i] = -s * xp + ec * xq
-                rotated = True
-        if not rotated:
-            break
-    else:
-        raise RuntimeError("one-sided Jacobi failed to converge")
-    sig = sorted((math.sqrt(sum(abs(x) ** 2 for x in col)) for col in cols),
-                 reverse=True)
-    if sig[-1] == 0.0 or not all(map(math.isfinite, sig)):
-        raise ValueError("matrix is singular")
-    out = []
-    acc = 0.0
-    for v in sig:
-        acc += math.log(v)
-        out.append(acc)
-    return tuple(out)
+    """Cumulative logs of the singular values of an invertible matrix,
+    equivalently half the cumulative log-eigenvalues of a a*: singular_l_block
+    on a block of one."""
+    return tuple(singular_l_block(np.array([a], dtype=complex))[0].tolist())
 
 
 def _sq_norms(cols):
-    """Squared norms along the last axis, summed as singular_l sums them."""
+    """Squared norms along the last axis."""
     return (np.abs(cols) ** 2).sum(axis=-1)
 
 
 def singular_l_block(a):
-    """singular_l of each matrix of a complex block of shape (size, n, n),
-    as (values, bad).
+    """Cumulative log singular values of each matrix of a complex block of
+    shape (size, n, n), one row per matrix.
 
-    The same one-sided Jacobi, vectorised over the block: each sweep visits
-    the column pairs in singular_l's order and rotates a pair of a matrix
-    only when it fails singular_l's relative test, and only the matrices
-    that rotated in a sweep take the next one.  So each matrix gets
-    singular_l's arithmetic and its relative accuracy.  bad flags every row
-    that singular_l might refuse, whose values are then unspecified: a
-    non-finite entry or result, a zero singular value, or no convergence
-    within the sweep limit."""
+    One-sided Jacobi vectorised over the block: each sweep visits the column
+    pairs in order and rotates a pair of a matrix only when it fails the
+    relative test |apq| <= 1e-15 sqrt(app aqq), and only the matrices that
+    rotated in a sweep take the next one.  Comparing column Grams, not
+    absolute magnitudes, keeps the relative accuracy on matrices with badly
+    scaled columns: a singular value of 1e-13 next to one of 1e+13 still
+    comes out to full relative precision.  A non-finite entry or a zero
+    singular value raises ValueError, squared column norms past the float
+    range raise OverflowError, and no convergence within the sweep limit
+    raises RuntimeError."""
     n = a.shape[1]
     cols = np.array(a.transpose(0, 2, 1), dtype=complex)  # cols[:, j] is column j
+    if not np.isfinite(cols).all():
+        raise ValueError("matrix is singular")
     with np.errstate(all="ignore"):
-        bad = ~np.isfinite(cols).all(axis=(1, 2))
-        active = np.flatnonzero(~bad)
+        active = np.arange(len(cols))
         for _ in range(_MAX_SWEEPS):
             if not active.size:
                 break
@@ -231,7 +195,7 @@ def singular_l_block(a):
                     apq = (cp.conj() * cq).sum(axis=1)
                     ab = np.abs(apq)
                     # a zero column never rotates, and its zero singular
-                    # value is flagged below
+                    # value is refused below
                     rot = ~(ab <= 1e-15 * np.sqrt(app * aqq))
                     if not rot.any():
                         continue
@@ -246,14 +210,19 @@ def singular_l_block(a):
                     w[:, p] = c * cp + es * cq
                     w[:, q] = -s * cp + ec * cq
                     rotated |= rot
+            if not np.isfinite(w).all():
+                raise OverflowError(_NORM_RANGE)
             cols[active] = w
-            finite = np.isfinite(w).all(axis=(1, 2))
-            bad[active[~finite]] = True
-            active = active[rotated & finite]
-        bad[active] = True  # still rotating after the last sweep
-        sig = -np.sort(-np.sqrt(_sq_norms(cols)), axis=1)
-        bad |= ~(sig[:, -1] > 0.0) | ~np.isfinite(sig).all(axis=1)
-        return np.cumsum(np.log(sig), axis=1), bad
+            active = active[rotated]
+        if active.size:
+            raise RuntimeError("one-sided Jacobi failed to converge")
+        sq = _sq_norms(cols)
+        if not np.isfinite(sq).all():
+            raise OverflowError(_NORM_RANGE)
+        sig = -np.sort(-np.sqrt(sq), axis=1)
+        if not (sig[:, -1] > 0.0).all():
+            raise ValueError("matrix is singular")
+        return np.cumsum(np.log(sig), axis=1)
 
 
 def haar_unitaries(n, count, rng):
@@ -280,101 +249,6 @@ def spectrum_of(r):
     return out
 
 
-def upper_cholesky(p):
-    """Upper-triangular a with positive diagonal and a a* = p.
-
-    Reverse both index orders, take the classical lower Cholesky factor,
-    and reverse back; positive definiteness is required.
-    """
-    n = len(p)
-    rp = [[p[n - 1 - i][n - 1 - j] for j in range(n)] for i in range(n)]
-    low = [[0j] * n for _ in range(n)]
-    for j in range(n):
-        acc = rp[j][j].real - sum(abs(low[j][t]) ** 2 for t in range(j))
-        if acc <= 0.0:
-            raise ValueError("matrix is not positive definite")
-        low[j][j] = complex(math.sqrt(acc), 0.0)
-        for i in range(j + 1, n):
-            v = rp[i][j] - sum(low[i][t] * low[j][t].conjugate() for t in range(j))
-            low[i][j] = v / low[j][j]
-    return [[low[n - 1 - i][n - 1 - j] for j in range(n)] for i in range(n)]
-
-
-def _bordered(k, lam, theta):
-    """Extend a Hermitian matrix by one row and column so the new spectrum
-    is lam while the old one survives as the trailing block.
-
-    In the eigenbasis of k the border magnitudes are forced: with mu the
-    current spectrum, |b_j|^2 = -prod_i(mu_j - lam_i) / prod_{i != j}
-    (mu_j - mu_i), which is positive exactly when lam strictly interlaces
-    mu; theta supplies the free phases.
-    """
-    kk = len(k)
-    mu, vecs = eigh(k)
-    a00 = sum(lam) - sum(mu)
-    cvec = []
-    for j in range(kk):
-        num = 1.0
-        for lv in lam:
-            num *= (mu[j] - lv)
-        num = -num
-        den = 1.0
-        for i in range(kk):
-            if i != j:
-                den *= (mu[j] - mu[i])
-        w2 = num / den
-        if not (w2 > 0.0) or not math.isfinite(w2):
-            raise ValueError("spectra do not strictly interlace")
-        cvec.append(math.sqrt(w2) * cmath.exp(1j * theta[j]))
-    b = [sum(vecs[i][j] * cvec[j] for j in range(kk)) for i in range(kk)]
-    out = [[0j] * (kk + 1) for _ in range(kk + 1)]
-    out[0][0] = complex(a00, 0.0)
-    for i in range(kk):
-        out[i + 1][0] = b[i]
-        out[0][i + 1] = b[i].conjugate()
-        for j in range(kk):
-            out[i + 1][j + 1] = k[i][j]
-    return out
-
-
-def _reconstruct_from_spectra(spectra, angles):
-    k = [[complex(spectra[0][0], 0.0)]]
-    for lvl in range(1, len(spectra)):
-        k = _bordered(k, spectra[lvl], angles[lvl - 1])
-    return k
-
-
-def reconstruct_H(xi, angles):
-    """A Hermitian matrix whose trailing-block pattern is xi.
-
-    xi must be strictly interior (consecutive rows strictly interlace) and
-    angles supplies the torus coordinates of the fiber: row k of angles has
-    k phases, k = 1..n-1.
-    """
-    n = xi.n
-    if len(angles) != n - 1 or any(len(angles[k]) != k + 1 for k in range(n - 1)):
-        raise ValueError("angles must have rows of lengths 1..n-1")
-    spectra = [spectrum_of(xi.rows[k][1:]) for k in range(1, n + 1)]
-    return _reconstruct_from_spectra(spectra, angles)
-
-
-def b_factor(values, phases):
-    """Upper-triangular matrix with positive diagonal whose trailing k x k
-    block has row k of a pattern as cumulative log singular values: the
-    reversed Cholesky factor of the positive matrix with exponentiated
-    trailing spectra and torus coordinates phases (k of them for row k).
-    values are in gz_block's slot order; a non-finite one raises
-    OverflowError, as math.exp does on a finite one too large."""
-    if not all(map(math.isfinite, values)):
-        raise OverflowError("non-finite pattern entry")
-    n = (math.isqrt(8 * len(values) + 1) - 1) // 2
-    rows = [values[k * (k - 1) // 2:k * (k + 1) // 2] for k in range(1, n + 1)]
-    spectra = [[math.exp(2.0 * g) for g in spectrum_of(row)] for row in rows]
-    angles = [phases[k * (k - 1) // 2:k * (k + 1) // 2]
-              for k in range(1, n)]
-    return upper_cholesky(_reconstruct_from_spectra(spectra, angles))
-
-
 def _eigh_block(k):
     """Eigenvalues (descending) and eigenvectors of a block of Hermitian
     matrices from one LAPACK call, each eigenvector normalised as eigh
@@ -387,32 +261,21 @@ def _eigh_block(k):
     return mu, vecs * (ph.conj() / np.abs(ph))
 
 
-def b_factor_block(values, phases):
-    """b_factor of each row of a gz_block array values with the same row of
-    phases (shape (size, n(n-1)/2)), as (factors, bad).
+def _bordered(spectra, phases):
+    """A block of Hermitian matrices whose trailing k x k blocks have the
+    spectra spectra[k - 1] (arrays of shape (size, k), k = 1..n), with
+    torus coordinates phases (shape (size, n(n-1)/2), k of them for level
+    k).
 
-    Each level borders the whole block through one LAPACK eigh call, and
-    the factors come from one reversed LAPACK Cholesky call; with eigh's
-    eigenvector normalisation each row is b_factor's to rounding.  bad
-    flags every row b_factor might refuse, whose factor is then
-    unspecified: a non-finite pattern entry, spectrum, border weight or
-    matrix entry, or a border weight |b_j|^2 <= 0.  A Cholesky call that
-    finds a matrix not positive definite flags the whole block."""
-    values = np.asarray(values, dtype=float)
-    size = values.shape[0]
-    n = (math.isqrt(8 * values.shape[1] + 1) - 1) // 2
-    eye = np.broadcast_to(np.eye(n, dtype=complex), (size, n, n))
+    Each level extends the whole block by one row and column through one
+    LAPACK eigh call.  In the eigenbasis of the current block, with mu its
+    spectrum and lam the next one, the border magnitudes are forced:
+    |b_j|^2 = -prod_i(mu_j - lam_i) / prod_{i != j}(mu_j - mu_i), which is
+    positive exactly when lam strictly interlaces mu; a weight that is not
+    positive and finite raises ValueError."""
+    size, n = spectra[0].shape[0], len(spectra)
+    k = spectra[0][:, :, None] + 0j
     with np.errstate(all="ignore"):
-        spectra = [np.exp(2.0 * np.diff(values[:, k * (k - 1) // 2:
-                                               k * (k + 1) // 2],
-                                        axis=1, prepend=0.0))
-                   for k in range(1, n + 1)]
-        bad = ~np.isfinite(values).all(axis=1)
-        for lam in spectra:
-            bad |= ~np.isfinite(lam).all(axis=1)
-        # a flagged row carries an identity matrix, so LAPACK sees only
-        # finite Hermitian input
-        k = np.where(bad[:, None, None], 1.0, spectra[0][:, :, None] + 0j)
         for lvl in range(1, n):
             lam = spectra[lvl]
             theta = phases[:, lvl * (lvl - 1) // 2:lvl * (lvl + 1) // 2]
@@ -421,29 +284,76 @@ def b_factor_block(values, phases):
             gaps = mu[:, :, None] - mu[:, None, :]
             gaps[:, range(lvl), range(lvl)] = 1.0
             w2 = num / np.prod(gaps, axis=2)
-            bad |= ~((w2 > 0.0) & np.isfinite(w2)).all(axis=1)
+            if not ((w2 > 0.0) & np.isfinite(w2)).all():
+                raise ValueError("spectra do not strictly interlace")
             b = (vecs * (np.sqrt(w2) * np.exp(1j * theta))[:, None, :]).sum(axis=2)
-            new = np.empty((size, lvl + 1, lvl + 1), dtype=complex)
-            new[:, 0, 0] = lam.sum(axis=1) - mu.sum(axis=1)
-            new[:, 1:, 0] = b
-            new[:, 0, 1:] = b.conj()
-            new[:, 1:, 1:] = k
-            bad |= ~np.isfinite(new).all(axis=(1, 2))
-            k = np.where(bad[:, None, None], eye[:, :lvl + 1, :lvl + 1], new)
+            k, inner = np.empty((size, lvl + 1, lvl + 1), dtype=complex), k
+            k[:, 0, 0] = lam.sum(axis=1) - mu.sum(axis=1)
+            k[:, 1:, 0] = b
+            k[:, 0, 1:] = b.conj()
+            k[:, 1:, 1:] = inner
+    return k
+
+
+def reconstruct_H(xi, angles):
+    """A Hermitian matrix whose trailing-block pattern is xi.
+
+    xi must be strictly interior (consecutive rows strictly interlace) and
+    angles supplies the torus coordinates of the fiber: row k of angles has
+    k phases, k = 1..n-1.  It is _bordered on a block of one.
+    """
+    n = xi.n
+    if len(angles) != n - 1 or any(len(angles[k]) != k + 1 for k in range(n - 1)):
+        raise ValueError("angles must have rows of lengths 1..n-1")
+    spectra = [np.array([spectrum_of(xi.rows[k][1:])]) for k in range(1, n + 1)]
+    phases = np.array([[a for row in angles for a in row]], dtype=float)
+    return _bordered(spectra, phases)[0].tolist()
+
+
+def b_factor_block(values, phases):
+    """Upper-triangular factors with positive diagonal, one per row of a
+    gz_block array values with the same row of phases (shape (size,
+    n(n-1)/2)), whose trailing k x k blocks have row k of the pattern as
+    cumulative log singular values: the reversed Cholesky factors of the
+    positive matrices that _bordered builds from the exponentiated trailing
+    spectra.
+
+    One LAPACK Cholesky call serves the block.  A non-finite pattern entry
+    raises OverflowError, and so does a spectrum whose exponential leaves
+    the float range, with math.exp's message; a pattern that does not
+    interlace strictly and a matrix that is not positive definite raise
+    ValueError."""
+    values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise OverflowError("non-finite pattern entry")
+    n = (math.isqrt(8 * values.shape[1] + 1) - 1) // 2
+    with np.errstate(over="ignore"):
+        spectra = [np.exp(2.0 * np.diff(values[:, k * (k - 1) // 2:
+                                               k * (k + 1) // 2],
+                                        axis=1, prepend=0.0))
+                   for k in range(1, n + 1)]
+    if not all(np.isfinite(lam).all() for lam in spectra):
+        raise OverflowError("math range error")
     try:
-        return np.linalg.cholesky(k[:, ::-1, ::-1])[:, ::-1, ::-1], bad
+        return np.linalg.cholesky(
+            _bordered(spectra, phases)[:, ::-1, ::-1])[:, ::-1, ::-1]
     except np.linalg.LinAlgError:
-        return eye.copy(), np.ones(size, dtype=bool)
+        raise ValueError("matrix is not positive definite") from None
+
+
+def _pattern_and_phases(r, rng):
+    """One exact uniform pattern below r (polytope.gz_block) and uniform
+    phases, read from rng in that order, as blocks of one row."""
+    from .polytope import gz_block
+
+    n = len(r)
+    return gz_block(r, 1, rng), rng.uniform(0.0, 2.0 * math.pi,
+                                            size=(1, n * (n - 1) // 2))
 
 
 def sample_B_r(r, rng):
     """Random upper-triangular matrix with positive diagonal whose
-    cumulative log singular values equal r: b_factor of one exact uniform
-    pattern below r (polytope.gz_block) and uniform phases, read from rng
-    in that order."""
-    from .polytope import gz_block
-
-    n = len(r)
-    values = gz_block(r, 1, rng)[0].tolist()
-    return b_factor(values, rng.uniform(0.0, 2.0 * math.pi,
-                                        size=n * (n - 1) // 2).tolist())
+    cumulative log singular values equal r: b_factor_block of one exact
+    uniform pattern below r and uniform phases, read from rng in that
+    order."""
+    return b_factor_block(*_pattern_and_phases(r, rng))[0].tolist()

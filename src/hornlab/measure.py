@@ -19,9 +19,8 @@ Haar block goes through one LAPACK eigvalsh call.  The multiplicative
 generator's small singular values need accuracy relative to themselves:
 a block of factors comes from linalg.b_factor_block, their products from
 one numpy product, and the singular values from linalg.singular_l_block,
-singular_l's one-sided Jacobi vectorised over the block.  Every row the
-block flags goes through the scalar b_factor and singular_l, as
-chamber.kappa_block sends pairs to kappa.
+a one-sided Jacobi vectorised over the block.  Either raises on the first
+row it cannot map, and the run stops with that error.
 """
 
 from __future__ import annotations
@@ -35,11 +34,11 @@ import numpy as np
 from .chamber import (WbarWeighting, find_delta0_chamber, gamma0_cached,
                       genericity_check, horn_triple_tropical, kappa_block)
 from .hive import HornTriple, check_size, kt_member
-from .linalg import (b_factor, b_factor_block, haar_unitaries, sample_B_r,
+from .linalg import (_pattern_and_phases, b_factor_block, haar_unitaries,
                      singular_l, singular_l_block, spectrum_of)
 from .paths import complex_lift, m_k
 from .polytope import gz_block
-from .semiring import COMPLEX, TROPICAL, as_rational, mat_mul
+from .semiring import TROPICAL, as_rational
 
 CHUNK = 8192
 BLOCK = 256
@@ -154,25 +153,17 @@ def sample_hermitian_sum(r, s, count, rng):
 
 def sample_multiplicative(r, s, count, rng):
     """Cumulative log singular values of products a c of independent
-    factors a below r and c below s: each factor is linalg.b_factor of an
-    exact uniform pattern and uniform phases.  A block draws the r
-    patterns, then the s patterns, then the phases, and is mapped by the
-    block routes of linalg; a row they flag takes the scalar route and
-    raises what it raises."""
+    factors a below r and c below s: each factor is a row of
+    linalg.b_factor_block of an exact uniform pattern and uniform phases.
+    A block draws the r patterns, then the s patterns, then the phases."""
     r, s = _float_pair(r, s)
     n = len(r)
 
     def draw(crng, size):
         us, vs = gz_block(r, size, crng), gz_block(s, size, crng)
         phases = crng.uniform(0.0, 2.0 * math.pi, (size, 2, n * (n - 1) // 2))
-        a, bad_a = b_factor_block(us, phases[:, 0])
-        c, bad_c = b_factor_block(vs, phases[:, 1])
-        values, bad = singular_l_block(a @ c)
-        for j in np.flatnonzero(bad | bad_a | bad_c):
-            values[j] = singular_l(mat_mul(
-                COMPLEX, b_factor(us[j].tolist(), phases[j, 0].tolist()),
-                b_factor(vs[j].tolist(), phases[j, 1].tolist())))
-        return values
+        return singular_l_block(b_factor_block(us, phases[:, 0])
+                                @ b_factor_block(vs, phases[:, 1]))
 
     return _sample("multiplicative", r, s, _run_blocks(draw, count, rng))
 
@@ -290,14 +281,20 @@ _FLOOR = 1e-13
 
 def _sweep_error(g, wdict, phases, tau, ms):
     """The worst gap at scale tau between the cumulative log singular values
-    over tau and the tropical minors ms; inf if a scaled entry overflows."""
+    over tau and the tropical minors ms; inf if a scaled entry overflows or
+    the smallest singular value underflows."""
     mat = complex_lift(g, wdict, phases, tau)
     shift = tau * ms[0]
     scale = math.exp(-shift)
     scaled = [[x * scale for x in row] for row in mat]
     if not all(math.isfinite(abs(x)) for row in scaled for x in row):
         return math.inf
-    ls = singular_l(scaled)
+    try:
+        ls = singular_l(scaled)
+    except ValueError:
+        # the path matrix's determinant is the product of its nonzero
+        # diagonal weights, so a zero singular value is float underflow
+        return math.inf
     return max(abs((ls[i] + (i + 1) * shift) / tau - ms[i])
                for i in range(len(ms)))
 
@@ -310,8 +307,8 @@ def limit_sweep(w, taus, phases=None):
     the exact tropical values is recorded.  The slope of log-error against
     tau (over points above the 1e-13 floor) estimates the decay rate, to be
     compared with the genericity margin delta.  The taus must be distinct,
-    positive and finite; one at which the lift or the error leaves the
-    float range raises ValueError.
+    positive and finite; one at which the lift, the error or the smallest
+    singular value leaves the float range raises ValueError.
     """
     n = w.n
     g = gamma0_cached(n)
@@ -380,9 +377,11 @@ def horn_forward_test(mode, n, count, slack, rng):
 
     tropical draws exact random reduced weightings (the cone is closed, so
     degenerate pairs still belong and are kept), hermitian and
-    multiplicative draw random spectra; multiplicative builds each factor
-    with sample_B_r.  Each instance is drawn whole before the next, so the
-    block size does not change the output.  n must lie in 1..hive.MAX_N.
+    multiplicative draw random spectra; multiplicative then draws a
+    pattern and phases below each spectrum, as sample_B_r reads them, and
+    maps the block's factors through b_factor_block and singular_l_block
+    at once.  Each instance is drawn whole before the next, so the block
+    size does not change the output.  n must lie in 1..hive.MAX_N.
     """
     if mode not in ("tropical", "hermitian", "multiplicative"):
         raise ValueError("unknown mode %r" % (mode,))
@@ -395,15 +394,25 @@ def horn_forward_test(mode, n, count, slack, rng):
                                         _random_wbar(n, crng))
         r = _random_cumsum_spectrum(n, crng)
         s = _random_cumsum_spectrum(n, crng)
-        if mode == "hermitian":
-            c = _sum_spectra(r, s, haar_unitaries(n, 1, crng))[0].tolist()
-        else:
-            c = singular_l(mat_mul(COMPLEX, sample_B_r(r, crng),
-                                   sample_B_r(s, crng)))
+        c = _sum_spectra(r, s, haar_unitaries(n, 1, crng))[0].tolist()
         return HornTriple(r, s, c)
 
+    def multiplicative(crng, size):
+        spectra, factors = [], []
+        for _ in range(size):
+            r = _random_cumsum_spectrum(n, crng)
+            s = _random_cumsum_spectrum(n, crng)
+            spectra.append((r, s))
+            factors.append(_pattern_and_phases(r, crng)
+                           + _pattern_and_phases(s, crng))
+        us, pus, vs, pvs = (np.concatenate(f) for f in zip(*factors))
+        cs = singular_l_block(b_factor_block(us, pus) @ b_factor_block(vs, pvs))
+        return [HornTriple(r, s, c) for (r, s), c in zip(spectra, cs.tolist())]
+
     def draw(crng, size):
-        return [kt_member(triple(crng), eps) for _ in range(size)]
+        triples = multiplicative(crng, size) if mode == "multiplicative" \
+            else [triple(crng) for _ in range(size)]
+        return [kt_member(t, eps) for t in triples]
 
     passed = _run_blocks(draw, count, rng)
     failures = tuple(np.flatnonzero(~passed).tolist())

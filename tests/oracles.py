@@ -16,6 +16,10 @@ independent route to kt_witness's back-substitution and to kt_member's
 facet table (lp_verdict).  complex_det, sigma_values and gz_B are
 the direct minor and singular-value routes of the linear algebra tests, and
 dagger, hermitian_with_spectrum and sample_H_r build their test matrices.
+singular_l, upper_cholesky, bordered, reconstruct_from_spectra and b_factor
+are the scalar multiplicative route in plain Python, one matrix at a time:
+the reference against which hornlab's block forms (singular_l_block,
+_bordered, b_factor_block) are tested.
 enumerate_paths lists single paths and enumerate_kpaths lists
 vertex-disjoint path systems (MultiPath), both by depth-first search;
 minor_enum, the reference minor, is an explicit sum of multipath_weight
@@ -35,6 +39,7 @@ in the cone.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,7 +49,8 @@ from operator import mul
 
 from hornlab.hive import (GZ, HIVE, HornTriple, Tableau, _facets,
                           _hive_inequalities, _pinned_slots, gz_check)
-from hornlab.linalg import _block, haar_unitaries, singular_l, spectrum_of
+from hornlab.linalg import (_MAX_SWEEPS, _block, _rotation, eigh,
+                            haar_unitaries, spectrum_of)
 from hornlab.semiring import as_rational
 
 
@@ -464,6 +470,131 @@ def complex_det(a):
     return out
 
 
+def singular_l(a):
+    """Cumulative logs of the singular values of an invertible matrix, by
+    the one-sided Jacobi of hornlab.linalg.singular_l_block in plain Python
+    on one matrix: the same pair order, relative test and rotations."""
+    n = len(a)
+    cols = [[complex(a[i][j]) for i in range(n)] for j in range(n)]
+    for _ in range(_MAX_SWEEPS):
+        rotated = False
+        for p in range(n):
+            for q in range(p + 1, n):
+                cp, cq = cols[p], cols[q]
+                app = sum(abs(x) ** 2 for x in cp)
+                aqq = sum(abs(x) ** 2 for x in cq)
+                if app == 0.0 or aqq == 0.0:
+                    raise ValueError("matrix is singular")
+                apq = sum(x.conjugate() * y for x, y in zip(cp, cq))
+                if abs(apq) <= 1e-15 * math.sqrt(app * aqq):
+                    continue
+                c, s, e = _rotation(app, aqq, apq)
+                es = e * s
+                ec = e * c
+                for i in range(n):
+                    xp, xq = cp[i], cq[i]
+                    cp[i] = c * xp + es * xq
+                    cq[i] = -s * xp + ec * xq
+                rotated = True
+        if not rotated:
+            break
+    else:
+        raise RuntimeError("one-sided Jacobi failed to converge")
+    sig = sorted((math.sqrt(sum(abs(x) ** 2 for x in col)) for col in cols),
+                 reverse=True)
+    if sig[-1] == 0.0 or not all(map(math.isfinite, sig)):
+        raise ValueError("matrix is singular")
+    out = []
+    acc = 0.0
+    for v in sig:
+        acc += math.log(v)
+        out.append(acc)
+    return tuple(out)
+
+
+def upper_cholesky(p):
+    """Upper-triangular a with positive diagonal and a a* = p.
+
+    Reverse both index orders, take the classical lower Cholesky factor,
+    and reverse back; positive definiteness is required.
+    """
+    n = len(p)
+    rp = [[p[n - 1 - i][n - 1 - j] for j in range(n)] for i in range(n)]
+    low = [[0j] * n for _ in range(n)]
+    for j in range(n):
+        acc = rp[j][j].real - sum(abs(low[j][t]) ** 2 for t in range(j))
+        if acc <= 0.0:
+            raise ValueError("matrix is not positive definite")
+        low[j][j] = complex(math.sqrt(acc), 0.0)
+        for i in range(j + 1, n):
+            v = rp[i][j] - sum(low[i][t] * low[j][t].conjugate() for t in range(j))
+            low[i][j] = v / low[j][j]
+    return [[low[n - 1 - i][n - 1 - j] for j in range(n)] for i in range(n)]
+
+
+def bordered(k, lam, theta):
+    """Extend a Hermitian matrix by one row and column so the new spectrum
+    is lam while the old one survives as the trailing block.
+
+    In the eigenbasis of k (hornlab's Jacobi eigh) the border magnitudes
+    are forced: with mu the current spectrum, |b_j|^2 = -prod_i(mu_j -
+    lam_i) / prod_{i != j}(mu_j - mu_i), which is positive exactly when lam
+    strictly interlaces mu; theta supplies the free phases.
+    """
+    kk = len(k)
+    mu, vecs = eigh(k)
+    a00 = sum(lam) - sum(mu)
+    cvec = []
+    for j in range(kk):
+        num = 1.0
+        for lv in lam:
+            num *= (mu[j] - lv)
+        num = -num
+        den = 1.0
+        for i in range(kk):
+            if i != j:
+                den *= (mu[j] - mu[i])
+        w2 = num / den
+        if not (w2 > 0.0) or not math.isfinite(w2):
+            raise ValueError("spectra do not strictly interlace")
+        cvec.append(math.sqrt(w2) * cmath.exp(1j * theta[j]))
+    b = [sum(vecs[i][j] * cvec[j] for j in range(kk)) for i in range(kk)]
+    out = [[0j] * (kk + 1) for _ in range(kk + 1)]
+    out[0][0] = complex(a00, 0.0)
+    for i in range(kk):
+        out[i + 1][0] = b[i]
+        out[0][i + 1] = b[i].conjugate()
+        for j in range(kk):
+            out[i + 1][j + 1] = k[i][j]
+    return out
+
+
+def reconstruct_from_spectra(spectra, angles):
+    """The Hermitian matrix whose trailing k x k block has spectrum
+    spectra[k - 1], bordered level by level with the phases of angles."""
+    k = [[complex(spectra[0][0], 0.0)]]
+    for lvl in range(1, len(spectra)):
+        k = bordered(k, spectra[lvl], angles[lvl - 1])
+    return k
+
+
+def b_factor(values, phases):
+    """Upper-triangular matrix with positive diagonal whose trailing k x k
+    block has row k of a pattern as cumulative log singular values: the
+    reversed Cholesky factor of the positive matrix with exponentiated
+    trailing spectra and torus coordinates phases (k of them for row k).
+    values are in gz_block's slot order; a non-finite one raises
+    OverflowError, as math.exp does on a finite one too large."""
+    if not all(map(math.isfinite, values)):
+        raise OverflowError("non-finite pattern entry")
+    n = (math.isqrt(8 * len(values) + 1) - 1) // 2
+    rows = [values[k * (k - 1) // 2:k * (k + 1) // 2] for k in range(1, n + 1)]
+    spectra = [[math.exp(2.0 * g) for g in spectrum_of(row)] for row in rows]
+    angles = [phases[k * (k - 1) // 2:k * (k + 1) // 2]
+              for k in range(1, n)]
+    return upper_cholesky(reconstruct_from_spectra(spectra, angles))
+
+
 def sigma_values(a):
     """Elementary symmetric functions of the squared singular values,
     k = 1..n, via sums of squared minors (Cauchy-Binet)."""
@@ -480,7 +611,8 @@ def sigma_values(a):
 
 
 def gz_B(a):
-    """Pattern of cumulative log singular values of nested trailing blocks."""
+    """Pattern of cumulative log singular values of nested trailing blocks,
+    through the scalar singular_l above."""
     n = len(a)
     rows = [(0.0,)]
     for j in range(1, n + 1):

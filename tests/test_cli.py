@@ -20,6 +20,10 @@ from hornlab.cli import (_FLAGS, PASS, FAIL, USAGE, PRECONDITION,
 W2 = {"n": 2, "diagonals": ["2"], "sink_horizontals": ["1", "1"]}
 # generic size-two instance with separation and margin both >= 1/2
 SWEEP = {"n": 2, "diagonals": ["19/10"], "sink_horizontals": ["-1/5", "3/10"]}
+# a generic size-three instance whose path matrix at tau = 150 has a
+# smallest singular value below the float range
+SWEEP3 = {"n": 3, "diagonals": ["19/10", "7/5", "3/5"],
+          "sink_horizontals": ["-1/5", "3/10", "1/10"]}
 
 INTERIOR_PATTERN = {"n": 2, "role": "tropical-gz",
                     "rows": [["0"], ["0", "1"], ["0", "3", "2"]]}
@@ -538,6 +542,9 @@ MALFORMED = [
     # an empty field is a field: neither row is shifted into a 6-field triple
     (["kt-member", "--csv"], "a1,a2,b1,b2,c1,c2\n%s\n" % row, PRECONDITION)
     for row in ("1,,0,1,0,2,0", "1,0,1,0,2,0,")
+] + [
+    (["limit-sweep", "--taus=" + taus, "--weights"], SWEEP3, PRECONDITION)
+    for taus in ("5,150", "200")
 ]
 
 
@@ -599,6 +606,11 @@ FLOAT_RANGE += [
     # a finite spectrum whose interlacing box is wider than the float range
     _out_of_range(["kappa-sample"], "1.7e308,1.7e308,0", "1,0.5,0", _WIDTH),
     _out_of_range(_MULTIPLICATIVE, "1.7e308,1.7e308,0", "1,0.5,0", _WIDTH),
+    # spectra (10, 0, -10) and (8, 0, -8): the bordered matrix's condition
+    # number e^40 is past 1/eps, and LAPACK's Cholesky refuses a draw
+    (_MULTIPLICATIVE + ["--r", "10,10,0", "--s", "8,8,0", "--count", "300",
+                        "--seed", "1"], PRECONDITION, [],
+     "error: matrix is not positive definite\n"),
 ]
 
 
@@ -609,7 +621,8 @@ FLOAT_RANGE += [
                               "exceptional-mass-1e300",
                               "exceptional-mass-1e308",
                               "hermitian-sum-6e153", "kappa-sample-box-width",
-                              "multiplicative-box-width"])
+                              "multiplicative-box-width",
+                              "multiplicative-wide-spectra"])
 def test_float_range_spectra(argv, code, rows, err):
     run = subprocess.run([sys.executable, "-m", "hornlab"] + argv,
                          capture_output=True, text=True)

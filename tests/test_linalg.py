@@ -1,6 +1,5 @@
 """Dense Hermitian spectral routines and triangular reconstructions."""
 
-import cmath
 import math
 
 import numpy as np
@@ -19,11 +18,11 @@ from hornlab import (
     sample_B_r,
     singular_l,
     spectrum_of,
-    upper_cholesky,
 )
-from hornlab.linalg import (b_factor, b_factor_block, haar_unitaries,
-                            singular_l_block)
+import hornlab.linalg as linalg
+from hornlab.linalg import b_factor_block, haar_unitaries, singular_l_block
 from hornlab.polytope import gz_block, pattern_tableau
+import oracles
 from oracles import dagger, gz_B, sample_H_r, sigma_values
 
 
@@ -200,6 +199,8 @@ def test_sample_H_r_has_the_requested_spectrum():
 
 
 def test_upper_cholesky_frozen_and_random():
+    # the scalar Cholesky of the oracle route
+    upper_cholesky = oracles.upper_cholesky
     assert upper_cholesky([[4 + 0j, 0j], [0j, 1 + 0j]]) \
         == [[2 + 0j, 0j], [0j, 1 + 0j]]
     rng = np.random.default_rng(6)
@@ -219,7 +220,7 @@ def test_upper_cholesky_frozen_and_random():
 
 def test_upper_cholesky_rejects_indefinite():
     with pytest.raises(ValueError):
-        upper_cholesky([[1 + 0j, 0j], [0j, -1 + 0j]])
+        oracles.upper_cholesky([[1 + 0j, 0j], [0j, -1 + 0j]])
 
 
 # -- reconstruction -----------------------------------------------------------
@@ -270,30 +271,46 @@ def test_sample_B_r_triangular_with_requested_log_spectrum():
 
 def test_b_factor_trailing_blocks_follow_the_pattern():
     # row k of the pattern is the cumulative log spectrum of the trailing
-    # k x k block, read back through the direct route of oracles.gz_B
+    # k x k block, read back through the scalar route of oracles.gz_B
     rng = np.random.default_rng(31)
     for r in ((1.0, 0.0), (2.0, 1.0, -1.0), (3.0, 4.0, 3.0, 0.0)):
         n = len(r)
-        for values in gz_block(r, 5, rng).tolist():
-            phases = rng.uniform(0.0, 2 * math.pi, n * (n - 1) // 2).tolist()
-            got = gz_B(b_factor(values, phases))
-            for row, want in zip(got.rows, pattern_tableau(values).rows):
+        values = gz_block(r, 5, rng)
+        phases = rng.uniform(0.0, 2 * math.pi, (5, n * (n - 1) // 2))
+        for b, u in zip(b_factor_block(values, phases), values.tolist()):
+            got = gz_B(b.tolist())
+            for row, want in zip(got.rows, pattern_tableau(u).rows):
                 assert row == pytest.approx(want, abs=1e-8)
+
+
+def test_sample_B_r_factors_reproduce_their_pattern_to_1e_10():
+    # the bordering takes LAPACK eigenpairs (worst 1.5e-11 over 1024 of
+    # these draws); the scalar route, which borders with Jacobi eigenpairs
+    # stopped at 1e-13 of the norm, misses the bound at the 123rd and the
+    # 132nd draw (2.1e-10 and 2.5e-10)
+    r = (3.0, 4.0, 3.0, 0.0)
+    rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+    for _ in range(300):
+        u = gz_block(r, 1, ref)[0].tolist()
+        ref.uniform(0.0, 2 * math.pi, 6)
+        got = gz_B(sample_B_r(r, rng))
+        for row, want in zip(got.rows, pattern_tableau(u).rows):
+            assert row == pytest.approx(want, rel=0, abs=1e-10)
 
 
 def test_sample_B_r_is_b_factor_of_a_one_row_block():
     rng, ref = np.random.default_rng(33), np.random.default_rng(33)
     r = (3.0, 4.0, 3.0)
     for _ in range(5):
-        values = gz_block(r, 1, ref)[0].tolist()
-        phases = ref.uniform(0.0, 2 * math.pi, 3).tolist()
-        assert sample_B_r(r, rng) == b_factor(values, phases)
+        values = gz_block(r, 1, ref)
+        phases = ref.uniform(0.0, 2 * math.pi, (1, 3))
+        assert sample_B_r(r, rng) == b_factor_block(values, phases)[0].tolist()
 
 
 def test_b_factor_refuses_non_finite_entries():
     # the overflow a too-large top row leaves in a gz_block pattern
     with pytest.raises(OverflowError, match="non-finite pattern entry"):
-        b_factor([math.inf, 1e308, 0.0], [0.0])
+        b_factor_block([[math.inf, 1e308, 0.0]], np.zeros((1, 1)))
 
 
 # the spectra of acceptance test 07 (and of the benchmark), and the n = 4
@@ -311,37 +328,47 @@ def test_b_factor_block_rows_are_b_factor_to_rounding(r):
     rng = np.random.default_rng(41)
     values = gz_block(r, 40, rng)
     phases = rng.uniform(0.0, 2 * math.pi, (40, n * (n - 1) // 2))
-    factors, bad = b_factor_block(values, phases)
-    assert factors.shape == (40, n, n) and not bad.any()
+    factors = b_factor_block(values, phases)
+    assert factors.shape == (40, n, n)
     for got, u, p in zip(factors, values.tolist(), phases.tolist()):
-        want = np.array(b_factor(u, p))
+        want = np.array(oracles.b_factor(u, p))
         assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
 
 
-def test_b_factor_block_flags_what_b_factor_refuses():
-    # a non-finite entry, a spectrum past exp's range and a pattern that
-    # does not interlace strictly; the good row beside them is unchanged
-    values = np.array([[1.0, 2.0, 0.0], [math.inf, 1e308, 0.0],
-                       [400.0, 800.0, 0.0], [2.0, 2.0, 0.0]])
-    phases = np.full((4, 1), 0.5)
-    factors, bad = b_factor_block(values, phases)
-    assert bad.tolist() == [False, True, True, True]
-    want = np.array(b_factor([1.0, 2.0, 0.0], [0.5]))
-    assert np.abs(factors[0] - want).max() <= 1e-12 * np.abs(want).max()
-    for u in values[1:].tolist():
-        with pytest.raises((OverflowError, ValueError)):
-            b_factor(u, [0.5])
+@pytest.mark.parametrize("row, error, message", [
+    ([math.inf, 1e308, 0.0], OverflowError, "non-finite pattern entry"),
+    ([400.0, 800.0, 0.0], OverflowError, "math range error"),
+    ([2.0, 2.0, 0.0], ValueError, "spectra do not strictly interlace"),
+], ids=["non-finite", "exp-range", "not-interlacing"])
+def test_b_factor_block_raises_what_b_factor_raises(row, error, message):
+    # one row that the scalar route refuses refuses the whole block, with
+    # the scalar route's error
+    with pytest.raises(error, match=message):
+        oracles.b_factor(row, [0.5])
+    with pytest.raises(error, match=message):
+        b_factor_block(np.array([[1.0, 2.0, 0.0], row]), np.full((2, 1), 0.5))
 
 
-def test_b_factor_block_flags_the_whole_block_on_a_cholesky_failure(
-        monkeypatch):
-    def refuse(a):
-        raise np.linalg.LinAlgError("Matrix is not positive definite")
+def test_b_factor_block_raises_on_a_cholesky_failure():
+    # spectra (10, 0, -10) give the bordered matrix a condition number of
+    # e^40, past 1/eps: LAPACK's Cholesky refuses one of these eight
+    rng = np.random.default_rng(1)
+    values = gz_block((10.0, 10.0, 0.0), 8, rng)
+    phases = rng.uniform(0.0, 2 * math.pi, (8, 3))
+    with pytest.raises(ValueError, match="matrix is not positive definite"):
+        b_factor_block(values, phases)
 
-    monkeypatch.setattr(np.linalg, "cholesky", refuse)
-    values = gz_block((3.0, 4.0, 3.0), 5, np.random.default_rng(43))
-    _, bad = b_factor_block(values, np.zeros((5, 3)))
-    assert bad.all()
+
+def test_reconstruct_H_is_the_oracle_bordering():
+    rng = np.random.default_rng(35)
+    for n in (2, 3, 4):
+        xi = gz_H(_random_hermitian(n, rng))
+        angles = [rng.uniform(0, 2 * math.pi, size=m).tolist()
+                  for m in range(1, n)]
+        spectra = [spectrum_of(xi.rows[k][1:]) for k in range(1, n + 1)]
+        want = np.array(oracles.reconstruct_from_spectra(spectra, angles))
+        got = np.array(reconstruct_H(xi, angles))
+        assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
 
 
 def _graded(n, rng, spread):
@@ -352,32 +379,60 @@ def _graded(n, rng, spread):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_singular_l_block_is_singular_l_per_matrix(n):
-    # the same sweeps, tests and rotations: values agree to rounding also
-    # where the small singular values sit 26 orders below the large ones
+    # the same sweeps, tests and rotations as the scalar oracle: values
+    # agree to rounding also where the small singular values sit 26 orders
+    # below the large ones
     rng = np.random.default_rng(45 + n)
     a = np.array([_graded(n, rng, spread) for spread in (0.0, 6.0, 26.0)
                   for _ in range(10)])
-    values, bad = singular_l_block(a)
-    assert not bad.any()
+    values = singular_l_block(a)
     for got, m in zip(values, a.tolist()):
-        assert got == pytest.approx(singular_l(m), rel=0, abs=1e-12)
+        assert got == pytest.approx(oracles.singular_l(m), rel=0, abs=1e-12)
+        assert singular_l(m) == tuple(got)
 
 
-def test_singular_l_block_flags_what_singular_l_refuses():
-    rng = np.random.default_rng(47)
-    good = _graded(3, rng, 2.0)
+def test_singular_l_block_raises_on_a_zero_singular_value():
+    good = _graded(3, np.random.default_rng(47), 2.0)
     zero_col = good.copy()
     zero_col[:, 1] = 0.0
-    non_finite = good.copy()
-    non_finite[2, 2] = math.nan
-    values, bad = singular_l_block(np.array([good, zero_col, non_finite,
-                                             good * math.inf]))
-    assert bad.tolist() == [False, True, True, True]
-    assert values[0] == pytest.approx(singular_l(good.tolist()), abs=1e-12)
-    with pytest.raises(ValueError, match="singular"):
-        singular_l(zero_col.tolist())
-    # a 1 x 1 block has no column pair: a zero singular value is flagged
-    assert singular_l_block(np.zeros((1, 1, 1)))[1].tolist() == [True]
+    with pytest.raises(ValueError, match="matrix is singular"):
+        oracles.singular_l(zero_col.tolist())
+    with pytest.raises(ValueError, match="matrix is singular"):
+        singular_l_block(np.array([good, zero_col]))
+    # a 1 x 1 block has no column pair to test
+    with pytest.raises(ValueError, match="matrix is singular"):
+        singular_l_block(np.zeros((1, 1, 1)))
+
+
+@pytest.mark.parametrize("entry", [math.nan, math.inf])
+def test_singular_l_block_raises_on_a_non_finite_entry(entry):
+    good = _graded(3, np.random.default_rng(47), 2.0)
+    bad = good.copy()
+    bad[2, 2] = entry
+    with pytest.raises(ValueError, match="matrix is singular"):
+        singular_l_block(np.array([good, bad]))
+    with pytest.raises(ValueError, match="matrix is singular"):
+        singular_l(bad.tolist())
+
+
+def test_singular_l_block_raises_on_squared_norms_past_the_float_range():
+    # each entry is finite, its square is not: the scalar abs(x) ** 2
+    # raises OverflowError, and so does the block
+    big = np.full((2, 2), 1e200 + 0j)
+    big[1, 0] = 0.0
+    with pytest.raises(OverflowError):
+        oracles.singular_l(big.tolist())
+    with pytest.raises(OverflowError, match="column norms out of the float"):
+        singular_l_block(np.array([np.eye(2, dtype=complex), big]))
+
+
+def test_singular_l_block_raises_without_convergence(monkeypatch):
+    # a non-orthogonal pair rotates in the one sweep allowed, and the
+    # block never sees a sweep without rotation
+    monkeypatch.setattr(linalg, "_MAX_SWEEPS", 1)
+    a = np.array([[[1.0, 1.0], [0.0, 1.0]]], dtype=complex)
+    with pytest.raises(RuntimeError, match="failed to converge"):
+        singular_l_block(a)
 
 
 # -- symmetric functions of singular values -----------------------------------

@@ -23,7 +23,7 @@ from hornlab import (
     sample_tropical_kappa,
     spectrum_of,
 )
-from hornlab.linalg import b_factor, haar_unitaries, singular_l
+from hornlab.linalg import haar_unitaries
 from hornlab.polytope import gz_block
 from hornlab.semiring import COMPLEX, mat_mul
 import oracles
@@ -295,7 +295,7 @@ def test_sum_spectra_match_the_list_route():
 def _scalar_multiplicative(r, s, count, rng):
     """sample_multiplicative's stream read by hand (one chunk): per block
     the r patterns, the s patterns, then the phases, each product through
-    the scalar b_factor and singular_l."""
+    the scalar oracle route (oracles.b_factor and oracles.singular_l)."""
     n = len(r)
     crng = rng.spawn(1)[0]
     out = []
@@ -303,7 +303,8 @@ def _scalar_multiplicative(r, s, count, rng):
         size = min(measure.BLOCK, count - start)
         us, vs = gz_block(r, size, crng), gz_block(s, size, crng)
         phases = crng.uniform(0.0, 2 * math.pi, (size, 2, n * (n - 1) // 2))
-        out += [singular_l(mat_mul(COMPLEX, b_factor(u, pu), b_factor(v, pv)))
+        out += [oracles.singular_l(mat_mul(COMPLEX, oracles.b_factor(u, pu),
+                                           oracles.b_factor(v, pv)))
                 for u, v, (pu, pv) in zip(us.tolist(), vs.tolist(),
                                           phases.tolist())]
     return out
@@ -326,18 +327,6 @@ def test_multiplicative_block_route_is_the_scalar_route(r, s):
     want = _scalar_multiplicative(r, s, 300,
                                   np.random.default_rng([700, len(r)]))
     assert np.abs(got.array - np.array(want)).max() <= 1e-9
-
-
-@pytest.mark.parametrize("r, s", BLOCK_PAIRS[1:3], ids=["n2", "n3"])
-def test_multiplicative_without_block_values_is_scalar_bit_for_bit(
-        r, s, monkeypatch):
-    # a block that flags every row sends each one through the scalar route
-    block = measure.singular_l_block
-    monkeypatch.setattr(measure, "singular_l_block",
-                        lambda a: (block(a)[0], np.ones(len(a), dtype=bool)))
-    got = sample_multiplicative(r, s, 300, np.random.default_rng(701))
-    assert list(got.vectors) == _scalar_multiplicative(
-        r, s, 300, np.random.default_rng(701))
 
 
 @pytest.mark.parametrize("gen", GENS)
@@ -456,6 +445,17 @@ def test_limit_sweep_accepts_fixed_phases():
     assert res.phases is phases
 
 
+def test_limit_sweep_reports_an_underflowing_singular_value_as_float_range():
+    # the path matrix is invertible, but at tau = 150 its smallest singular
+    # value underflows: that tau is out of the float range, like 230
+    w = WbarWeighting(3, (F(19, 10), F(7, 5), F(3, 5)),
+                      (F(-1, 5), F(3, 10), F(1, 10)))
+    for tau in (150.0, 200.0, 230.0):
+        with pytest.raises(ValueError, match=r"tau=%r is out of the float "
+                           r"range for this weighting" % tau):
+            limit_sweep(w, [5.0, tau])
+
+
 # -- forward inclusion and exceptional mass ------------------------------------
 
 @pytest.mark.parametrize("mode", ["tropical", "hermitian", "multiplicative"])
@@ -465,6 +465,38 @@ def test_horn_forward_small_runs_pass(mode):
     assert rep.mode == mode and rep.count == 40
     assert rep.failures == ()
     assert rep.pass_rate == 1.0
+
+
+def _scalar_forward_failures(n, count, slack, rng):
+    """horn_forward_test's multiplicative stream read by hand (one chunk):
+    per instance the spectra, the r pattern and phases, the s pattern and
+    phases, each product through the scalar oracle route."""
+    crng = rng.spawn(1)[0]
+    failures = []
+    for i in range(count):
+        r = measure._random_cumsum_spectrum(n, crng)
+        s = measure._random_cumsum_spectrum(n, crng)
+        factors = []
+        for top in (r, s):
+            u = gz_block(top, 1, crng)[0].tolist()
+            factors.append(oracles.b_factor(
+                u, crng.uniform(0.0, 2 * math.pi, n * (n - 1) // 2).tolist()))
+        c = oracles.singular_l(mat_mul(COMPLEX, *factors))
+        if not kt_member(HornTriple(r, s, c), slack):
+            failures.append(i)
+    return tuple(failures)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_horn_forward_multiplicative_is_the_scalar_route(n):
+    # at a negative slack most triples fail (42 and 50 of 60), so the
+    # block route must decide each one as the scalar route does
+    rep = horn_forward_test("multiplicative", n, 60, F(-1, 10),
+                            np.random.default_rng([710, n]))
+    want = _scalar_forward_failures(n, 60, F(-1, 10),
+                                    np.random.default_rng([710, n]))
+    assert 0 < len(want) < 60
+    assert rep.failures == want
 
 
 def test_horn_forward_unknown_mode():
