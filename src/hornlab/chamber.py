@@ -276,6 +276,9 @@ def random_interior_pattern(n, rng):
 
 # random interior patterns on which find_delta0_chamber checks its inverse
 _VERIFY_POINTS = 100
+# kappa_block's products run on slices of this many pairs: at n = 5 one
+# row of the top product holds 2327 floats
+_ROWS = 256
 
 
 @cache
@@ -436,15 +439,21 @@ def kappa_block(us, vs, chamber):
     and its bound is the top rows' largest folded bound at that scale.
     Every other pair, a non-finite one or one whose smaller factor's margins
     sit inside that bound included, goes through kappa itself, raises what
-    it raises, and has bound 0.
+    it raises, and has bound 0.  The two products run on slices of at most
+    _ROWS pairs, which bounds their memory.
     """
     route = chamber._float_route
     pairs = np.hstack([vs, us])
     scale = np.abs(pairs).max(axis=1)
+    ok = scale < route.limit  # false for inf and nan
+    values = np.empty((len(pairs), len(route.starts)))
     with np.errstate(all="ignore"):
-        ok = ((scale < route.limit)  # false for inf and nan
-              & (np.hstack([pairs, scale[:, None]]) @ route.check > 0).all(axis=1))
-        values = np.maximum.reduceat(pairs @ route.top[:-1], route.starts, axis=1)
+        for lo in range(0, len(pairs), _ROWS):
+            rows = slice(lo, lo + _ROWS)
+            scaled = np.hstack([pairs[rows], scale[rows, None]])
+            ok[rows] &= (scaled @ route.check > 0).all(axis=1)
+            values[rows] = np.maximum.reduceat(pairs[rows] @ route.top[:-1],
+                                               route.starts, axis=1)
     bounds = np.where(ok, scale * -route.top[-1].min(), 0.0)
     for j in np.flatnonzero(~ok):
         values[j] = [float(x) for x in kappa(pattern_tableau(us[j]),

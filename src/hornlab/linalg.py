@@ -9,12 +9,13 @@ block (see measure._sum_spectra).
 
 The multiplicative model has one route, on numpy blocks; a single matrix
 is a block of one.  _bordered extends a block of Hermitian matrices level
-by level through one LAPACK eigh call per level (reconstruct_H),
-b_factor_block takes the reversed LAPACK Cholesky factors of the bordered
-exponentiated spectra (sample_B_r), and singular_l_block takes cumulative
-log singular values by a one-sided Jacobi on columns vectorised over the
-block (singular_l), chosen for its relative accuracy on badly scaled
-matrices.  Each raises on the first matrix it cannot map.
+by level and carries each level's eigenvectors in closed form from its
+border weights, with no LAPACK call (reconstruct_H), b_factor_block takes
+the reversed LAPACK Cholesky factors of the bordered exponentiated spectra
+(sample_B_r), and singular_l_block takes cumulative log singular values
+by a one-sided Jacobi on columns vectorised over the block (singular_l),
+chosen for its relative accuracy on badly scaled matrices.  Each raises
+on the first matrix it cannot map.
 
 The matrix size never exceeds a handful here, so the quadratic little loops
 are both fast enough and easy to audit.
@@ -169,7 +170,8 @@ def singular_l_block(a):
 
     One-sided Jacobi vectorised over the block: each sweep visits the column
     pairs in order and rotates a pair of a matrix only when it fails the
-    relative test |apq| <= 1e-15 sqrt(app aqq), and only the matrices that
+    relative test |apq| <= 1e-15 sqrt(app) sqrt(aqq), two roots so that the
+    bound does not overflow before the norms do, and only the matrices that
     rotated in a sweep take the next one.  Comparing column Grams, not
     absolute magnitudes, keeps the relative accuracy on matrices with badly
     scaled columns: a singular value of 1e-13 next to one of 1e+13 still
@@ -196,7 +198,7 @@ def singular_l_block(a):
                     ab = np.abs(apq)
                     # a zero column never rotates, and its zero singular
                     # value is refused below
-                    rot = ~(ab <= 1e-15 * np.sqrt(app * aqq))
+                    rot = ~(ab <= 1e-15 * np.sqrt(app) * np.sqrt(aqq))
                     if not rot.any():
                         continue
                     # the identity rotation (c, s, e) = (1, 0, 1) leaves a
@@ -249,49 +251,63 @@ def spectrum_of(r):
     return out
 
 
-def _eigh_block(k):
-    """Eigenvalues (descending) and eigenvectors of a block of Hermitian
-    matrices from one LAPACK call, each eigenvector normalised as eigh
-    normalises it: its largest-magnitude entry, the first on ties, real
-    and positive."""
-    mu, vecs = np.linalg.eigh(k)
-    mu, vecs = mu[:, ::-1], vecs[:, :, ::-1]
-    piv = np.abs(vecs).argmax(axis=1)[:, None, :]
-    ph = np.take_along_axis(vecs, piv, axis=1)
-    return mu, vecs * (ph.conj() / np.abs(ph))
+def _arrowhead_vectors(vecs, c, mu, lam):
+    """Unit eigenvectors of each bordered matrix [[a, b*], [b, K]] of a
+    block, b = vecs c, where K has spectrum mu (descending) with unit
+    eigenvectors the columns of vecs and the bordered matrix has spectrum
+    lam (descending): column i, for lam_i, is [1 ; vecs (c_j / (lam_i -
+    mu_j))_j] (Loewner; Gu and Eisenstat 1995), divided by its
+    largest-magnitude entry (the first on ties) and then by its norm, which
+    normalises it as eigh does.  vecs, c, mu and lam have shapes (size, k,
+    k), (size, k), (size, k) and (size, k + 1)."""
+    size, k = mu.shape
+    x = np.empty((size, k + 1, k + 1), dtype=complex)
+    x[:, 0] = 1.0
+    x[:, 1:] = vecs @ (c[:, :, None] / (lam[:, None, :] - mu[:, :, None]))
+    piv = np.abs(x).argmax(axis=1)[:, None, :]
+    x /= np.take_along_axis(x, piv, axis=1)
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    return x
 
 
 def _bordered(spectra, phases):
     """A block of Hermitian matrices whose trailing k x k blocks have the
-    spectra spectra[k - 1] (arrays of shape (size, k), k = 1..n), with
-    torus coordinates phases (shape (size, n(n-1)/2), k of them for level
-    k).
+    spectra spectra[k - 1] (arrays of shape (size, k), k = 1..n, each
+    descending), with torus coordinates phases (shape (size, n(n-1)/2), k
+    of them for level k).
 
-    Each level extends the whole block by one row and column through one
-    LAPACK eigh call.  In the eigenbasis of the current block, with mu its
-    spectrum and lam the next one, the border magnitudes are forced:
-    |b_j|^2 = -prod_i(mu_j - lam_i) / prod_{i != j}(mu_j - mu_i), which is
-    positive exactly when lam strictly interlaces mu; a weight that is not
-    positive and finite raises ValueError."""
+    Each level extends the whole block by one row and column.  In the
+    eigenbasis of the current block, with mu its spectrum and lam the next
+    one, the border magnitudes are forced: |c_j|^2 = -prod_i(mu_j - lam_i) /
+    prod_{i != j}(mu_j - mu_i), which is positive exactly when lam strictly
+    interlaces mu.  The eigenvectors of the next level follow from the
+    border in closed form (_arrowhead_vectors), so no level calls LAPACK.
+    A weight that is not positive raises ValueError, and one that is
+    positive but not a finite float raises OverflowError."""
     size, n = spectra[0].shape[0], len(spectra)
     k = spectra[0][:, :, None] + 0j
+    vecs = np.ones((size, 1, 1), dtype=complex)
     with np.errstate(all="ignore"):
         for lvl in range(1, n):
-            lam = spectra[lvl]
+            mu, lam = spectra[lvl - 1], spectra[lvl]
             theta = phases[:, lvl * (lvl - 1) // 2:lvl * (lvl + 1) // 2]
-            mu, vecs = _eigh_block(k)
             num = -np.prod(mu[:, :, None] - lam[:, None, :], axis=2)
             gaps = mu[:, :, None] - mu[:, None, :]
             gaps[:, range(lvl), range(lvl)] = 1.0
             w2 = num / np.prod(gaps, axis=2)
-            if not ((w2 > 0.0) & np.isfinite(w2)).all():
+            if not ((w2 > 0.0) | np.isnan(w2)).all():
                 raise ValueError("spectra do not strictly interlace")
-            b = (vecs * (np.sqrt(w2) * np.exp(1j * theta))[:, None, :]).sum(axis=2)
+            if not np.isfinite(w2).all():
+                raise OverflowError("border weight out of the float range")
+            c = np.sqrt(w2) * np.exp(1j * theta)
+            b = (vecs * c[:, None, :]).sum(axis=2)
             k, inner = np.empty((size, lvl + 1, lvl + 1), dtype=complex), k
             k[:, 0, 0] = lam.sum(axis=1) - mu.sum(axis=1)
             k[:, 1:, 0] = b
             k[:, 0, 1:] = b.conj()
             k[:, 1:, 1:] = inner
+            if lvl < n - 1:
+                vecs = _arrowhead_vectors(vecs, c, mu, lam)
     return k
 
 

@@ -4,7 +4,7 @@ limit experiment.
 Each generator and estimator is one draw function, run by one block
 runner: a run of `count` draws is split into fixed chunks of 8192, each
 with its own child generator spawned from the caller's rng, and a chunk
-is drawn in blocks of 256 (Haar unitaries from linalg.haar_unitaries,
+is drawn in blocks of 2048 (Haar unitaries from linalg.haar_unitaries,
 patterns from polytope.gz_block) read from its generator in block order.
 The runner writes the blocks into one array, so the output is a function
 of (seed, count) alone.
@@ -41,7 +41,7 @@ from .polytope import gz_block
 from .semiring import TROPICAL, as_rational
 
 CHUNK = 8192
-BLOCK = 256
+BLOCK = 2048
 
 
 @dataclass(frozen=True)

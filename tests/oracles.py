@@ -486,7 +486,7 @@ def singular_l(a):
                 if app == 0.0 or aqq == 0.0:
                     raise ValueError("matrix is singular")
                 apq = sum(x.conjugate() * y for x, y in zip(cp, cq))
-                if abs(apq) <= 1e-15 * math.sqrt(app * aqq):
+                if abs(apq) <= 1e-15 * math.sqrt(app) * math.sqrt(aqq):
                     continue
                 c, s, e = _rotation(app, aqq, apq)
                 es = e * s

@@ -359,6 +359,28 @@ def test_kappa_block_without_certificate_is_kappa_bit_for_bit(n, monkeypatch):
         assert values.tolist() == exact
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_kappa_block_slices_do_not_change_a_pair(n, monkeypatch):
+    # 600 pairs take three slices, the last one partial: the values and
+    # bounds are those of one unsliced product, bit for bit, and each
+    # pair's bound and certificate are those of its block of one; a block
+    # of one multiplies through BLAS's matrix-vector kernel, which may
+    # round differently, so its values agree within the bounds
+    ch = find_delta0_chamber(n)
+    us, vs = _blocks(n, size=600)
+    values, bounds = kappa_block(us, vs, ch)
+    with monkeypatch.context() as patch:
+        patch.setattr(chamber, "_ROWS", 600)
+        whole = kappa_block(us, vs, ch)
+    assert values.tolist() == whole[0].tolist()
+    assert bounds.tolist() == whole[1].tolist()
+    ones = [kappa_block(us[j:j + 1], vs[j:j + 1], ch) for j in range(600)]
+    assert bounds.tolist() == [b for _, one in ones for b in one.tolist()]
+    assert (bounds > 0).all()
+    single = np.concatenate([v for v, _ in ones])
+    assert (np.abs(values - single) <= 2 * bounds[:, None]).all()
+
+
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("scale", [2.0 ** -1000, 1e300, 2.0 ** 1020],
                          ids=["tiny", "huge", "edge"])

@@ -606,6 +606,10 @@ FLOAT_RANGE += [
     # a finite spectrum whose interlacing box is wider than the float range
     _out_of_range(["kappa-sample"], "1.7e308,1.7e308,0", "1,0.5,0", _WIDTH),
     _out_of_range(_MULTIPLICATIVE, "1.7e308,1.7e308,0", "1,0.5,0", _WIDTH),
+    # interlacing spectra whose exponentials are finite, but whose border
+    # weight (e^600 - mu)(mu - 1) is not
+    _out_of_range(_MULTIPLICATIVE, "300,0", "5,0",
+                  "border weight out of the float range", count="5"),
     # spectra (10, 0, -10) and (8, 0, -8): the bordered matrix's condition
     # number e^40 is past 1/eps, and LAPACK's Cholesky refuses a draw
     (_MULTIPLICATIVE + ["--r", "10,10,0", "--s", "8,8,0", "--count", "300",
@@ -622,6 +626,7 @@ FLOAT_RANGE += [
                               "exceptional-mass-1e308",
                               "hermitian-sum-6e153", "kappa-sample-box-width",
                               "multiplicative-box-width",
+                              "multiplicative-border-weight",
                               "multiplicative-wide-spectra"])
 def test_float_range_spectra(argv, code, rows, err):
     run = subprocess.run([sys.executable, "-m", "hornlab"] + argv,

@@ -284,8 +284,8 @@ def test_b_factor_trailing_blocks_follow_the_pattern():
 
 
 def test_sample_B_r_factors_reproduce_their_pattern_to_1e_10():
-    # the bordering takes LAPACK eigenpairs (worst 1.5e-11 over 1024 of
-    # these draws); the scalar route, which borders with Jacobi eigenpairs
+    # the bordering takes closed-form eigenpairs (worst 6.2e-12 over 1024
+    # of these draws); the scalar route, which borders with Jacobi eigenpairs
     # stopped at 1e-13 of the norm, misses the bound at the 123rd and the
     # 132nd draw (2.1e-10 and 2.5e-10)
     r = (3.0, 4.0, 3.0, 0.0)
@@ -335,6 +335,51 @@ def test_b_factor_block_rows_are_b_factor_to_rounding(r):
         assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
 
 
+def _tracked_levels(spectra, phases):
+    """Per level m = 2..n of _bordered on the first m spectra: the block K
+    and the eigenvectors that _arrowhead_vectors gives it from the level
+    below, with the border read back off K in that level's eigenbasis."""
+    vecs = np.ones((len(phases), 1, 1), dtype=complex)
+    for m in range(2, len(spectra) + 1):
+        k = linalg._bordered(spectra[:m], phases)
+        c = (vecs.conj() * k[:, 1:, :1]).sum(axis=1)
+        vecs = linalg._arrowhead_vectors(vecs, c, spectra[m - 2],
+                                         spectra[m - 1])
+        yield k, vecs, spectra[m - 1]
+
+
+@pytest.mark.parametrize("exponentiated", [False, True],
+                         ids=["plain", "exponentiated"])
+@pytest.mark.parametrize("r", [r for r in BLOCK_SPECTRA if len(r) > 1])
+def test_closed_form_eigenvectors_are_eighs_at_every_level(r, exponentiated):
+    # the Loewner vectors reproduce K to eps |K|, and they are orthonormal
+    # and LAPACK's vectors, normalised as eigh normalises them, to the
+    # rounding that a relative gap g allows (eps / g), on the spectra of
+    # reconstruct_H and on the exponentiated ones of b_factor_block
+    n, eps = len(r), np.finfo(float).eps
+    rng = np.random.default_rng(43)
+    values = gz_block(r, 100, rng)
+    phases = rng.uniform(0.0, 2 * math.pi, (100, n * (n - 1) // 2))
+    spectra = [np.diff(values[:, k * (k - 1) // 2:k * (k + 1) // 2],
+                       axis=1, prepend=0.0) for k in range(1, n + 1)]
+    if exponentiated:
+        spectra = [np.exp(2.0 * lam) for lam in spectra]
+    for k, vecs, lam in _tracked_levels(spectra, phases):
+        m = len(lam[0])
+        norm = np.linalg.norm(k, axis=(1, 2))
+        tol = 10 * m * eps * norm / (-np.diff(lam, axis=1)).min(axis=1)
+        dag = vecs.conj().transpose(0, 2, 1)
+        assert (np.abs(dag @ vecs - np.eye(m)).max(axis=(1, 2)) <= tol).all()
+        assert (np.abs((vecs * lam[:, None, :]) @ dag - k).max(axis=(1, 2))
+                <= 10 * m * eps * norm).all()
+        _, want = np.linalg.eigh(k)
+        want = want[:, :, ::-1]
+        piv = np.abs(want).argmax(axis=1)[:, None, :]
+        ph = np.take_along_axis(want, piv, axis=1)
+        want = want * (ph.conj() / np.abs(ph))
+        assert (np.abs(vecs - want).max(axis=(1, 2)) <= tol).all()
+
+
 @pytest.mark.parametrize("row, error, message", [
     ([math.inf, 1e308, 0.0], OverflowError, "non-finite pattern entry"),
     ([400.0, 800.0, 0.0], OverflowError, "math range error"),
@@ -347,6 +392,13 @@ def test_b_factor_block_raises_what_b_factor_raises(row, error, message):
         oracles.b_factor(row, [0.5])
     with pytest.raises(error, match=message):
         b_factor_block(np.array([[1.0, 2.0, 0.0], row]), np.full((2, 1), 0.5))
+
+
+def test_b_factor_block_refuses_an_overflowing_border_weight():
+    # spectra (e^600, 1) strictly interlace e^300 and every exponential is
+    # finite, but the border weight (e^600 - e^300)(e^300 - 1) is not
+    with pytest.raises(OverflowError, match="border weight out of the float"):
+        b_factor_block(np.array([[150.0, 300.0, 300.0]]), np.zeros((1, 1)))
 
 
 def test_b_factor_block_raises_on_a_cholesky_failure():
@@ -424,6 +476,22 @@ def test_singular_l_block_raises_on_squared_norms_past_the_float_range():
         oracles.singular_l(big.tolist())
     with pytest.raises(OverflowError, match="column norms out of the float"):
         singular_l_block(np.array([np.eye(2, dtype=complex), big]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_singular_l_past_squared_column_products_is_the_scaled_route(n):
+    # column norms near 1e77 put app * aqq past the float range while each
+    # norm stays finite: the relative test still compares, so the values
+    # are the route through the matrix scaled by 1e-77, shifted back
+    rng = np.random.default_rng(48 + n)
+    small = [np.triu(np.ones((n, n)))] + [_graded(n, rng, 2.0)
+                                          for _ in range(5)]
+    shift = 77 * math.log(10.0) * np.arange(1, n + 1)
+    for m in small:
+        want = np.array(singular_l(m.tolist())) + shift
+        big = (m * 1e77).tolist()
+        assert np.abs(np.array(singular_l(big)) - want).max() <= 1e-11
+        assert np.abs(np.array(oracles.singular_l(big)) - want).max() <= 1e-11
 
 
 def test_singular_l_block_raises_without_convergence(monkeypatch):

@@ -319,10 +319,11 @@ BLOCK_PAIRS = [((1.5,), (0.5,)), (R2, S2), (R3, S3),
 
 @pytest.mark.parametrize("r, s", BLOCK_PAIRS, ids=["n1", "n2", "n3", "n4",
                                                    "n5"])
-def test_multiplicative_block_route_is_the_scalar_route(r, s):
+def test_multiplicative_block_route_is_the_scalar_route(r, s, monkeypatch):
     # the block factors, product and Jacobi sweeps give each sample the
-    # scalar route's value on the same stream, to rounding; 300 draws
-    # cross a block boundary
+    # scalar route's value on the same stream, to rounding; with blocks of
+    # 128, 300 draws cross two block boundaries
+    monkeypatch.setattr(measure, "BLOCK", 128)
     got = sample_multiplicative(r, s, 300, np.random.default_rng([700, len(r)]))
     want = _scalar_multiplicative(r, s, 300,
                                   np.random.default_rng([700, len(r)]))
