@@ -22,8 +22,8 @@ from .chamber import (ChamberMap, GenericityReport, WbarWeighting,
                       find_delta0_chamber, genericity_check,
                       horn_triple_tropical, kappa, lt_inverse,
                       random_interior_pattern, wbar_from_json, wbar_to_json)
-from .linalg import (eigh, gz_H, l_map, reconstruct_H, sample_B_r,
-                     singular_l, spectrum_of)
+from .linalg import (gz_H, l_map, reconstruct_H, sample_B_r, singular_l,
+                     spectrum_of)
 from .polytope import gz_pattern
 from .measure import (CHUNK, GENERATORS, EmpiricalSample, ForwardReport,
                       KSResult, SweepResult, exceptional_mass_estimate,
@@ -48,7 +48,7 @@ __all__ = [
     "ChamberMap", "GenericityReport", "WbarWeighting", "find_delta0_chamber",
     "genericity_check", "horn_triple_tropical", "kappa", "lt_inverse",
     "random_interior_pattern", "wbar_from_json", "wbar_to_json",
-    "eigh", "gz_H", "l_map", "reconstruct_H", "sample_B_r", "singular_l",
+    "gz_H", "l_map", "reconstruct_H", "sample_B_r", "singular_l",
     "spectrum_of",
     "gz_pattern",
     "CHUNK", "GENERATORS", "EmpiricalSample", "ForwardReport", "KSResult",

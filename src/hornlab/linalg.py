@@ -1,11 +1,12 @@
 """Dense Hermitian and triangular linear algebra at desk scale.
 
-eigh is a two-sided Jacobi iteration on small nested lists of Python
-complex, used where eigenvectors or an independent route are wanted: gz_H
-and the tests' oracle.  Haar unitaries come as numpy blocks from one QR
-call; the Monte Carlo generators build whole blocks of matrices from them
-in numpy, and take Hermitian-sum spectra from one LAPACK eigvalsh call per
-block (see measure._sum_spectra).
+Hermitian spectra have one route, on numpy blocks: l_map_block takes the
+cumulative eigenvalues of a whole block from one LAPACK eigvalsh call
+(measure._sum_spectra), and l_map, on which gz_H reads each trailing block,
+is a block of one.  Eigenvalues need only absolute accuracy, which the
+backward-stable eigvalsh gives (Weyl's inequality); the two-sided Jacobi
+eigh, with eigenvectors, lives in tests/oracles.py as the route the tests
+compare against.  Haar unitaries come as numpy blocks from one QR call.
 
 The multiplicative model has one route, on numpy blocks; a single matrix
 is a block of one.  _bordered extends a block of Hermitian matrices level
@@ -17,8 +18,8 @@ by a one-sided Jacobi on columns vectorised over the block (singular_l),
 chosen for its relative accuracy on badly scaled matrices.  Each raises
 on the first matrix it cannot map.
 
-The matrix size never exceeds a handful here, so the quadratic little loops
-are both fast enough and easy to audit.
+The matrix size never exceeds a handful here, so the Python loops over
+levels and column pairs are both fast enough and easy to audit.
 """
 
 from __future__ import annotations
@@ -29,115 +30,40 @@ import numpy as np
 
 from .hive import GZ, Tableau
 
-_EIGH_TOL = 1e-13
 _MAX_SWEEPS = 100
 _NORM_RANGE = "column norms out of the float range"
 
 
-def frobenius(a):
-    return math.sqrt(sum(abs(x) ** 2 for row in a for x in row))
+def l_map_block(k):
+    """Cumulative eigenvalues, largest first, of each matrix of a complex
+    Hermitian block of shape (size, n, n), one row per matrix.
 
-
-def _rotation(app, aqq, apq):
-    """Parameters (c, s, e) of the plane rotation that kills a 2x2 Hermitian
-    off-diagonal entry apq; columns transform as
-        p' = c p + e s q,   q' = -s p + e c q,   e = conj(apq)/|apq|."""
-    ab = abs(apq)
-    theta = 0.5 * math.atan2(2.0 * ab, app - aqq)
-    return math.cos(theta), math.sin(theta), apq.conjugate() / ab
-
-
-def eigh(k):
-    """Eigenvalues (descending) and eigenvectors of a Hermitian matrix.
-
-    Classical cyclic Jacobi; terminates when the off-diagonal Frobenius
-    norm drops below 1e-13 of the matrix norm.  Eigenvectors are returned
-    as columns, each normalized so its largest-magnitude entry (first such
-    index on ties) is real and positive, which makes the output a pure
-    function of the input.  A matrix whose Frobenius norm is not a finite
-    float raises OverflowError: the stopping test could not compare.
-    """
-    n = len(k)
-    nrm = frobenius(k)
-    if not math.isfinite(nrm):
-        raise OverflowError("matrix norm out of the float range")
-    herm_defect = math.sqrt(sum(abs(k[i][j] - k[j][i].conjugate()) ** 2
-                                for i in range(n) for j in range(n)))
-    if herm_defect > 1e-10 * max(1.0, nrm):
-        raise ValueError("matrix is not Hermitian")
-    m = [[complex(x) for x in row] for row in k]
-    # symmetrize exactly so rounding in the input cannot bias the sweeps
-    for i in range(n):
-        m[i][i] = complex(m[i][i].real, 0.0)
-        for j in range(i + 1, n):
-            avg = 0.5 * (m[i][j] + m[j][i].conjugate())
-            m[i][j] = avg
-            m[j][i] = avg.conjugate()
-    u = [[1.0 + 0j if i == j else 0j for j in range(n)] for i in range(n)]
-    if nrm == 0.0:
-        return [0.0] * n, u
-
-    for _ in range(_MAX_SWEEPS):
-        off = math.sqrt(2.0 * sum(abs(m[i][j]) ** 2
-                                  for i in range(n) for j in range(i + 1, n)))
-        if off <= _EIGH_TOL * nrm:
-            break
-        for p in range(n):
-            for q in range(p + 1, n):
-                b = m[p][q]
-                if b == 0j:
-                    continue
-                c, s, e = _rotation(m[p][p].real, m[q][q].real, b)
-                es = e * s
-                ec = e * c
-                for i in range(n):
-                    mp, mq = m[i][p], m[i][q]
-                    m[i][p] = c * mp + es * mq
-                    m[i][q] = -s * mp + ec * mq
-                ce = e.conjugate()
-                for j in range(n):
-                    mp, mq = m[p][j], m[q][j]
-                    m[p][j] = c * mp + ce * s * mq
-                    m[q][j] = -s * mp + ce * c * mq
-                for i in range(n):
-                    up, uq = u[i][p], u[i][q]
-                    u[i][p] = c * up + es * uq
-                    u[i][q] = -s * up + ec * uq
-    else:
-        raise RuntimeError("Jacobi iteration failed to converge")
-
-    pairs = sorted(((m[j][j].real, j) for j in range(n)),
-                   key=lambda t: -t[0])
-    vals = [v for v, _ in pairs]
-    cols = []
-    for _, j in pairs:
-        col = [u[i][j] for i in range(n)]
-        piv = 0
-        for i in range(1, n):
-            if abs(col[i]) > abs(col[piv]):
-                piv = i
-        ph = col[piv]
-        if ph != 0j:
-            f = ph.conjugate() / abs(ph)
-            col = [x * f for x in col]
-        cols.append(col)
-    vecs = [[cols[j][i] for j in range(n)] for i in range(n)]
-    return vals, vecs
+    One LAPACK eigvalsh call serves the block.  Only absolute accuracy is
+    needed: by Weyl's inequality each eigenvalue is off by at most the
+    backward error, a small multiple of eps * |K|.  A non-finite entry or
+    Frobenius norm raises OverflowError."""
+    with np.errstate(all="ignore"):
+        if not np.isfinite(k).all():
+            raise OverflowError("non-finite matrix entry")
+        if not np.isfinite(np.linalg.norm(k, axis=(1, 2))).all():
+            raise OverflowError("matrix norm out of the float range")
+    return np.cumsum(np.linalg.eigvalsh(k)[:, ::-1], axis=1)
 
 
 def l_map(k):
-    """Cumulative sums of the eigenvalues, largest first."""
-    vals, _ = eigh(k)
-    out = []
-    acc = 0.0
-    for v in vals:
-        acc += v
-        out.append(acc)
-    return tuple(out)
-
-
-def _block(a, idx):
-    return [[a[i][j] for j in idx] for i in idx]
+    """Cumulative sums of the eigenvalues of a Hermitian matrix, largest
+    first: l_map_block on a block of one, of the average of k and k*.  A
+    Frobenius norm past the float range raises OverflowError, and a matrix
+    further than 1e-10 max(1, |k|) from Hermitian raises ValueError."""
+    a = np.array(k, dtype=complex)
+    with np.errstate(all="ignore"):
+        nrm = np.linalg.norm(a)
+        if not math.isfinite(nrm):
+            raise OverflowError("matrix norm out of the float range")
+        if np.linalg.norm(a - a.conj().T) > 1e-10 * max(1.0, nrm):
+            raise ValueError("matrix is not Hermitian")
+        a += 0.5 * (a.conj().T - a)  # exactly a when a is Hermitian
+    return tuple(l_map_block(a[None])[0].tolist())
 
 
 def gz_H(k):
@@ -146,9 +72,10 @@ def gz_H(k):
     Row j comes from the trailing j x j block (bottom-right corner).
     """
     n = len(k)
+    a = np.array(k, dtype=complex)
     rows = [(0.0,)]
     for j in range(1, n + 1):
-        rows.append((0.0,) + l_map(_block(k, range(n - j, n))))
+        rows.append((0.0,) + l_map(a[n - j:, n - j:]))
     return Tableau(n, tuple(rows), GZ)
 
 
@@ -257,9 +184,10 @@ def _arrowhead_vectors(vecs, c, mu, lam):
     eigenvectors the columns of vecs and the bordered matrix has spectrum
     lam (descending): column i, for lam_i, is [1 ; vecs (c_j / (lam_i -
     mu_j))_j] (Loewner; Gu and Eisenstat 1995), divided by its
-    largest-magnitude entry (the first on ties) and then by its norm, which
-    normalises it as eigh does.  vecs, c, mu and lam have shapes (size, k,
-    k), (size, k), (size, k) and (size, k + 1)."""
+    largest-magnitude entry (the first on ties) and then by its norm: the
+    normalisation of the Jacobi eigh in tests/oracles.py, so each level
+    borders as the scalar route does.  vecs, c, mu and lam have shapes
+    (size, k, k), (size, k), (size, k) and (size, k + 1)."""
     size, k = mu.shape
     x = np.empty((size, k + 1, k + 1), dtype=complex)
     x[:, 0] = 1.0

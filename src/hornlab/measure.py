@@ -15,12 +15,13 @@ ks_distance and the CLI read that array, and the tuple field vectors is
 the same values for callers that want Python floats.
 
 The spectra of D_r + U D_s U* need only absolute accuracy, so a whole
-Haar block goes through one LAPACK eigvalsh call.  The multiplicative
-generator's small singular values need accuracy relative to themselves:
-a block of factors comes from linalg.b_factor_block, their products from
-one numpy product, and the singular values from linalg.singular_l_block,
-a one-sided Jacobi vectorised over the block.  Either raises on the first
-row it cannot map, and the run stops with that error.
+Haar block goes through linalg.l_map_block, one LAPACK eigvalsh call.  The
+multiplicative generator's small singular values need accuracy relative to
+themselves: a block of factors comes from linalg.b_factor_block, their
+products from one numpy product, and the singular values from
+linalg.singular_l_block, a one-sided Jacobi vectorised over the block.
+Either raises on the first row it cannot map, and the run stops with that
+error.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .chamber import (WbarWeighting, find_delta0_chamber, gamma0_cached,
                       genericity_check, horn_triple_tropical, kappa_block)
 from .hive import HornTriple, check_size, kt_member
 from .linalg import (_pattern_and_phases, b_factor_block, haar_unitaries,
-                     singular_l, singular_l_block, spectrum_of)
+                     l_map_block, singular_l, singular_l_block, spectrum_of)
 from .paths import complex_lift, m_k
 from .polytope import gz_block
 from .semiring import TROPICAL, as_rational
@@ -52,9 +53,11 @@ class EmpiricalSample:
     values once, as one read-only float64 array of shape (count, n), and
     the numeric readers (ks_distance, the CLI) use it.  The generators hand
     in the array their block runner wrote; a sample built from vectors
-    alone gets its array from them, once, here.  A non-finite value or an
-    array not of shape (count, n) raises ValueError.  array takes no part
-    in equality, hashing or repr."""
+    alone gets its array from them, once, here.  An array handed in is
+    copied, so the caller's array keeps its flags and later writes to it do
+    not reach the sample.  A non-finite value or an array not of shape
+    (count, n) raises ValueError.  array takes no part in equality, hashing
+    or repr."""
 
     generator: str
     n: int
@@ -66,7 +69,7 @@ class EmpiricalSample:
 
     def __post_init__(self):
         arr = _vectors_array(self.vectors) if self.array is None \
-            else np.asarray(self.array, dtype=float)
+            else np.array(self.array, dtype=float)
         if arr.shape != (self.count, self.n):
             raise ValueError("sample needs shape (count, n) = (%d, %d), "
                              "got %s" % (self.count, self.n, arr.shape))
@@ -83,7 +86,7 @@ def _vectors_array(vectors):
 
 def _sample(generator, r, s, arr):
     """The sample of a generator's (count, n) float64 draws: vectors gets
-    them as tuples of Python floats, array the array itself."""
+    them as tuples of Python floats, array a copy of the array."""
     # columns zipped back into rows: n list objects, not one per draw
     vectors = tuple(zip(*arr.T.tolist()))
     return EmpiricalSample(generator, len(r), r, s, len(arr), vectors, arr)
@@ -123,21 +126,12 @@ def _float_pair(r, s):
 def _sum_spectra(r, s, us):
     """Cumulative spectra of D_r + U D_s U*, one row per unitary U of the
     block us, with D_r and D_s the diagonal matrices of the spectra of r
-    and s.
-
-    One LAPACK eigvalsh call serves the block.  Only absolute accuracy is
-    needed: by Weyl's inequality each eigenvalue is off by at most the
-    backward error, a small multiple of eps * |K|, as with linalg.eigh.  A
-    matrix with a non-finite entry or Frobenius norm raises OverflowError,
-    so both routes accept the same matrices."""
+    and s: linalg.l_map_block of the block of these matrices, which raises
+    OverflowError on a non-finite entry or Frobenius norm."""
     with np.errstate(all="ignore"):
         k = (us * spectrum_of(s)) @ us.conj().transpose(0, 2, 1)
         k += np.diag(spectrum_of(r))
-        if not np.isfinite(k).all():
-            raise OverflowError("non-finite matrix entry")
-        if not np.isfinite(np.linalg.norm(k, axis=(1, 2))).all():
-            raise OverflowError("matrix norm out of the float range")
-    return np.cumsum(np.linalg.eigvalsh(k)[:, ::-1], axis=1)
+    return l_map_block(k)
 
 
 def sample_hermitian_sum(r, s, count, rng):

@@ -16,6 +16,10 @@ independent route to kt_witness's back-substitution and to kt_member's
 facet table (lp_verdict).  complex_det, sigma_values and gz_B are
 the direct minor and singular-value routes of the linear algebra tests, and
 dagger, hermitian_with_spectrum and sample_H_r build their test matrices.
+eigh is a two-sided cyclic Jacobi on nested lists of Python complex, with
+eigenvectors, and l_map its cumulative eigenvalues: the independent route
+to hornlab's one Hermitian spectral route, LAPACK eigvalsh on blocks
+(l_map_block, l_map, gz_H, and the hermitian-sum generator's spectra).
 singular_l, upper_cholesky, bordered, reconstruct_from_spectra and b_factor
 are the scalar multiplicative route in plain Python, one matrix at a time:
 the reference against which hornlab's block forms (singular_l_block,
@@ -49,8 +53,7 @@ from operator import mul
 
 from hornlab.hive import (GZ, HIVE, HornTriple, Tableau, _facets,
                           _hive_inequalities, _pinned_slots, gz_check)
-from hornlab.linalg import (_MAX_SWEEPS, _block, _rotation, eigh,
-                            haar_unitaries, spectrum_of)
+from hornlab.linalg import _MAX_SWEEPS, haar_unitaries, spectrum_of
 from hornlab.semiring import as_rational
 
 
@@ -470,6 +473,116 @@ def complex_det(a):
     return out
 
 
+_EIGH_TOL = 1e-13
+
+
+def frobenius(a):
+    return math.sqrt(sum(abs(x) ** 2 for row in a for x in row))
+
+
+def _rotation(app, aqq, apq):
+    """Parameters (c, s, e) of the plane rotation that kills a 2x2 Hermitian
+    off-diagonal entry apq; columns transform as
+        p' = c p + e s q,   q' = -s p + e c q,   e = conj(apq)/|apq|."""
+    ab = abs(apq)
+    theta = 0.5 * math.atan2(2.0 * ab, app - aqq)
+    return math.cos(theta), math.sin(theta), apq.conjugate() / ab
+
+
+def eigh(k):
+    """Eigenvalues (descending) and eigenvectors of a Hermitian matrix.
+
+    Classical cyclic Jacobi; terminates when the off-diagonal Frobenius
+    norm drops below 1e-13 of the matrix norm.  Eigenvectors are returned
+    as columns, each normalized so its largest-magnitude entry (first such
+    index on ties) is real and positive, which makes the output a pure
+    function of the input.  A matrix whose Frobenius norm is not a finite
+    float raises OverflowError: the stopping test could not compare.
+    """
+    n = len(k)
+    nrm = frobenius(k)
+    if not math.isfinite(nrm):
+        raise OverflowError("matrix norm out of the float range")
+    herm_defect = math.sqrt(sum(abs(k[i][j] - k[j][i].conjugate()) ** 2
+                                for i in range(n) for j in range(n)))
+    if herm_defect > 1e-10 * max(1.0, nrm):
+        raise ValueError("matrix is not Hermitian")
+    m = [[complex(x) for x in row] for row in k]
+    # symmetrize exactly so rounding in the input cannot bias the sweeps
+    for i in range(n):
+        m[i][i] = complex(m[i][i].real, 0.0)
+        for j in range(i + 1, n):
+            avg = 0.5 * (m[i][j] + m[j][i].conjugate())
+            m[i][j] = avg
+            m[j][i] = avg.conjugate()
+    u = [[1.0 + 0j if i == j else 0j for j in range(n)] for i in range(n)]
+    if nrm == 0.0:
+        return [0.0] * n, u
+
+    for _ in range(_MAX_SWEEPS):
+        off = math.sqrt(2.0 * sum(abs(m[i][j]) ** 2
+                                  for i in range(n) for j in range(i + 1, n)))
+        if off <= _EIGH_TOL * nrm:
+            break
+        for p in range(n):
+            for q in range(p + 1, n):
+                b = m[p][q]
+                if b == 0j:
+                    continue
+                c, s, e = _rotation(m[p][p].real, m[q][q].real, b)
+                es = e * s
+                ec = e * c
+                for i in range(n):
+                    mp, mq = m[i][p], m[i][q]
+                    m[i][p] = c * mp + es * mq
+                    m[i][q] = -s * mp + ec * mq
+                ce = e.conjugate()
+                for j in range(n):
+                    mp, mq = m[p][j], m[q][j]
+                    m[p][j] = c * mp + ce * s * mq
+                    m[q][j] = -s * mp + ce * c * mq
+                for i in range(n):
+                    up, uq = u[i][p], u[i][q]
+                    u[i][p] = c * up + es * uq
+                    u[i][q] = -s * up + ec * uq
+    else:
+        raise RuntimeError("Jacobi iteration failed to converge")
+
+    pairs = sorted(((m[j][j].real, j) for j in range(n)),
+                   key=lambda t: -t[0])
+    vals = [v for v, _ in pairs]
+    cols = []
+    for _, j in pairs:
+        col = [u[i][j] for i in range(n)]
+        piv = 0
+        for i in range(1, n):
+            if abs(col[i]) > abs(col[piv]):
+                piv = i
+        ph = col[piv]
+        if ph != 0j:
+            f = ph.conjugate() / abs(ph)
+            col = [x * f for x in col]
+        cols.append(col)
+    vecs = [[cols[j][i] for j in range(n)] for i in range(n)]
+    return vals, vecs
+
+
+def l_map(k):
+    """Cumulative sums of eigh's eigenvalues, largest first: the Jacobi
+    route to hornlab.l_map."""
+    vals, _ = eigh(k)
+    out = []
+    acc = 0.0
+    for v in vals:
+        acc += v
+        out.append(acc)
+    return tuple(out)
+
+
+def _block(a, idx):
+    return [[a[i][j] for j in idx] for i in idx]
+
+
 def singular_l(a):
     """Cumulative logs of the singular values of an invertible matrix, by
     the one-sided Jacobi of hornlab.linalg.singular_l_block in plain Python
@@ -536,15 +649,18 @@ def bordered(k, lam, theta):
     """Extend a Hermitian matrix by one row and column so the new spectrum
     is lam while the old one survives as the trailing block.
 
-    In the eigenbasis of k (hornlab's Jacobi eigh) the border magnitudes
+    In the eigenbasis of k (the Jacobi eigh above) the border magnitudes
     are forced: with mu the current spectrum, |b_j|^2 = -prod_i(mu_j -
     lam_i) / prod_{i != j}(mu_j - mu_i), which is positive exactly when lam
-    strictly interlaces mu; theta supplies the free phases.
+    strictly interlaces mu; theta supplies the free phases.  As in
+    hornlab.linalg._bordered, a weight that is not positive raises
+    ValueError, and one that is positive but not a finite float raises
+    OverflowError.
     """
     kk = len(k)
     mu, vecs = eigh(k)
     a00 = sum(lam) - sum(mu)
-    cvec = []
+    weights = []
     for j in range(kk):
         num = 1.0
         for lv in lam:
@@ -554,10 +670,12 @@ def bordered(k, lam, theta):
         for i in range(kk):
             if i != j:
                 den *= (mu[j] - mu[i])
-        w2 = num / den
-        if not (w2 > 0.0) or not math.isfinite(w2):
-            raise ValueError("spectra do not strictly interlace")
-        cvec.append(math.sqrt(w2) * cmath.exp(1j * theta[j]))
+        weights.append(num / den)
+    if not all(w2 > 0.0 or math.isnan(w2) for w2 in weights):
+        raise ValueError("spectra do not strictly interlace")
+    if not all(map(math.isfinite, weights)):
+        raise OverflowError("border weight out of the float range")
+    cvec = [math.sqrt(w2) * cmath.exp(1j * t) for w2, t in zip(weights, theta)]
     b = [sum(vecs[i][j] * cvec[j] for j in range(kk)) for i in range(kk)]
     out = [[0j] * (kk + 1) for _ in range(kk + 1)]
     out[0][0] = complex(a00, 0.0)

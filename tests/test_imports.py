@@ -3,8 +3,9 @@ module-level function, class or assigned name is read somewhere in the
 package or exported, and the package exports exactly what its __init__
 imports.  One more check keeps the conversion of rationals to integers in
 semiring.over_common_denominator alone, another keeps the Horn cone on
-one exact route (no LP solver in the package), and a third keeps the one
-float error analysis in hive's filter.
+one exact route (no LP solver in the package), a third keeps the one
+float error analysis in hive's filter, and a fourth keeps Hermitian
+spectra on one route (no Jacobi eigensolver in the package).
 
 No linter ships with the project, so these stdlib-ast checks keep unused
 imports, dead definitions and stale exports out.  The package __init__ is
@@ -140,4 +141,16 @@ def test_no_module_defines_or_imports_the_lp():
              for line, text in enumerate(
                  p.read_text(encoding="utf-8").splitlines(), start=1)
              if "feasible_point" in text]
+    assert found == []
+
+
+def test_no_module_defines_the_jacobi_eigensolver():
+    # Hermitian spectra have one route in the package, LAPACK eigvalsh on
+    # blocks (linalg.l_map_block); the two-sided Jacobi eigh, its rotation
+    # and its norm live in tests/oracles.py as the independent one
+    assert not hasattr(hornlab, "eigh")
+    found = [(p.name, node.name) for p in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+             if isinstance(node, ast.FunctionDef)
+             and node.name in ("eigh", "_rotation", "frobenius")]
     assert found == []

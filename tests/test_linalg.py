@@ -9,7 +9,6 @@ from hornlab import (
     COMPLEX,
     GZ,
     Tableau,
-    eigh,
     gz_H,
     gz_check,
     l_map,
@@ -23,7 +22,7 @@ import hornlab.linalg as linalg
 from hornlab.linalg import b_factor_block, haar_unitaries, singular_l_block
 from hornlab.polytope import gz_block, pattern_tableau
 import oracles
-from oracles import dagger, gz_B, sample_H_r, sigma_values
+from oracles import dagger, eigh, gz_B, sample_H_r, sigma_values
 
 
 def _random_hermitian(n, rng, scale=1.0):
@@ -43,6 +42,8 @@ def _residual(k, vals, vecs):
 
 
 # -- eigensolver --------------------------------------------------------------
+# eigh is the tests' Jacobi oracle; hornlab's l_map and gz_H are LAPACK's
+# eigvalsh on blocks of one and are checked against it
 
 def test_eigh_two_by_two_exact():
     # [[2, -i], [i, 2]] has characteristic roots 2 +- 1
@@ -76,16 +77,48 @@ def test_eigh_rejects_non_hermitian():
 
 def test_eigh_refuses_a_norm_past_the_float_range():
     # every entry and its square are finite but their sum is not, so the
-    # stopping test could not compare: the diagonal must not come back as
-    # the spectrum, which is +-sqrt(2) * scale
-    assert l_map([[1e153, 1e153], [1e153, -1e153]]) == pytest.approx(
-        [math.sqrt(2.0) * 1e153, 0.0], rel=1e-13, abs=1e141)
-    with pytest.raises(OverflowError, match="matrix norm out of the float"):
-        l_map([[1e154, 1e154], [1e154, -1e154]])
+    # Jacobi stopping test could not compare: the diagonal must not come
+    # back as the spectrum, which is +-sqrt(2) * scale; l_map refuses the
+    # same matrices with the same error
+    for route in (l_map, oracles.l_map):
+        assert route([[1e153, 1e153], [1e153, -1e153]]) == pytest.approx(
+            [math.sqrt(2.0) * 1e153, 0.0], rel=1e-13, abs=1e141)
+        with pytest.raises(OverflowError,
+                           match="matrix norm out of the float"):
+            route([[1e154, 1e154], [1e154, -1e154]])
 
 
 def test_l_map_cumulative():
     assert l_map([[3 + 0j, 0j], [0j, 1 + 0j]]) == pytest.approx([3.0, 4.0])
+
+
+@pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])
+def test_l_map_and_gz_H_are_the_jacobi_route(scale):
+    # LAPACK and the Jacobi oracle are both backward stable, so by Weyl's
+    # inequality their cumulative spectra agree to rounding relative to
+    # the matrix norm, far from 1 too
+    rng = np.random.default_rng(23)
+    for n in range(1, 6):
+        for _ in range(10):
+            k = _random_hermitian(n, rng, scale)
+            tol = 1e-13 * max(1.0, oracles.frobenius(k))
+            assert l_map(k) == pytest.approx(oracles.l_map(k), rel=0,
+                                             abs=tol)
+            rows = gz_H(k).rows
+            for j in range(1, n + 1):
+                want = oracles.l_map(oracles._block(k, range(n - j, n)))
+                assert rows[j][0] == 0.0
+                assert rows[j][1:] == pytest.approx(want, rel=0, abs=tol)
+
+
+def test_l_map_and_gz_H_reject_non_hermitian():
+    # LAPACK reads one triangle and the real part of the diagonal, so
+    # without the check it would answer for both of these matrices
+    for k in ([[1 + 0j, 2 + 0j], [2 + 1e-6j, 3 + 0j]],
+              [[1 + 0j, 0j], [0j, 3 + 1j]]):
+        for route in (l_map, gz_H, oracles.l_map):
+            with pytest.raises(ValueError, match="not Hermitian"):
+                route(k)
 
 
 # -- interlacing patterns from matrices ---------------------------------------
@@ -384,7 +417,9 @@ def test_closed_form_eigenvectors_are_eighs_at_every_level(r, exponentiated):
     ([math.inf, 1e308, 0.0], OverflowError, "non-finite pattern entry"),
     ([400.0, 800.0, 0.0], OverflowError, "math range error"),
     ([2.0, 2.0, 0.0], ValueError, "spectra do not strictly interlace"),
-], ids=["non-finite", "exp-range", "not-interlacing"])
+    ([150.0, 300.0, 300.0], OverflowError,
+     "border weight out of the float range"),
+], ids=["non-finite", "exp-range", "not-interlacing", "border-weight"])
 def test_b_factor_block_raises_what_b_factor_raises(row, error, message):
     # one row that the scalar route refuses refuses the whole block, with
     # the scalar route's error
@@ -392,6 +427,20 @@ def test_b_factor_block_raises_what_b_factor_raises(row, error, message):
         oracles.b_factor(row, [0.5])
     with pytest.raises(error, match=message):
         b_factor_block(np.array([[1.0, 2.0, 0.0], row]), np.full((2, 1), 0.5))
+
+
+@pytest.mark.parametrize("lam, error, message", [
+    ((2.0, 1.0), ValueError, "spectra do not strictly interlace"),
+    ((1e300, -1e300), OverflowError, "border weight out of the float range"),
+    ((math.nan, -1.0), OverflowError, "border weight out of the float range"),
+], ids=["negative", "inf", "nan"])
+def test_oracle_bordering_raises_what_bordered_raises(lam, error, message):
+    # bordering [[0]] to the spectrum lam: the weight -(0 - lam_1)(0 - lam_2)
+    # is -2, +inf and NaN
+    with pytest.raises(error, match=message):
+        oracles.bordered([[0j]], lam, [0.0])
+    with pytest.raises(error, match=message):
+        linalg._bordered([np.zeros((1, 1)), np.array([lam])], np.zeros((1, 1)))
 
 
 def test_b_factor_block_refuses_an_overflowing_border_weight():

@@ -15,7 +15,6 @@ from hornlab import (
     horn_forward_test,
     kt_member,
     ks_distance,
-    l_map,
     limit_sweep,
     projection_set,
     sample_hermitian_sum,
@@ -143,6 +142,16 @@ def test_sample_refuses_an_array_not_of_shape_count_by_n():
     with pytest.raises(ValueError, match="needs shape"):
         EmpiricalSample("inline", 2, (), (), 2, ((0.0, 1.0), (1.0, 2.0)),
                         np.zeros((2, 3)))
+
+
+def test_sample_copies_the_array_handed_in():
+    # the sample used to keep the caller's array and make it read-only
+    a = np.array([[0.0, 1.0], [1.0, 2.0]])
+    s = EmpiricalSample("inline", 2, (), (), 2, ((0.0, 1.0), (1.0, 2.0)), a)
+    assert s.array is not a and a.flags.writeable
+    assert not s.array.flags.writeable
+    a[0, 0] = 5.0
+    assert s.array.tolist() == [[0.0, 1.0], [1.0, 2.0]]
 
 
 R3, S3 = (3.0, 4.0, 3.0), (2.0, 2.5, 1.5)
@@ -274,9 +283,10 @@ def test_haar_block_does_not_change_the_output(monkeypatch):
 
 def test_sum_spectra_match_the_list_route():
     # D_r + U D_s U* built in numpy on a block and diagonalized by LAPACK,
-    # against the nested-list construction and the Jacobi l_map on the same
-    # unitaries: both are backward stable, so the spectra agree to rounding
-    # relative to the matrix norm, also far from 1
+    # against the nested-list construction and the oracle's Jacobi l_map on
+    # the same unitaries (hornlab.l_map is LAPACK too): both are backward
+    # stable, so the spectra agree to rounding relative to the matrix norm,
+    # also far from 1
     rng = np.random.default_rng(12)
     for r, s, scale in ((R2, S2, 1.0), ((3.0, 4.0, 3.0), (2.0, 2.5, 1.5), 1.0),
                         ((3.0, 4.0, 3.0, 0.0), (2.0, 3.0, 3.0, 2.0), 1.0),
@@ -289,7 +299,8 @@ def test_sum_spectra_match_the_list_route():
             k = hermitian_with_spectrum(spectrum_of(s), u)
             for i, lam in enumerate(spectrum_of(r)):
                 k[i][i] += lam
-            assert got == pytest.approx(l_map(k), rel=0, abs=1e-13 * scale)
+            assert got == pytest.approx(oracles.l_map(k), rel=0,
+                                        abs=1e-13 * scale)
 
 
 def _scalar_multiplicative(r, s, count, rng):
