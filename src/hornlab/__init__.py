@@ -25,8 +25,8 @@ from .chamber import (ChamberMap, GenericityReport, WbarWeighting,
 from .linalg import (gz_H, l_map, reconstruct_H, sample_B_r, singular_l,
                      spectrum_of)
 from .polytope import gz_pattern
-from .measure import (CHUNK, GENERATORS, EmpiricalSample, ForwardReport,
-                      KSResult, SweepResult, exceptional_mass_estimate,
+from .measure import (GENERATORS, EmpiricalSample, ForwardReport, KSResult,
+                      SweepResult, exceptional_mass_estimate,
                       horn_forward_test, ks_distance, limit_sweep,
                       projection_set, sample_hermitian_sum,
                       sample_multiplicative, sample_tropical_kappa)
@@ -51,7 +51,7 @@ __all__ = [
     "gz_H", "l_map", "reconstruct_H", "sample_B_r", "singular_l",
     "spectrum_of",
     "gz_pattern",
-    "CHUNK", "GENERATORS", "EmpiricalSample", "ForwardReport", "KSResult",
+    "GENERATORS", "EmpiricalSample", "ForwardReport", "KSResult",
     "SweepResult", "exceptional_mass_estimate", "horn_forward_test",
     "ks_distance", "limit_sweep", "projection_set", "sample_hermitian_sum",
     "sample_multiplicative", "sample_tropical_kappa",

@@ -36,9 +36,9 @@ from .chamber import gamma0_cached, lt_inverse, wbar_from_json, wbar_to_json
 from .hive import (format_number, gz_check, hive_check, kt_member,
                    parse_number, tableau_from_json, tableau_to_json,
                    triple_csv_header, triple_from_csv, HornTriple)
-from .measure import (CHUNK, GENERATORS, exceptional_mass_estimate,
+from .measure import (GENERATORS, exceptional_mass_estimate,
                       horn_forward_test, ks_distance, limit_sweep,
-                      projection_set, sample_tropical_kappa)
+                      projection_set)
 from .network import build_gamma0, network_to_dot, network_to_json
 from .paths import tropical_gz
 
@@ -245,37 +245,24 @@ def _csv_metadata(pairs):
     return ["# %s=%s" % (k, v) for k, v in pairs]
 
 
-def cmd_kappa_sample(args):
-    r, s, count, seed = args.r, args.s, args.count, args.seed
-    sample = sample_tropical_kappa(r, s, count, np.random.default_rng(seed))
-    n = sample.n
-    rstr = ",".join(format_number(x) for x in r)
-    sstr = ",".join(format_number(x) for x in s)
-    lines = _csv_metadata([("generator", "tropical-kappa"), ("n", n),
-                           ("r", rstr), ("s", sstr),
-                           ("count", count), ("seed", seed)])
-    lines.append(triple_csv_header(n))
-    # every pattern's top row is r (resp. s), so a row is the triple itself
-    prefix = ",".join(format_number(x) for x in sample.r + sample.s)
-    for vec in sample.array.tolist():
-        lines.append(",".join([prefix] + [format_number(x) for x in vec]))
-    _emit("\n".join(lines) + "\n", args.out)
-    return PASS
-
-
 def cmd_sample(args):
-    gen, r, s = args.generator, args.r, args.s
-    sample = GENERATORS[gen](r, s, args.count,
+    """sample and kappa-sample: the settings block, a header and one row
+    per draw; every pattern's top row is r (resp. s), so a kappa-sample
+    row is the triple itself, r and s before the draw."""
+    triple = args.command == "kappa-sample"
+    gen = "tropical-kappa" if triple else args.generator
+    sample = GENERATORS[gen](args.r, args.s, args.count,
                              np.random.default_rng(args.seed))
     n = sample.n
     lines = _csv_metadata([("generator", gen), ("n", n),
-                           ("r", ",".join(format_number(x) for x in r)),
-                           ("s", ",".join(format_number(x) for x in s)),
-                           ("count", args.count), ("seed", args.seed),
-                           ("chunk", CHUNK)])
-    lines.append(",".join("t%d" % i for i in range(1, n + 1)))
+                           ("r", ",".join(format_number(x) for x in args.r)),
+                           ("s", ",".join(format_number(x) for x in args.s)),
+                           ("count", args.count), ("seed", args.seed)])
+    lines.append(triple_csv_header(n) if triple
+                 else ",".join("t%d" % i for i in range(1, n + 1)))
+    prefix = [repr(x) for x in sample.r + sample.s] if triple else []
     for vec in sample.array.tolist():
-        lines.append(",".join(repr(x) for x in vec))
+        lines.append(",".join(prefix + [repr(x) for x in vec]))
     _emit("\n".join(lines) + "\n", args.out)
     return PASS
 
@@ -411,7 +398,7 @@ def build_parser():
     p.add_argument("--slack", default="0")
     p.add_argument("--out")
 
-    add("kappa-sample", cmd_kappa_sample, "sample tropical product spectra",
+    add("kappa-sample", cmd_sample, "sample tropical product spectra",
         "config", "out")
     add("sample", cmd_sample, "draw from one of the three generators",
         "config", "out")

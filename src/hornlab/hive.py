@@ -527,14 +527,16 @@ def _value_in(v):
 
 
 def _json_fields(d, what, **types):
-    """The named fields of a JSON object; a document that is not an object,
-    lacks a key or has a value of the wrong type raises ValueError."""
+    """The named fields of a JSON object, each of a type or a tuple of
+    types; a document that is not an object, lacks a key or has a value of
+    the wrong type raises ValueError."""
     if not isinstance(d, dict):
         raise ValueError("%s must be a JSON object" % what)
     for key, typ in types.items():
         if isinstance(d.get(key), bool) or not isinstance(d.get(key), typ):
-            raise ValueError("%s needs a key %r of type %s"
-                             % (what, key, typ.__name__))
+            names = typ if isinstance(typ, tuple) else (typ,)
+            raise ValueError("%s needs a key %r of type %s" % (
+                what, key, " or ".join(t.__name__ for t in names)))
     return [d[key] for key in types]
 
 

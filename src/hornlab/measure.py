@@ -2,17 +2,16 @@
 limit experiment.
 
 Each generator and estimator is one draw function, run by one block
-runner: a run of `count` draws is split into fixed chunks of 8192, each
-with its own child generator spawned from the caller's rng, and a chunk
-is drawn in blocks of 2048 (Haar unitaries from linalg.haar_unitaries,
-patterns from polytope.gz_block) read from its generator in block order.
+runner: a run of `count` draws reads one child generator, spawned once
+from the caller's rng, in blocks of at most 2048 (Haar unitaries from
+linalg.haar_unitaries, patterns from polytope.gz_block) in block order.
 The runner writes the blocks into one array, so the output is a function
 of (seed, count) alone.
 
 A sample carries its draws as one read-only float64 array of shape
 (count, n), which the generators hand in straight from the runner;
-ks_distance and the CLI read that array, and the tuple field vectors is
-the same values for callers that want Python floats.
+ks_distance and the CLI read that array, and the tuple field vectors,
+derived from it, is the same values for callers that want Python floats.
 
 The spectra of D_r + U D_s U* need only absolute accuracy, so a whole
 Haar block goes through linalg.l_map_block, one LAPACK eigvalsh call.  The
@@ -27,6 +26,7 @@ error.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -41,7 +41,6 @@ from .paths import complex_lift, m_k
 from .polytope import gz_block
 from .semiring import TROPICAL, as_rational
 
-CHUNK = 8192
 BLOCK = 2048
 
 
@@ -52,19 +51,19 @@ class EmpiricalSample:
     vectors is the tuple of count n-tuples of floats.  array holds the same
     values once, as one read-only float64 array of shape (count, n), and
     the numeric readers (ks_distance, the CLI) use it.  The generators hand
-    in the array their block runner wrote; a sample built from vectors
-    alone gets its array from them, once, here.  An array handed in is
-    copied, so the caller's array keeps its flags and later writes to it do
-    not reach the sample.  A non-finite value or an array not of shape
-    (count, n) raises ValueError.  array takes no part in equality, hashing
-    or repr."""
+    in the array alone and vectors is derived from it; a sample built from
+    vectors alone gets its array from them, once.  An array handed in is
+    copied, so later writes to the caller's array do not reach the sample.
+    A non-finite value, an array not of shape (count, n), and vectors and
+    an array that disagree raise ValueError.  array takes no part in
+    equality, hashing or repr."""
 
     generator: str
     n: int
     r: tuple
     s: tuple
     count: int
-    vectors: tuple
+    vectors: tuple = None
     array: np.ndarray = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
@@ -75,6 +74,12 @@ class EmpiricalSample:
                              "got %s" % (self.count, self.n, arr.shape))
         if not np.isfinite(arr).all():
             raise ValueError("sample values must be finite")
+        if self.vectors is None:
+            # columns zipped back into rows: n list objects, not one per draw
+            object.__setattr__(self, "vectors", tuple(zip(*arr.T.tolist())))
+        elif self.array is not None and \
+                not np.array_equal(_vectors_array(self.vectors), arr):
+            raise ValueError("sample vectors and array disagree")
         arr.flags.writeable = False
         object.__setattr__(self, "array", arr)
 
@@ -84,32 +89,22 @@ def _vectors_array(vectors):
     return np.array(vectors, dtype=float)
 
 
-def _sample(generator, r, s, arr):
-    """The sample of a generator's (count, n) float64 draws: vectors gets
-    them as tuples of Python floats, array a copy of the array."""
-    # columns zipped back into rows: n list objects, not one per draw
-    vectors = tuple(zip(*arr.T.tolist()))
-    return EmpiricalSample(generator, len(r), r, s, len(arr), vectors, arr)
-
-
 def _run_blocks(draw, count, rng):
-    """One array of the count results of draw(child_rng, size), called on
-    blocks of at most BLOCK inside CHUNK-sized chunks, each chunk with its
-    own spawned stream; row i is the i-th draw.  The first block sets the
-    array's row shape and dtype, and every block is written into it in
-    place.  A count below 1 and a float overflow raise ValueError."""
+    """One array of the count results of draw(child_rng, size), called in
+    order on blocks of at most BLOCK of one child stream spawned from rng;
+    row i is the i-th draw.  The first block sets the array's row shape
+    and dtype, and every block is written into it in place.  A count below
+    1 and a float overflow raise ValueError."""
     if count < 1:
         raise ValueError("count must be at least 1, got %d" % count)
-    offsets = range(0, count, CHUNK)
+    crng = rng.spawn(1)[0]
     out = None
     try:
-        for crng, off in zip(rng.spawn(len(offsets)), offsets):
-            size = min(CHUNK, count - off)
-            for start in range(0, size, BLOCK):
-                block = np.asarray(draw(crng, min(BLOCK, size - start)))
-                if out is None:
-                    out = np.empty((count,) + block.shape[1:], block.dtype)
-                out[off + start:off + start + len(block)] = block
+        for start in range(0, count, BLOCK):
+            block = np.asarray(draw(crng, min(BLOCK, count - start)))
+            if out is None:
+                out = np.empty((count,) + block.shape[1:], block.dtype)
+            out[start:start + len(block)] = block
     except OverflowError as exc:  # spectra too large for float arithmetic
         raise ValueError("input out of the float range (%s)" % exc) from None
     return out
@@ -142,7 +137,8 @@ def sample_hermitian_sum(r, s, count, rng):
     def draw(crng, size):
         return _sum_spectra(r, s, haar_unitaries(n, size, crng))
 
-    return _sample("hermitian-sum", r, s, _run_blocks(draw, count, rng))
+    return EmpiricalSample("hermitian-sum", n, r, s, count,
+                           array=_run_blocks(draw, count, rng))
 
 
 def sample_multiplicative(r, s, count, rng):
@@ -159,7 +155,8 @@ def sample_multiplicative(r, s, count, rng):
         return singular_l_block(b_factor_block(us, phases[:, 0])
                                 @ b_factor_block(vs, phases[:, 1]))
 
-    return _sample("multiplicative", r, s, _run_blocks(draw, count, rng))
+    return EmpiricalSample("multiplicative", n, r, s, count,
+                           array=_run_blocks(draw, count, rng))
 
 
 def sample_tropical_kappa(r, s, count, rng):
@@ -177,7 +174,8 @@ def sample_tropical_kappa(r, s, count, rng):
         us, vs = gz_block(r, size, crng), gz_block(s, size, crng)
         return kappa_block(us, vs, chamber)[0]
 
-    return _sample("tropical-kappa", r, s, _run_blocks(draw, count, rng))
+    return EmpiricalSample("tropical-kappa", n, r, s, count,
+                           array=_run_blocks(draw, count, rng))
 
 
 GENERATORS = {
@@ -206,16 +204,17 @@ def _project(sample, projection):
         if n != 1:
             raise ValueError("projection required for multivariate samples")
         return arr[:, 0]
-    if isinstance(projection, int):  # a bool is refused, not read as 0 or 1
-        if isinstance(projection, bool) or not 0 <= projection < n:
-            raise ValueError("coordinate %r is outside 0..%d"
-                             % (projection, n - 1))
-        return arr[:, projection]
-    v = np.asarray(projection, dtype=float)
-    if v.shape != (n,) or not np.isfinite(v).all():
-        raise ValueError("a projection direction must be %d finite numbers"
-                         % n)
-    return arr @ v
+    try:  # any integer is a coordinate; a bool is refused, not read as 0/1
+        i = -1 if isinstance(projection, bool) else operator.index(projection)
+    except TypeError:
+        v = np.asarray(projection, dtype=float)
+        if v.shape != (n,) or not np.isfinite(v).all():
+            raise ValueError("a projection direction must be %d finite "
+                             "numbers" % n) from None
+        return arr @ v
+    if not 0 <= i < n:
+        raise ValueError("coordinate %r is outside 0..%d" % (projection, n - 1))
+    return arr[:, i]
 
 
 def ks_distance(x, y, projection=None):

@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .hive import _exact_in, _json_fields
+
 HORIZONTAL = "horizontal"
 DIAGONAL = "diagonal"
 SINK_HORIZONTAL = "sink-adjacent"
@@ -308,12 +310,6 @@ def _coord_out(c):
     return c
 
 
-def _coord_in(c):
-    if isinstance(c, str):
-        return Fraction(c)
-    return c
-
-
 def network_to_json(g):
     return {
         "rank": g.rank,
@@ -326,9 +322,23 @@ def network_to_json(g):
 
 
 def network_from_json(d):
-    nodes = {rec["id"]: (_coord_in(rec["x"]), _coord_in(rec["y"])) for rec in d["nodes"]}
-    edges = [Edge(rec["tail"], rec["head"], rec["tag"]) for rec in d["edges"]]
-    return PlanarNetwork(d["rank"], nodes, edges, d["sources"], d["sinks"])
+    """The network of a network_to_json document; a malformed document or
+    coordinate, a repeated node id and an edge, source or sink naming no
+    node raise ValueError."""
+    rank, records, links, sources, sinks = _json_fields(
+        d, "network", rank=int, nodes=list, edges=list, sources=list,
+        sinks=list)
+    nodes = {v: (_exact_in(x), _exact_in(y)) for v, x, y in (
+        _json_fields(rec, "network node", id=int, x=(int, float, str),
+                     y=(int, float, str)) for rec in records)}
+    edges = [Edge(*_json_fields(rec, "network edge", tail=int, head=int,
+                                tag=str)) for rec in links]
+    ends = [v for e in edges for v in (e.tail, e.head)] + sources + sinks
+    if len(nodes) != len(records) or \
+            not all(type(v) is int and v in nodes for v in ends):
+        raise ValueError("network node ids must be distinct, and every "
+                         "edge, source and sink must name a node")
+    return PlanarNetwork(rank, nodes, edges, sources, sinks)
 
 
 def network_to_dot(g):

@@ -105,7 +105,7 @@ def test_ks_refuses_samples_of_different_n():
         ks_distance(x, y, projection=0)
 
 
-@pytest.mark.parametrize("projection", [-1, 2, True, False])
+@pytest.mark.parametrize("projection", [-1, 2, np.int64(2), True, False])
 def test_ks_refuses_a_coordinate_outside_the_sample(projection):
     # -1 used to read the last slot, and a bool the slot of its int value
     s = EmpiricalSample("inline", 2, (), (), 2, ((0.0, 1.0), (1.0, 2.0)))
@@ -113,6 +113,18 @@ def test_ks_refuses_a_coordinate_outside_the_sample(projection):
         ks_distance(s, s, projection=projection)
     with pytest.raises(ValueError, match="coordinate"):
         ks_distance(s, lambda t: np.clip(t, 0.0, 1.0), projection=projection)
+
+
+@pytest.mark.parametrize("index", [np.int64(1), np.uint8(1), np.array(1)],
+                         ids=["int64", "uint8", "0-d"])
+def test_ks_reads_any_integer_as_a_coordinate(index):
+    # a numpy integer used to be refused as a direction not of length 3
+    x = sample_hermitian_sum(R3, S3, 50, np.random.default_rng(1))
+    y = sample_hermitian_sum(R3, S3, 60, np.random.default_rng(2))
+    assert ks_distance(x, y, index).statistic == \
+        ks_distance(x, y, 1).statistic
+    with pytest.raises(ValueError):  # numpy's bool is no coordinate either
+        ks_distance(x, y, np.True_)
 
 
 @pytest.mark.parametrize("direction", [(1.0,), (0.6, 0.8, 0.0),
@@ -142,6 +154,22 @@ def test_sample_refuses_an_array_not_of_shape_count_by_n():
     with pytest.raises(ValueError, match="needs shape"):
         EmpiricalSample("inline", 2, (), (), 2, ((0.0, 1.0), (1.0, 2.0)),
                         np.zeros((2, 3)))
+
+
+def test_sample_refuses_vectors_and_an_array_that_disagree():
+    # this pair used to compare equal to the sample built from the vectors
+    # alone, at KS distance 1.0 from it
+    with pytest.raises(ValueError, match="disagree"):
+        EmpiricalSample("inline", 1, (), (), 2, ((1.0,), (2.0,)),
+                        np.array([[5.0], [6.0]]))
+
+
+def test_sample_of_an_array_alone_derives_its_vectors():
+    a = np.array([[0.0, 1.0], [1.0, 2.0]])
+    s = EmpiricalSample("inline", 2, (), (), 2, array=a)
+    assert s.vectors == ((0.0, 1.0), (1.0, 2.0))
+    assert all(type(x) is float for v in s.vectors for x in v)
+    assert s == EmpiricalSample("inline", 2, (), (), 2, s.vectors)
 
 
 def test_sample_copies_the_array_handed_in():
@@ -261,9 +289,8 @@ def test_generator_seed_determinism(gen):
 
 
 def test_haar_block_does_not_change_the_output(monkeypatch):
-    # these runs draw one instance at a time from the chunk's stream, so
-    # the block size bounds memory only; a small CHUNK puts the counts on
-    # both sides of a chunk boundary
+    # these runs draw one instance at a time from the run's stream, so the
+    # block size bounds memory only
     runs = [
         lambda c: sample_hermitian_sum(R2, S2, c,
                                        np.random.default_rng(3)).vectors,
@@ -273,12 +300,25 @@ def test_haar_block_does_not_change_the_output(monkeypatch):
         mode, 2, c, F(-1, 10), np.random.default_rng(5)).failures
          for mode in ("tropical", "hermitian", "multiplicative")]
     counts = (11, 12, 13, 40)
-    monkeypatch.setattr(measure, "CHUNK", 12)
     want = [[run(c) for c in counts] for run in runs]
     assert all(w[-1] for w in want[1:])  # every check fails at count 40
     for block in (1, 5):
         monkeypatch.setattr(measure, "BLOCK", block)
         assert [[run(c) for c in counts] for run in runs] == want
+
+
+def test_a_run_reads_one_stream_spawned_once():
+    # a run past 8192 draws used to switch to a second spawned stream there
+    got = sample_hermitian_sum(R3, S3, 8200, np.random.default_rng(9)).array
+    us = haar_unitaries(3, 8200, np.random.default_rng(9).spawn(1)[0])
+    assert got.tobytes() == measure._sum_spectra(R3, S3, us).tobytes()
+
+
+@pytest.mark.parametrize("gen", GENS)
+def test_a_longer_run_keeps_the_shorter_runs_rows(gen):
+    long = gen(R3, S3, 8200, np.random.default_rng(10)).array
+    short = gen(R3, S3, 8192, np.random.default_rng(10)).array
+    assert long[:8192].tobytes() == short.tobytes()
 
 
 def test_sum_spectra_match_the_list_route():
@@ -304,7 +344,7 @@ def test_sum_spectra_match_the_list_route():
 
 
 def _scalar_multiplicative(r, s, count, rng):
-    """sample_multiplicative's stream read by hand (one chunk): per block
+    """sample_multiplicative's stream read by hand: per block
     the r patterns, the s patterns, then the phases, each product through
     the scalar oracle route (oracles.b_factor and oracles.singular_l)."""
     n = len(r)
@@ -480,8 +520,8 @@ def test_horn_forward_small_runs_pass(mode):
 
 
 def _scalar_forward_failures(n, count, slack, rng):
-    """horn_forward_test's multiplicative stream read by hand (one chunk):
-    per instance the spectra, the r pattern and phases, the s pattern and
+    """horn_forward_test's multiplicative stream read by hand: per
+    instance the spectra, the r pattern and phases, the s pattern and
     phases, each product through the scalar oracle route."""
     crng = rng.spawn(1)[0]
     failures = []

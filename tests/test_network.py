@@ -172,6 +172,43 @@ def test_json_preserves_fraction_coordinates():
     assert isinstance(h.nodes[0][0], Fraction)
 
 
+@pytest.mark.parametrize("n", sorted(GAMMA0_SIZES))
+def test_json_round_trip_is_exact(n):
+    g = build_gamma0(n)
+    for h in (g, concatenate(g, g)):
+        d = network_to_json(h)
+        assert network_to_json(network_from_json(d)) == d
+
+
+def _edited(edit):
+    d = network_to_json(build_gamma0(2))
+    edit(d)
+    return d
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({}, "key 'rank' of type int"),
+    ([1], "network must be a JSON object"),
+    (_edited(lambda d: d.update(nodes=5)), "key 'nodes' of type list"),
+    (_edited(lambda d: d.update(rank="2")), "key 'rank' of type int"),
+    (_edited(lambda d: d["nodes"][0].pop("x")), "node needs a key 'x'"),
+    (_edited(lambda d: d["nodes"][0].update(x="1e-4000")),
+     "exponent out of range"),
+    (_edited(lambda d: d["nodes"][0].update(x=True)), "node needs a key 'x'"),
+    (_edited(lambda d: d["nodes"].append(5)),
+     "network node must be a JSON object"),
+    (_edited(lambda d: d["edges"][0].pop("tag")), "edge needs a key 'tag'"),
+    (_edited(lambda d: d["nodes"][1].update(id=0)), "ids must be distinct"),
+    (_edited(lambda d: d["sources"].append(99)), "must name a node"),
+], ids=["empty", "list", "nodes-int", "rank-str", "no-x", "huge-exponent",
+        "x-bool", "node-int", "no-tag", "repeated-id", "unknown-source"])
+def test_json_reader_refuses_a_malformed_document(doc, message):
+    # these used to raise KeyError or TypeError, or to read "2" as a rank,
+    # true as 1 and 1e-4000 as a 4003-character Fraction
+    with pytest.raises(ValueError, match=message):
+        network_from_json(doc)
+
+
 def test_dot_output_mentions_every_node_and_edge():
     g = build_gamma0(2)
     dot = network_to_dot(g)
