@@ -110,16 +110,18 @@ _SETTINGS = {
 }
 
 
-def _read_config(path):
-    """The --config file: a JSON object over the settings' names whose
-    values are text or numbers; a null value leaves its setting unset."""
+def _read_config(path, command):
+    """The --config file: a JSON object over the names of the command's own
+    settings whose values are text or numbers; a null value leaves its
+    setting unset.  A key of another command is refused, not ignored."""
     with open(path, "r", encoding="utf-8") as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError("config must be a JSON object")
-    bad = set(cfg).difference(*_SETTINGS.values())
+    bad = set(cfg).difference(_SETTINGS[command])
     if bad:
-        raise ValueError("unknown config keys: %s" % ", ".join(sorted(bad)))
+        raise ValueError("unknown config keys for %s: %s"
+                         % (command, ", ".join(sorted(bad))))
     for k, v in cfg.items():
         if isinstance(v, (bool, list, dict)):
             raise ValueError("config key %r must be text or a number" % k)
@@ -129,7 +131,8 @@ def _read_config(path):
 def _resolve_settings(args):
     """Set args.<name> for every setting of the command: the flag, then the
     config, then HORNLAB_SEED (seed only), then the built-in default."""
-    cfg = _read_config(args.config) if getattr(args, "config", None) else {}
+    cfg = _read_config(args.config, args.command) \
+        if getattr(args, "config", None) else {}
     for name, default in _SETTINGS.get(args.command, {}).items():
         v = getattr(args, name)
         if v is None:

@@ -15,8 +15,10 @@ border weights, with no LAPACK call (reconstruct_H), b_factor_block takes
 the reversed LAPACK Cholesky factors of the bordered exponentiated spectra
 (sample_B_r), and singular_l_block takes cumulative log singular values
 by a one-sided Jacobi on columns vectorised over the block (singular_l),
-chosen for its relative accuracy on badly scaled matrices.  Each raises
-on the first matrix it cannot map.
+chosen for its relative accuracy on badly scaled matrices.  It holds the
+block as n contiguous (size, n) column arrays, and a matrix whose sweep
+made no rotation retires from them into its own row of the result.  Each
+raises on the first matrix it cannot map.
 
 The matrix size never exceeds a handful here, so the Python loops over
 levels and column pairs are both fast enough and easy to audit.
@@ -87,8 +89,10 @@ def singular_l(a):
 
 
 def _sq_norms(cols):
-    """Squared norms along the last axis."""
-    return (np.abs(cols) ** 2).sum(axis=-1)
+    """Squared norms of the rows of a complex (size, n) array, summed over
+    its float view: re^2 + im^2, with no complex abs."""
+    f = cols.view(float)
+    return np.einsum("ij,ij->i", f, f)
 
 
 def singular_l_block(a):
@@ -98,30 +102,36 @@ def singular_l_block(a):
     One-sided Jacobi vectorised over the block: each sweep visits the column
     pairs in order and rotates a pair of a matrix only when it fails the
     relative test |apq| <= 1e-15 sqrt(app) sqrt(aqq), two roots so that the
-    bound does not overflow before the norms do, and only the matrices that
-    rotated in a sweep take the next one.  Comparing column Grams, not
-    absolute magnitudes, keeps the relative accuracy on matrices with badly
-    scaled columns: a singular value of 1e-13 next to one of 1e+13 still
-    comes out to full relative precision.  A non-finite entry or a zero
-    singular value raises ValueError, squared column norms past the float
-    range raise OverflowError, and no convergence within the sweep limit
-    raises RuntimeError."""
-    n = a.shape[1]
-    cols = np.array(a.transpose(0, 2, 1), dtype=complex)  # cols[:, j] is column j
-    if not np.isfinite(cols).all():
+    bound does not overflow before the norms do.  Comparing column Grams,
+    not absolute magnitudes, keeps the relative accuracy on matrices with
+    badly scaled columns: a singular value of 1e-13 next to one of 1e+13
+    still comes out to full relative precision.
+
+    The block is held as n contiguous column arrays of shape (size, n), row
+    i of array j being column j of matrix i, and norms and Grams are einsum
+    row sums.  A matrix whose sweep made no rotation retires: its squared
+    column norms are written to its row of the result and it leaves the
+    column arrays, so each sweep works on the matrices still rotating.
+    Every row is computed as in a block of one.  A non-finite entry or a
+    zero singular value raises ValueError, squared column norms past the
+    float range raise OverflowError, and no convergence within the sweep
+    limit raises RuntimeError."""
+    size, n = a.shape[:2]
+    if not np.isfinite(a).all():
         raise ValueError("matrix is singular")
+    cols = [np.ascontiguousarray(a[:, :, j], dtype=complex) for j in range(n)]
+    sq = np.empty((size, n))
+    active = np.arange(size)
     with np.errstate(all="ignore"):
-        active = np.arange(len(cols))
         for _ in range(_MAX_SWEEPS):
             if not active.size:
                 break
-            w = cols[active]
             rotated = np.zeros(active.size, dtype=bool)
             for p in range(n):
                 for q in range(p + 1, n):
-                    cp, cq = w[:, p].copy(), w[:, q]
+                    cp, cq = cols[p], cols[q]
                     app, aqq = _sq_norms(cp), _sq_norms(cq)
-                    apq = (cp.conj() * cq).sum(axis=1)
+                    apq = np.einsum("ij,ij->i", cp.conj(), cq)
                     ab = np.abs(apq)
                     # a zero column never rotates, and its zero singular
                     # value is refused below
@@ -136,16 +146,19 @@ def singular_l_block(a):
                     e = np.where(rot, apq.conj() / np.where(rot, ab, 1.0),
                                  1.0)[:, None]
                     es, ec = e * s, e * c
-                    w[:, p] = c * cp + es * cq
-                    w[:, q] = -s * cp + ec * cq
+                    cols[p] = c * cp + es * cq
+                    cols[q] = -s * cp + ec * cq
                     rotated |= rot
-            if not np.isfinite(w).all():
+            if not all(np.isfinite(col.view(float)).all() for col in cols):
                 raise OverflowError(_NORM_RANGE)
-            cols[active] = w
-            active = active[rotated]
+            if not rotated.all():
+                done = ~rotated
+                sq[active[done]] = np.column_stack([_sq_norms(col[done])
+                                                    for col in cols])
+                cols = [col[rotated] for col in cols]
+                active = active[rotated]
         if active.size:
             raise RuntimeError("one-sided Jacobi failed to converge")
-        sq = _sq_norms(cols)
         if not np.isfinite(sq).all():
             raise OverflowError(_NORM_RANGE)
         sig = -np.sort(-np.sqrt(sq), axis=1)

@@ -54,9 +54,9 @@ class EmpiricalSample:
     in the array alone and vectors is derived from it; a sample built from
     vectors alone gets its array from them, once.  An array handed in is
     copied, so later writes to the caller's array do not reach the sample.
-    A non-finite value, an array not of shape (count, n), and vectors and
-    an array that disagree raise ValueError.  array takes no part in
-    equality, hashing or repr."""
+    Neither vectors nor an array, a non-finite value, an array not of
+    shape (count, n), and vectors and an array that disagree raise
+    ValueError.  array takes no part in equality, hashing or repr."""
 
     generator: str
     n: int
@@ -67,6 +67,8 @@ class EmpiricalSample:
     array: np.ndarray = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
+        if self.vectors is None and self.array is None:
+            raise ValueError("sample needs vectors or array")
         arr = _vectors_array(self.vectors) if self.array is None \
             else np.array(self.array, dtype=float)
         if arr.shape != (self.count, self.n):
@@ -221,9 +223,13 @@ def ks_distance(x, y, projection=None):
     """Two-sample KS statistic, or one-sample against a CDF callable.
 
     Both samples are read through their float64 arrays and must have the
-    same n; a projection outside the samples' coordinates or of the wrong
-    length raises ValueError, and so does a CDF that does not give one
-    value in [0, 1] per sorted point."""
+    same n.  Two samples are compared by one stable merge of their sorted
+    projections: one cumsum counts the x draws cx and the y draws cy at or
+    below each value, and the statistic is the largest |cx/nx - cy/ny|,
+    taken at the last entry of each run of equal values, ties included.  A
+    projection outside the samples' coordinates or of the wrong length
+    raises ValueError, and so does a CDF that does not give one value in
+    [0, 1] per sorted point."""
     if not callable(y) and y.n != x.n:
         raise ValueError("samples of different n (%d and %d)" % (x.n, y.n))
     xa = np.sort(_project(x, projection))
@@ -239,9 +245,13 @@ def ks_distance(x, y, projection=None):
     ya = np.sort(_project(y, projection))
     ny = len(ya)
     pooled = np.concatenate([xa, ya])
-    fx = np.searchsorted(xa, pooled, side="right") / nx
-    fy = np.searchsorted(ya, pooled, side="right") / ny
-    stat = float(np.max(np.abs(fx - fy)))
+    order = np.argsort(pooled, kind="stable")  # merges the two sorted runs
+    merged = pooled[order]
+    # at the last of each run of equal values, the draws at or below it
+    # number ends + 1, and cx of them are x draws
+    ends = np.flatnonzero(np.append(merged[1:] != merged[:-1], True))
+    cx = np.cumsum(order < nx)[ends]
+    stat = float(np.max(np.abs(cx / nx - (ends + 1 - cx) / ny)))
     return KSResult(stat, nx, ny, projection)
 
 

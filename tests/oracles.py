@@ -24,6 +24,9 @@ singular_l, upper_cholesky, bordered, reconstruct_from_spectra and b_factor
 are the scalar multiplicative route in plain Python, one matrix at a time:
 the reference against which hornlab's block forms (singular_l_block,
 _bordered, b_factor_block) are tested.
+ks_two_sample is the two-sample KS statistic read off both empirical CDFs
+by two searchsorted calls over the pooled values, the independent route to
+hornlab.ks_distance's one stable merge.
 enumerate_paths lists single paths and enumerate_kpaths lists
 vertex-disjoint path systems (MultiPath), both by depth-first search;
 minor_enum, the reference minor, is an explicit sum of multipath_weight
@@ -50,6 +53,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from operator import mul
+
+import numpy as np
 
 from hornlab.hive import (GZ, HIVE, HornTriple, Tableau, _facets,
                           _hive_inequalities, _pinned_slots, gz_check)
@@ -623,6 +628,16 @@ def singular_l(a):
         acc += math.log(v)
         out.append(acc)
     return tuple(out)
+
+
+def ks_two_sample(xa, ya):
+    """Two-sample KS statistic of two sorted float arrays: the largest gap
+    between their empirical CDFs, each evaluated at every pooled value by
+    searchsorted."""
+    pooled = np.concatenate([xa, ya])
+    fx = np.searchsorted(xa, pooled, side="right") / len(xa)
+    fy = np.searchsorted(ya, pooled, side="right") / len(ya)
+    return float(np.max(np.abs(fx - fy)))
 
 
 def upper_cholesky(p):

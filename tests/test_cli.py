@@ -275,6 +275,27 @@ def test_config_unknown_key_is_precondition(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["kappa-sample", "--r", "2,0", "--s", "1,0", "--count", "2"],
+     "generator"),
+    (["kappa-sample", "--r", "2,0", "--s", "1,0", "--count", "2"],
+     "threshold"),
+    (["sample", "--generator", "tropical-kappa", "--r", "2,0", "--s", "1,0"],
+     "slack"),
+    (["horn-forward", "--mode", "tropical", "--n", "2"], "r"),
+    (["limit-sweep", "--weights", "w.json"], "seed"),
+])
+def test_config_key_of_another_command_is_precondition(argv, key, tmp_path,
+                                                       capsys):
+    # a config written for another command is refused, not read in part
+    cfg = _dump(tmp_path, "cfg.json", {key: "1"})
+    assert main(argv + ["--config", cfg]) == PRECONDITION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown config keys for %s: %s\n" \
+        % (argv[0], key)
+
+
 _SAMPLE = ["sample", "--generator", "tropical-kappa", "--r", "2,0", "--s", "1,0"]
 _FORWARD = ["horn-forward", "--mode", "tropical"]
 

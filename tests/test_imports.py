@@ -4,8 +4,10 @@ package or exported, and the package exports exactly what its __init__
 imports.  One more check keeps the conversion of rationals to integers in
 semiring.over_common_denominator alone, another keeps the Horn cone on
 one exact route (no LP solver in the package), a third keeps the one
-float error analysis in hive's filter, and a fourth keeps Hermitian
-spectra on one route (no Jacobi eigensolver in the package).
+float error analysis in hive's filter, a fourth keeps Hermitian
+spectra on one route (no Jacobi eigensolver in the package), and a fifth
+keeps the two-sample KS statistic on one route (no searchsorted call in
+the package).
 
 No linter ships with the project, so these stdlib-ast checks keep unused
 imports, dead definitions and stale exports out.  The package __init__ is
@@ -153,4 +155,17 @@ def test_no_module_defines_the_jacobi_eigensolver():
              for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
              if isinstance(node, ast.FunctionDef)
              and node.name in ("eigh", "_rotation", "frobenius")]
+    assert found == []
+
+
+def test_no_module_calls_searchsorted():
+    # the two-sample KS statistic has one route in the package, one stable
+    # merge of the sorted projections (measure.ks_distance); the route
+    # through two searchsorted calls lives in tests/oracles.py as the
+    # independent one
+    found = [(p.name, node.lineno) for p in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", getattr(node.func, "id", None))
+             == "searchsorted"]
     assert found == []

@@ -492,6 +492,47 @@ def test_singular_l_block_is_singular_l_per_matrix(n):
         assert singular_l(m) == tuple(got)
 
 
+def _sweeps_to_converge(m, monkeypatch):
+    """The fewest sweeps in which singular_l_block converges on m alone."""
+    for k in range(1, 30):
+        monkeypatch.setattr(linalg, "_MAX_SWEEPS", k)
+        try:
+            singular_l_block(m[None])
+            return k
+        except RuntimeError:
+            pass
+        finally:
+            monkeypatch.undo()
+    raise AssertionError("no convergence in 29 sweeps")
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_singular_l_block_retires_each_matrix_into_its_own_row(n,
+                                                                monkeypatch):
+    # diagonal matrices make no rotation, U D ones converge in one sweep,
+    # D U ones in several, and graded and 1e77-scaled ones in between: each
+    # leaves the column arrays at its own sweep, and its values land in its
+    # own row, bit for bit those of its block of one
+    rng = np.random.default_rng(50 + n)
+    mats = []
+    for _ in range(3):
+        d = np.logspace(0.0, -rng.uniform(0.0, 3.0), n) * rng.uniform(0.5, 2.0)
+        u = haar_unitaries(n, 1, rng)[0]
+        mats += [np.diag(d) + 0j, u * d, d[:, None] * u, _graded(n, rng, 26.0),
+                 1e77 * _graded(n, rng, 2.0)]
+    a = np.array(mats)
+    sweeps = [_sweeps_to_converge(m, monkeypatch) for m in a]
+    assert min(sweeps) == 1 and len(set(sweeps)) >= 3
+    values = singular_l_block(a)
+    for m, got in zip(a, values):
+        assert got.tobytes() == singular_l_block(m[None])[0].tobytes()
+        assert got == pytest.approx(oracles.singular_l(m.tolist()), rel=0,
+                                    abs=1e-12)
+    # a shuffled block gives the same rows, shuffled alike
+    perm = rng.permutation(len(a))
+    assert singular_l_block(a[perm]).tobytes() == values[perm].tobytes()
+
+
 def test_singular_l_block_raises_on_a_zero_singular_value():
     good = _graded(3, np.random.default_rng(47), 2.0)
     zero_col = good.copy()

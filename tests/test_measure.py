@@ -80,6 +80,41 @@ def test_ks_projections():
         ks_distance(s, s)  # multivariate needs an explicit projection
 
 
+def _integer_sample(rng, count, n=1):
+    """count draws of n coordinates, each an integer in 0..4: every value
+    a long run of ties."""
+    vecs = tuple(tuple(float(v) for v in row)
+                 for row in rng.integers(0, 5, (count, n)))
+    return EmpiricalSample("inline", n, (), (), count, vecs)
+
+
+@pytest.mark.parametrize("nx, ny", [(50, 70), (70, 50), (1, 9), (9, 1),
+                                    (1, 1), (400, 300)])
+def test_ks_is_the_searchsorted_route_on_ties(nx, ny):
+    rng = np.random.default_rng(100 * nx + ny)
+    for _ in range(20):
+        x, y = _integer_sample(rng, nx), _integer_sample(rng, ny)
+        assert ks_distance(x, y, 0).statistic == _tuple_ks(x, y, 0)
+
+
+def test_ks_of_identical_constant_samples_is_zero():
+    for nx, ny in ((1, 1), (5, 7), (70, 50)):
+        x, y = _vec([2.5] * nx), _vec([2.5] * ny)
+        assert ks_distance(x, y).statistic == _tuple_ks(x, y, 0) == 0.0
+    # -0.0 and 0.0 are one value to both routes
+    x, y = _vec([-0.0, 0.0, 1.0]), _vec([0.0, -0.0])
+    assert ks_distance(x, y).statistic == _tuple_ks(x, y, 0)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_ks_is_the_searchsorted_route_on_every_projection(seed):
+    rng = np.random.default_rng(seed)
+    x, y = _integer_sample(rng, 60, 3), _integer_sample(rng, 80, 3)
+    for proj in projection_set(3, seed):
+        assert ks_distance(x, y, proj).statistic == _tuple_ks(x, y, proj)
+        assert ks_distance(y, x, proj).statistic == _tuple_ks(y, x, proj)
+
+
 def test_projection_set_layout():
     ps = projection_set(3, seed=5)
     assert ps[:3] == [0, 1, 2]
@@ -156,6 +191,11 @@ def test_sample_refuses_an_array_not_of_shape_count_by_n():
                         np.zeros((2, 3)))
 
 
+def test_sample_refuses_to_be_built_without_draws():
+    with pytest.raises(ValueError, match="sample needs vectors or array"):
+        EmpiricalSample("x", 2, (), (), 3)
+
+
 def test_sample_refuses_vectors_and_an_array_that_disagree():
     # this pair used to compare equal to the sample built from the vectors
     # alone, at KS distance 1.0 from it
@@ -201,11 +241,7 @@ def _tuple_ks(x, y, projection):
         f = np.asarray(y(xa), dtype=float)
         grid = np.arange(1, nx + 1) / nx
         return float(max(np.max(grid - f), np.max(f - (grid - 1.0 / nx))))
-    ya = np.sort(_tuple_project(y, projection))
-    pooled = np.concatenate([xa, ya])
-    fx = np.searchsorted(xa, pooled, side="right") / nx
-    fy = np.searchsorted(ya, pooled, side="right") / len(ya)
-    return float(np.max(np.abs(fx - fy)))
+    return oracles.ks_two_sample(xa, np.sort(_tuple_project(y, projection)))
 
 
 def _mc_agree_round(count, seed):
