@@ -45,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd
+from math import gcd, isnan
 from operator import mul
 
 import numpy as np
@@ -511,12 +511,15 @@ def _exact_in(v):
     if isinstance(v, str) and \
             len(v.lower().partition("e")[2].strip().lstrip("+-0_")) > 3:
         raise ValueError("exponent out of range: %r" % (v,))
-    try:
-        x = Fraction(v)
-        float(x)
-        return x
-    except (ZeroDivisionError, OverflowError):  # '1/0', inf, 1e400
-        raise ValueError("not a finite number: %r" % (v,)) from None
+    # NaN is refused here, since Fraction's own error speaks of ratios
+    if not (isinstance(v, float) and isnan(v)):
+        try:
+            x = Fraction(v)
+            float(x)
+            return x
+        except (ZeroDivisionError, OverflowError):  # '1/0', inf, 1e400
+            pass
+    raise ValueError("not a finite number: %r" % (v,))
 
 
 def _value_in(v):

@@ -6,7 +6,9 @@ cumulative eigenvalues of a whole block from one LAPACK eigvalsh call
 is a block of one.  Eigenvalues need only absolute accuracy, which the
 backward-stable eigvalsh gives (Weyl's inequality); the two-sided Jacobi
 eigh, with eigenvectors, lives in tests/oracles.py as the route the tests
-compare against.  Haar unitaries come as numpy blocks from one QR call.
+compare against.  Haar unitaries come as numpy blocks from Gram-Schmidt
+run twice on column arrays (_q_factor), with no LAPACK call; the
+phase-fixed QR route lives in tests/oracles.py as its oracle.
 
 The multiplicative model has one route, on numpy blocks; a single matrix
 is a block of one.  _bordered extends a block of Hermitian matrices level
@@ -167,18 +169,40 @@ def singular_l_block(a):
         return np.cumsum(np.log(sig), axis=1)
 
 
-def haar_unitaries(n, count, rng):
-    """count Haar-distributed unitaries, an array of shape (count, n, n),
-    via QR of complex Ginibre matrices with the R diagonal phase fixed so
-    the distribution is exactly invariant.  One QR call serves the batch,
-    and the stream is read draw by draw: a block is the sequence of the
-    blocks of one that the same stream would give."""
+def _q_factor(z):
+    """The Q factor with positive real R diagonal of each matrix of a
+    complex block z of shape (size, n, n), as an array of the same shape.
+
+    Modified Gram-Schmidt, run twice on each column, on n contiguous (size,
+    n) column arrays: inner products are einsum row sums and norms
+    _sq_norms over float views.  Two passes keep Q orthonormal to working
+    precision (Giraud, Langou and Rozloznik 2005), and dividing each column
+    by its own norm makes the R diagonal real and positive, so Q is the
+    phase-fixed QR factor.  Every row is computed as in a block of one."""
+    cols = list(z.transpose(2, 0, 1).copy())
+    for j, v in enumerate(cols):
+        for _ in range(2):
+            for q in cols[:j]:
+                v -= np.einsum("ij,ij->i", q.conj(), v)[:, None] * q
+        v /= np.sqrt(_sq_norms(v))[:, None]
+    return np.stack(cols, axis=2)
+
+
+def _ginibre(n, count, rng):
+    """count complex Ginibre matrices of size n, an array of shape (count,
+    n, n) read from one standard_normal((count, 2, n, n)) call: draw by
+    draw, real part before imaginary part.  The entries are left unscaled,
+    since the 1/sqrt(2) of the standard ensemble cancels in _q_factor."""
     g = rng.standard_normal((count, 2, n, n))
-    z = g[:, 0] + 1j * g[:, 1]
-    z *= 1.0 / math.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[:, None, :]
+    return g[:, 0] + 1j * g[:, 1]
+
+
+def haar_unitaries(n, count, rng):
+    """count Haar-distributed unitaries, an array of shape (count, n, n):
+    the Q factors with positive R diagonal of complex Ginibre matrices
+    (Mezzadri 2007), one _q_factor call for the batch.  A block is the
+    sequence of the blocks of one that the same stream would give."""
+    return _q_factor(_ginibre(n, count, rng))
 
 
 def spectrum_of(r):

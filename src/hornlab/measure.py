@@ -13,9 +13,12 @@ A sample carries its draws as one read-only float64 array of shape
 ks_distance and the CLI read that array, and the tuple field vectors,
 derived from it, is the same values for callers that want Python floats.
 
-The spectra of D_r + U D_s U* need only absolute accuracy, so a whole
-Haar block goes through linalg.l_map_block, one LAPACK eigvalsh call.  The
-multiplicative generator's small singular values need accuracy relative to
+Haar unitaries come a block at a time from linalg.haar_unitaries,
+Gram-Schmidt run twice on column arrays, and horn_forward_test's hermitian
+instances are orthonormalised a block at a time too.  The spectra of
+D_r + U D_s U* need only absolute accuracy, so a whole block goes through
+linalg.l_map_block, one LAPACK eigvalsh call.  The multiplicative
+generator's small singular values need accuracy relative to
 themselves: a block of factors comes from linalg.b_factor_block, their
 products from one numpy product, and the singular values from
 linalg.singular_l_block, a one-sided Jacobi vectorised over the block.
@@ -35,8 +38,9 @@ import numpy as np
 from .chamber import (WbarWeighting, find_delta0_chamber, gamma0_cached,
                       genericity_check, horn_triple_tropical, kappa_block)
 from .hive import HornTriple, check_size, kt_member
-from .linalg import (_pattern_and_phases, b_factor_block, haar_unitaries,
-                     l_map_block, singular_l, singular_l_block, spectrum_of)
+from .linalg import (_ginibre, _pattern_and_phases, _q_factor,
+                     b_factor_block, haar_unitaries, l_map_block, singular_l,
+                     singular_l_block)
 from .paths import complex_lift, m_k
 from .polytope import gz_block
 from .semiring import TROPICAL, as_rational
@@ -122,12 +126,17 @@ def _float_pair(r, s):
 
 def _sum_spectra(r, s, us):
     """Cumulative spectra of D_r + U D_s U*, one row per unitary U of the
-    block us, with D_r and D_s the diagonal matrices of the spectra of r
-    and s: linalg.l_map_block of the block of these matrices, which raises
-    OverflowError on a non-finite entry or Frobenius norm."""
+    block us, with D_r and D_s the diagonal matrices of the spectra of the
+    cumulative vectors r and s of the same row (arrays of shape (size, n),
+    or (1, n) for one pair across the block): linalg.l_map_block of the
+    block of these matrices, which raises OverflowError on a non-finite
+    entry or Frobenius norm."""
+    n = us.shape[1]
     with np.errstate(all="ignore"):
-        k = (us * spectrum_of(s)) @ us.conj().transpose(0, 2, 1)
-        k += np.diag(spectrum_of(r))
+        lam_r, lam_s = (np.diff(np.asarray(x, dtype=float), axis=1,
+                                prepend=0.0) for x in (r, s))
+        k = (us * lam_s[:, None, :]) @ us.conj().transpose(0, 2, 1)
+        k[:, range(n), range(n)] += lam_r
     return l_map_block(k)
 
 
@@ -137,7 +146,7 @@ def sample_hermitian_sum(r, s, count, rng):
     n = len(r)
 
     def draw(crng, size):
-        return _sum_spectra(r, s, haar_unitaries(n, size, crng))
+        return _sum_spectra([r], [s], haar_unitaries(n, size, crng))
 
     return EmpiricalSample("hermitian-sum", n, r, s, count,
                            array=_run_blocks(draw, count, rng))
@@ -380,41 +389,44 @@ def horn_forward_test(mode, n, count, slack, rng):
 
     tropical draws exact random reduced weightings (the cone is closed, so
     degenerate pairs still belong and are kept), hermitian and
-    multiplicative draw random spectra; multiplicative then draws a
-    pattern and phases below each spectrum, as sample_B_r reads them, and
-    maps the block's factors through b_factor_block and singular_l_block
-    at once.  Each instance is drawn whole before the next, so the block
-    size does not change the output.  n must lie in 1..hive.MAX_N.
+    multiplicative draw random spectra.  hermitian then draws one Ginibre
+    matrix, as haar_unitaries reads it, and maps the block's matrices
+    through one linalg._q_factor call and its spectra through one
+    _sum_spectra call; multiplicative draws a pattern and
+    phases below each spectrum, as sample_B_r reads them, and maps the
+    block's factors through b_factor_block and singular_l_block at once.
+    Each instance is drawn whole before the next, so the block size does
+    not change the output.  n must lie in 1..hive.MAX_N.
     """
     if mode not in ("tropical", "hermitian", "multiplicative"):
         raise ValueError("unknown mode %r" % (mode,))
     check_size(n)
     eps = as_rational(slack)
+    hermitian = mode == "hermitian"
 
-    def triple(crng):
-        if mode == "tropical":
-            return horn_triple_tropical(_random_wbar(n, crng),
-                                        _random_wbar(n, crng))
-        r = _random_cumsum_spectrum(n, crng)
-        s = _random_cumsum_spectrum(n, crng)
-        c = _sum_spectra(r, s, haar_unitaries(n, 1, crng))[0].tolist()
-        return HornTriple(r, s, c)
-
-    def multiplicative(crng, size):
-        spectra, factors = [], []
+    def float_triples(crng, size):
+        spectra, extras = [], []
         for _ in range(size):
             r = _random_cumsum_spectrum(n, crng)
             s = _random_cumsum_spectrum(n, crng)
             spectra.append((r, s))
-            factors.append(_pattern_and_phases(r, crng)
-                           + _pattern_and_phases(s, crng))
-        us, pus, vs, pvs = (np.concatenate(f) for f in zip(*factors))
-        cs = singular_l_block(b_factor_block(us, pus) @ b_factor_block(vs, pvs))
-        return [HornTriple(r, s, c) for (r, s), c in zip(spectra, cs.tolist())]
+            extras.append(_ginibre(n, 1, crng) if hermitian
+                          else _pattern_and_phases(r, crng)
+                          + _pattern_and_phases(s, crng))
+        rs, ss = zip(*spectra)
+        if hermitian:
+            cs = _sum_spectra(rs, ss, _q_factor(np.concatenate(extras)))
+        else:
+            us, pus, vs, pvs = (np.concatenate(f) for f in zip(*extras))
+            cs = singular_l_block(b_factor_block(us, pus)
+                                  @ b_factor_block(vs, pvs))
+        return [HornTriple(r, s, c) for r, s, c in zip(rs, ss, cs.tolist())]
 
     def draw(crng, size):
-        triples = multiplicative(crng, size) if mode == "multiplicative" \
-            else [triple(crng) for _ in range(size)]
+        triples = float_triples(crng, size) if mode != "tropical" \
+            else [horn_triple_tropical(_random_wbar(n, crng),
+                                       _random_wbar(n, crng))
+                  for _ in range(size)]
         return [kt_member(t, eps) for t in triples]
 
     passed = _run_blocks(draw, count, rng)
@@ -437,7 +449,7 @@ def exceptional_mass_estimate(r, s, count, slack, rng):
     eps = as_rational(slack)
 
     def draw(crng, size):
-        spectra = _sum_spectra(r, s, haar_unitaries(n, size, crng))
+        spectra = _sum_spectra([r], [s], haar_unitaries(n, size, crng))
         return [not kt_member(HornTriple(r, s, c), eps)
                 for c in spectra.tolist()]
 

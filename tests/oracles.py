@@ -27,6 +27,9 @@ _bordered, b_factor_block) are tested.
 ks_two_sample is the two-sample KS statistic read off both empirical CDFs
 by two searchsorted calls over the pooled values, the independent route to
 hornlab.ks_distance's one stable merge.
+haar_qr is the phase-fixed LAPACK QR of complex Ginibre matrices, read from
+the stream as hornlab.haar_unitaries reads it: the independent route to its
+Gram-Schmidt, which agrees with it to rounding.
 enumerate_paths lists single paths and enumerate_kpaths lists
 vertex-disjoint path systems (MultiPath), both by depth-first search;
 minor_enum, the reference minor, is an explicit sum of multipath_weight
@@ -638,6 +641,19 @@ def ks_two_sample(xa, ya):
     fx = np.searchsorted(xa, pooled, side="right") / len(xa)
     fy = np.searchsorted(ya, pooled, side="right") / len(ya)
     return float(np.max(np.abs(fx - fy)))
+
+
+def haar_qr(n, count, rng):
+    """count Haar unitaries of size n as an array of shape (count, n, n):
+    the Q factors of QR of complex Ginibre matrices, one batched LAPACK
+    call, with the R diagonal phase fixed so the law is exactly invariant
+    (Mezzadri 2007)."""
+    g = rng.standard_normal((count, 2, n, n))
+    z = g[:, 0] + 1j * g[:, 1]
+    z *= 1.0 / math.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[:, None, :]
 
 
 def upper_cholesky(p):

@@ -584,6 +584,20 @@ def test_malformed_input_exit_code(argv, doc, code, tmp_path, capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["sample", "--generator", "hermitian-sum", "--r", "nan,4,3",
+     "--s", "2,2.5,1.5", "--count", "3", "--seed", "1"],
+    ["horn-forward", "--mode", "hermitian", "--n", "2", "--count", "3",
+     "--slack", "nan"],
+])
+def test_nan_is_not_a_finite_number(argv, capsys):
+    # NaN is refused as inf is, not with Fraction's integer-ratio message
+    assert main(argv) == PRECONDITION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: not a finite number: nan\n"
+
+
 # Spectra near the top of the float range, run as a real process so that a
 # numpy warning would reach stderr: at 1e300 every pair still samples, through
 # the exact route, and gives the rows it always gave; at 1e308 the pattern

@@ -5,8 +5,9 @@ imports.  One more check keeps the conversion of rationals to integers in
 semiring.over_common_denominator alone, another keeps the Horn cone on
 one exact route (no LP solver in the package), a third keeps the one
 float error analysis in hive's filter, a fourth keeps Hermitian
-spectra on one route (no Jacobi eigensolver in the package), and a fifth
+spectra on one route (no Jacobi eigensolver in the package), a fifth
 keeps the two-sample KS statistic on one route (no searchsorted call in
+the package), and a sixth keeps Haar unitaries on one route (no qr call in
 the package).
 
 No linter ships with the project, so these stdlib-ast checks keep unused
@@ -158,14 +159,32 @@ def test_no_module_defines_the_jacobi_eigensolver():
     assert found == []
 
 
+def _calls(name):
+    """(module, line) of every call in the package of a function or method
+    named name."""
+    return [(p.name, node.lineno) for p in sorted(SRC.glob("*.py"))
+            for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None))
+            == name]
+
+
+def test_check_flags_a_call():
+    # l_map_block is called by name in linalg and measure
+    assert {module for module, _ in _calls("l_map_block")} \
+        == {"linalg.py", "measure.py"}
+
+
 def test_no_module_calls_searchsorted():
     # the two-sample KS statistic has one route in the package, one stable
     # merge of the sorted projections (measure.ks_distance); the route
     # through two searchsorted calls lives in tests/oracles.py as the
     # independent one
-    found = [(p.name, node.lineno) for p in sorted(SRC.glob("*.py"))
-             for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
-             if isinstance(node, ast.Call)
-             and getattr(node.func, "attr", getattr(node.func, "id", None))
-             == "searchsorted"]
-    assert found == []
+    assert _calls("searchsorted") == []
+
+
+def test_no_module_calls_qr():
+    # Haar unitaries have one route in the package, Gram-Schmidt run twice
+    # on column arrays (linalg._q_factor); the phase-fixed LAPACK QR lives
+    # in tests/oracles.py as the independent one
+    assert _calls("qr") == []

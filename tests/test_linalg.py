@@ -192,27 +192,41 @@ def test_haar_unitary_is_unitary_and_seeded():
     assert all(u[i][j] == v[i][j] for i in range(4) for j in range(4))
 
 
-def _haar_one_at_a_time(n, rng):
-    # QR of one Ginibre matrix, real part drawn before imaginary part
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    z *= 1.0 / math.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return (q * (d / np.abs(d))).tolist()
-
-
 def test_haar_unitaries_read_the_stream_as_single_draws():
-    # a batch is bit for bit the sequence of one-matrix draws, and the
-    # sequence of one-draw blocks read from the same stream
-    for n in (1, 2, 3, 4):
-        batch = haar_unitaries(n, 5, np.random.default_rng(n))
+    # a batch is bit for bit the sequence of its blocks of one, and of its
+    # blocks of 7, read from the same stream; Gram-Schmidt and the LAPACK
+    # QR of the same draws agree to rounding only
+    for n in (1, 2, 3, 4, 5):
+        batch = haar_unitaries(n, 21, np.random.default_rng(n))
+        assert batch.shape == (21, n, n)
+        for size in (1, 7):
+            rng = np.random.default_rng(n)
+            blocks = [haar_unitaries(n, size, rng) for _ in range(21 // size)]
+            assert np.concatenate(blocks).tobytes() == batch.tobytes()
         rng = np.random.default_rng(n)
-        assert batch.shape == (5, n, n)
-        assert [u.tolist() for u in batch] \
-            == [_haar_one_at_a_time(n, rng) for _ in range(5)]
-        rng = np.random.default_rng(n)
-        assert [u.tolist() for u in batch] \
-            == [haar_unitaries(n, 1, rng)[0].tolist() for _ in range(5)]
+        want = np.concatenate([oracles.haar_qr(n, 1, rng) for _ in range(21)])
+        assert np.abs(batch - want).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("cond", [1e4, 1e8, 1e12, 1e15])
+def test_q_factor_is_the_positive_qr_factor_of_graded_matrices(n, cond):
+    # Z = U diag(d) V* with singular values graded from 1 down to 1/cond:
+    # Q stays orthonormal, Q* Z is upper triangular, and its diagonal is
+    # real and positive, so Q is the Q factor with positive R diagonal
+    rng = np.random.default_rng([730, n, int(math.log10(cond))])
+    d = np.logspace(0.0, -math.log10(cond), n)
+    u, v = oracles.haar_qr(n, 200, rng), oracles.haar_qr(n, 200, rng)
+    z = (u * d) @ v.conj().transpose(0, 2, 1)
+    q = linalg._q_factor(z)
+    eye = np.eye(n)
+    assert np.linalg.norm(q.conj().transpose(0, 2, 1) @ q - eye,
+                          axis=(1, 2)).max() <= 1e-14
+    r = q.conj().transpose(0, 2, 1) @ z
+    tol = 1e-13 * np.abs(z).max()
+    assert np.abs(np.tril(r, -1)).max() <= tol
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    assert np.abs(diag.imag).max() <= tol and (diag.real > 0.0).all()
 
 
 def test_spectrum_of_inverts_partial_sums():

@@ -347,7 +347,7 @@ def test_a_run_reads_one_stream_spawned_once():
     # a run past 8192 draws used to switch to a second spawned stream there
     got = sample_hermitian_sum(R3, S3, 8200, np.random.default_rng(9)).array
     us = haar_unitaries(3, 8200, np.random.default_rng(9).spawn(1)[0])
-    assert got.tobytes() == measure._sum_spectra(R3, S3, us).tobytes()
+    assert got.tobytes() == measure._sum_spectra([R3], [S3], us).tobytes()
 
 
 @pytest.mark.parametrize("gen", GENS)
@@ -371,7 +371,7 @@ def test_sum_spectra_match_the_list_route():
                         ((3e100, 4e100, 3e100), (2e100, 2.5e100, 1.5e100),
                          1e100)):
         us = haar_unitaries(len(r), 50, rng)
-        for u, got in zip(us.tolist(), measure._sum_spectra(r, s, us)):
+        for u, got in zip(us.tolist(), measure._sum_spectra([r], [s], us)):
             k = hermitian_with_spectrum(spectrum_of(s), u)
             for i, lam in enumerate(spectrum_of(r)):
                 k[i][i] += lam
@@ -585,6 +585,28 @@ def test_horn_forward_multiplicative_is_the_scalar_route(n):
                                     np.random.default_rng([710, n]))
     assert 0 < len(want) < 60
     assert rep.failures == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_horn_forward_hermitian_is_the_per_instance_route(n, monkeypatch):
+    # the block's unitaries are orthonormalised and its spectra mapped at
+    # once, and each triple is exactly the one drawn alone: the
+    # spectra, one Haar unitary, then _sum_spectra of a block of one; with
+    # blocks of 128, 300 instances cross two block boundaries
+    seen = []
+    monkeypatch.setattr(measure, "BLOCK", 128)
+    monkeypatch.setattr(measure, "kt_member",
+                        lambda t, eps: seen.append(t) is None)
+    horn_forward_test("hermitian", n, 300, F(-1, 10),
+                      np.random.default_rng([720, n]))
+    crng = np.random.default_rng([720, n]).spawn(1)[0]
+    want = []
+    for _ in range(300):
+        r = measure._random_cumsum_spectrum(n, crng)
+        s = measure._random_cumsum_spectrum(n, crng)
+        c = measure._sum_spectra([r], [s], haar_unitaries(n, 1, crng))[0]
+        want.append(HornTriple(r, s, c.tolist()))
+    assert seen == want
 
 
 def test_horn_forward_unknown_mode():
